@@ -29,7 +29,7 @@ from .diagonals import (
 )
 from .graph import Graph, VertexSet
 from .upsets import UPSet
-from .walks import power_trace, spectra_from_trace
+from .walks import closed_walk_spectra, power_trace, spectra_from_trace
 
 MAX_ORACLE_ORDER = 8
 MAX_ORACLE_WALK = 12
@@ -277,7 +277,9 @@ def exhaustive_sweep(
 
 
 def _check_spectra(g: Graph, max_len: int) -> None:
-    spectra = spectra_from_trace(power_trace(g))
+    spectra = closed_walk_spectra(g)
+    if spectra != spectra_from_trace(power_trace(g)):
+        raise AssertionError("frontier spectra differ from the power-trace spectra")
     for v in range(g.n):
         truth = closed_walk_lengths_bf(g, v, max_len)
         for length in range(1, max_len + 1):

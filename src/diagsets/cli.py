@@ -1,6 +1,7 @@
 """Command-line surface: analyze, verify, spectrum, gen.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+3 resource cap.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from pathlib import Path
 from time import perf_counter
 
 from . import __version__
-from .bruteforce import exhaustive_sweep
+from .bruteforce import OracleGuardError, exhaustive_sweep
 from .diagonals import (
     InternalDisagreementError,
     TheoremViolationError,
@@ -21,7 +22,7 @@ from .diagonals import (
 )
 from .graphio import EdgeListError, emit_edge_list, gen_random, parse_edge_list, scan_seed_comment
 from .report import analyze_graph, report_json
-from .upsets import parse_upset
+from .upsets import PeriodCapError, parse_upset
 from .walks import TraceCapError, closed_walk_spectrum
 
 
@@ -108,7 +109,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             try:
                 verify_battery(g, battery)
                 inclusion_chain_check(g, 8, s_samples)
-            except (TheoremViolationError, InternalDisagreementError, TraceCapError) as exc:
+            except (TheoremViolationError, InternalDisagreementError) as exc:
                 random_failures += 1
                 print(f"  FAIL seed={args.seed + i} order={order} p={p} loops={loops}: {exc}")
         print(
@@ -183,9 +184,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TheoremViolationError, InternalDisagreementError, TraceCapError) as exc:
+    except (TheoremViolationError, InternalDisagreementError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except (PeriodCapError, TraceCapError, OracleGuardError) as exc:
+        print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
     except (EdgeListError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,28 +21,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import Graph, VertexSet, bits_of
 from .upsets import UPSet
 from .walks import (
     BoolMatrix,
-    PowerTrace,
+    FrontierOrbit,
+    closed_walk_spectra,
     cyclic_vertices,
+    frontier_step,
     mat_mul_bool,
     mat_pow_bool,
-    power_trace,
     reach_backward,
-    spectra_from_trace,
+    scc_masks,
+    transpose_rows,
 )
 
 # Longest walk evidence materialized, in vertices.  Witnesses for larger
 # walk lengths keep their membership claims but omit the explicit walk.
 EVIDENCE_CAP = 10_000
-
-# Exponents up to this bound use directly accumulated powers; beyond it,
-# entry queries go through the eventual-periodicity trace.
-_SMALL_POWER_CAP = 64
 
 
 class TheoremViolationError(RuntimeError):
@@ -176,8 +174,7 @@ def diagonal_S(g: Graph, s: UPSet) -> VertexSet:
     """
     if s.is_empty():
         raise ValueError("S must be nonempty")
-    spectra = spectra_from_trace(power_trace(g))
-    return VertexSet(g.n, _diagonal_s_mask(spectra, s))
+    return VertexSet(g.n, _diagonal_s_mask(closed_walk_spectra(g), s))
 
 
 def compute_diagonal(g: Graph, spec: DiagonalSpec) -> VertexSet:
@@ -195,26 +192,27 @@ class _Ctx:
 
     def __init__(self, g: Graph):
         self.g = g
-        self._trace: PowerTrace | None = None
+        self._masks: list[int] | None = None
         self._spectra: list[UPSet] | None = None
         self._cyclic: VertexSet | None = None
         self._canreach: VertexSet | None = None
-        self._powers: list[BoolMatrix] = []
+        self._rev: tuple[int, ...] | None = None
+        self._back_steps: dict[int, Callable[[int], int]] = {}
         self._dsets: dict[str, VertexSet] = {}
 
-    def trace(self) -> PowerTrace:
-        if self._trace is None:
-            self._trace = power_trace(self.g)
-        return self._trace
+    def masks(self) -> list[int]:
+        if self._masks is None:
+            self._masks = scc_masks(self.g)
+        return self._masks
 
     def spectra(self) -> list[UPSet]:
         if self._spectra is None:
-            self._spectra = spectra_from_trace(self.trace())
+            self._spectra = closed_walk_spectra(self.g, self.masks())
         return self._spectra
 
     def cyclic(self) -> VertexSet:
         if self._cyclic is None:
-            self._cyclic = cyclic_vertices(self.g)
+            self._cyclic = VertexSet(self.g.n, sum(set(self.masks())))
         return self._cyclic
 
     def canreach_cycle(self) -> VertexSet:
@@ -222,18 +220,20 @@ class _Ctx:
             self._canreach = reach_backward(self.g, self.cyclic())
         return self._canreach
 
-    def entry(self, u: int, w: int, exponent: int) -> bool:
-        """A^exponent[u, w], with the empty-walk convention for exponent 0."""
-        if exponent == 0:
-            return u == w
-        if exponent <= _SMALL_POWER_CAP:
-            powers = self._powers
-            if not powers:
-                powers.append(BoolMatrix.from_graph(self.g))
-            while len(powers) < exponent:
-                powers.append(mat_mul_bool(powers[-1], powers[0]))
-            return powers[exponent - 1].entry(u, w)
-        return self.trace().power(exponent).entry(u, w)
+    def return_layers(self, v: int) -> FrontierOrbit:
+        """Layers B_k: the vertices of v's SCC with a length-k walk to v.
+
+        A closed walk through v stays in v's SCC, so a successor w of a
+        vertex on it continues to a length-k return exactly when w is in B_k.
+        Each call starts afresh, so the layers live only as long as the
+        witness that reads them.
+        """
+        comp = self.masks()[v]
+        if comp not in self._back_steps:
+            if self._rev is None:
+                self._rev = transpose_rows(self.g)
+            self._back_steps[comp] = frontier_step(self._rev, self.g.n, comp)
+        return FrontierOrbit(1 << v, self._back_steps[comp])
 
     def dset(self, spec: DiagonalSpec) -> VertexSet:
         key = spec.label()
@@ -254,21 +254,17 @@ def cantor_witness(g: Graph, v: int) -> Witness:
     return Witness(v, Side.DX_MINUS_OUT, v, None)
 
 
-def _closed_walk(g: Graph, ctx: _Ctx, v: int, length: int) -> tuple[int, ...]:
+def _closed_walk(g: Graph, layers: FrontierOrbit, v: int, length: int) -> tuple[int, ...]:
     """A closed walk of the given length through v, smallest successor first."""
     walk = [v]
-    cur = v
-    for i in range(1, length + 1):
-        remaining = length - i
-        for w in bits_of(g.rows[cur]):
-            if ctx.entry(w, v, remaining):
-                walk.append(w)
-                cur = w
-                break
-        else:
+    for remaining in range(length - 1, -1, -1):
+        nxt = g.rows[walk[-1]] & layers[remaining]
+        if not nxt:
             raise InternalDisagreementError(
-                f"no continuation at step {i} of a length-{length} closed walk via {v}"
+                f"no continuation at step {length - remaining} of a length-{length} "
+                f"closed walk via {v}"
             )
+        walk.append((nxt & -nxt).bit_length() - 1)
     return tuple(walk)
 
 
@@ -323,16 +319,14 @@ def _build_variant_witness(
         if shortest is None:
             raise InternalDisagreementError(f"vertex {v} left D_S with an empty violation set")
         length = shortest
-    first = None
-    for w in bits_of(g.rows[v]):
-        if ctx.entry(w, v, length - 1):
-            first = w
-            break
-    if first is None:
+    layers = ctx.return_layers(v)
+    firsts = g.rows[v] & layers[length - 1]
+    if not firsts:
         raise InternalDisagreementError(f"vertex {v} has no first step of a length-{length} return")
+    first = (firsts & -firsts).bit_length() - 1
     evidence = None
     if length + 1 <= EVIDENCE_CAP:
-        walk = _closed_walk(g, ctx, v, length)
+        walk = _closed_walk(g, layers, v, length)
         evidence = Evidence(walk[1:] + (walk[1],))
     return Witness(first, Side.OUT_MINUS_DX, v, evidence)
 
@@ -476,44 +470,55 @@ def inclusion_chain_check(
 
     Finite S: diagonal_S equals the exact intersection of the Dn over S
     (with D standing in for n = 0).  Ultimately periodic infinite S: the
-    intersection is truncated at max(mu, t+1) + lcm(lambda, d), beyond
-    which both sides are jointly periodic, so nothing new can appear.
+    intersection is truncated at the largest max(t_v, t_S+1) + lcm(d_v, d_S)
+    over the vertices v, with (t_v, d_v) the threshold and period of v's
+    spectrum; beyond it each vertex's violations are periodic, so nothing
+    new can appear.  The D_S side comes from the spectra, the intersection
+    side from matrix powers A^(m+1) chained along the members m of S.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     d = diagonal(g)
     dinf = diagonal_inf(g)
-    dn_cache: dict[int, VertexSet] = {0: d}
-
-    def dn(n: int) -> VertexSet:
-        if n not in dn_cache:
-            dn_cache[n] = diagonal_n(g, n)
-        return dn_cache[n]
-
     for n in range(1, n_max + 1):
-        if not dinf.issubset(dn(n)):
+        dn = diagonal_n(g, n)
+        if not dinf.issubset(dn):
             raise TheoremViolationError(f"D_inf is not a subset of D_{n}")
-        if not dn(n).issubset(d):
+        if not dn.issubset(d):
             raise TheoremViolationError(f"D_{n} is not a subset of D")
 
     finite_ids: list[str] = []
     truncated: list[tuple[str, int]] = []
-    trace: PowerTrace | None = None
+    spectra: list[UPSet] | None = None
+    a = BoolMatrix.from_graph(g)
+    gap_powers: dict[int, BoolMatrix] = {}
     for s in s_samples:
         if s.is_empty():
             raise ValueError("S samples must be nonempty")
-        ds = diagonal_S(g, s)
+        if spectra is None:
+            spectra = closed_walk_spectra(g)
+        ds = VertexSet(g.n, _diagonal_s_mask(spectra, s))
         if s.is_finite():
             members = sorted(s.exceptional)
             bound = None
         else:
-            if trace is None:
-                trace = power_trace(g)
-            bound = max(trace.mu, s.threshold + 1) + math.lcm(trace.lam, s.period)
+            bound = max(
+                max(sp.threshold, s.threshold + 1) + math.lcm(sp.period, s.period)
+                for sp in spectra
+            )
             members = list(s.members_upto(bound))
-        expected = VertexSet.full(g.n)
-        for n in members:
-            expected &= dn(n)
+        expected = d if members[0] == 0 else VertexSet.full(g.n)
+        power, prev = None, -1  # power is A^(prev+1); None stands for A^0
+        for m in members:
+            if m == 0:
+                continue
+            gap = m - prev
+            if gap not in gap_powers:
+                gap_powers[gap] = mat_pow_bool(a, gap)
+            # Powers of A commute; the sparser gap power goes on the left.
+            power = gap_powers[gap] if power is None else mat_mul_bool(gap_powers[gap], power)
+            prev = m
+            expected &= VertexSet(g.n, power.diag_bits()).complement()
         if ds != expected:
             raise TheoremViolationError(
                 f"D_S for S={s.literal()} differs from the intersection of its D_n"

@@ -21,7 +21,7 @@ from .diagonals import (
 )
 from .graph import Graph
 from .upsets import UPSet
-from .walks import power_trace, spectra_from_trace
+from .walks import closed_walk_spectra
 
 
 def _evidence_dict(ev: Evidence | None) -> dict | None:
@@ -64,7 +64,7 @@ def analyze_graph(
     spectra_ms = 0.0
     if include_spectra:
         t0 = perf_counter()
-        spectra = spectra_from_trace(power_trace(g))
+        spectra = closed_walk_spectra(g)
         spectra_section = [
             {
                 "vertex": v,

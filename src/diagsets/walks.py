@@ -1,26 +1,29 @@
-"""Walk existence via boolean matrix powers, plus cycle structure.
+"""Walk existence via boolean matrix powers and SCC-local frontiers.
 
 Entry (u, w) of A^L is 1 exactly when a walk of length L from u to w
-exists; boolean products realize walk concatenation.  The power sequence
-A^1, A^2, ... over a finite order is eventually periodic, and
-:class:`PowerTrace` captures its minimal preperiod and period so that
-arbitrarily large exponents reduce to stored matrices.
+exists; boolean products realize walk concatenation.  A closed walk
+through v never leaves v's strongly connected component (SCC), so
+spectra and witness walks come from frontier sets inside one SCC
+(:class:`FrontierOrbit`), whatever the period of the whole graph.
 
-Two independent evaluation paths coexist on purpose: plain
-square-and-multiply (``mat_pow_bool``) and trace reduction.  Agreement
-between them is a standing internal oracle.
+:class:`PowerTrace`, the periodicity certificate of the whole power
+sequence A^1, A^2, ..., is kept only as an independent oracle for them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .graph import Graph, VertexSet, bits_of
 from .upsets import UPSet
 
-# Row-OR accumulation switches to 8-bit block tables above this order;
-# below it the table build costs more than it saves.
+# Row-OR accumulation switches to 8-bit block tables above this order
+# for products, and above this many SCC vertices for frontier steps;
+# below them the table build costs more than it saves.
 _BLOCK_TABLE_MIN_ORDER = 64
+_BLOCK_TABLE_MIN_SCC = 8
 
 
 @dataclass(frozen=True)
@@ -70,27 +73,34 @@ def _mul_rows_naive(a_rows: tuple[int, ...], b_rows: tuple[int, ...]) -> tuple[i
     return tuple(out)
 
 
+def _block_tables(rows: Sequence[int], n: int, mask: int) -> list:
+    """Per 8-column block, the OR of every subset of its rows.
+
+    A block that misses ``mask`` is only ever read at byte 0 and gets (0,).
+    """
+    tables = []
+    for base in range(0, n, 8):
+        if not mask >> base & 255:
+            tables.append((0,))
+            continue
+        tab = [0]
+        for idx in range(base, min(base + 8, n)):
+            row = rows[idx]
+            tab += [x | row for x in tab]
+        tables.append(tab)
+    return tables
+
+
 def _mul_rows_blocked(a_rows: tuple[int, ...], b_rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     # Per 8-column block of A, precompute the OR of every B-row subset so
     # each result row needs only ceil(n/8) lookups.
-    nblocks = (n + 7) // 8
-    tables = []
-    for j in range(nblocks):
-        base = 8 * j
-        tab = [0] * 256
-        for byte in range(1, 256):
-            low = byte & -byte
-            idx = base + low.bit_length() - 1
-            tab[byte] = tab[byte ^ low] | (b_rows[idx] if idx < n else 0)
-        tables.append(tab)
+    tables = _block_tables(b_rows, n, (1 << n) - 1)
+    nbytes = len(tables)
     out = []
     for row in a_rows:
         acc = 0
-        j = 0
-        while row:
-            acc |= tables[j][row & 255]
-            row >>= 8
-            j += 1
+        for tab, byte in zip(tables, row.to_bytes(nbytes, "little")):
+            acc |= tab[byte]
         out.append(acc)
     return tuple(out)
 
@@ -206,10 +216,99 @@ def spectra_from_trace(trace: PowerTrace) -> list[UPSet]:
     return out
 
 
-def closed_walk_spectrum(g: Graph, v: int, cap: int | None = None) -> UPSet:
+def frontier_step(rows: Sequence[int], n: int, comp: int) -> Callable[[int], int]:
+    """F -> (OR of rows[u] over u in F) & comp, for frontiers F inside comp."""
+    if comp.bit_count() <= _BLOCK_TABLE_MIN_SCC:
+
+        def step(f: int) -> int:
+            acc = 0
+            while f:
+                low = f & -f
+                acc |= rows[low.bit_length() - 1]
+                f ^= low
+            return acc & comp
+
+        return step
+    tables = _block_tables(rows, n, comp)
+    nbytes = len(tables)
+
+    def step(f: int) -> int:
+        acc = 0
+        for tab, byte in zip(tables, f.to_bytes(nbytes, "little")):
+            acc |= tab[byte]
+        return acc & comp
+
+    return step
+
+
+class FrontierOrbit:
+    """Frontiers x_0 = start, x_(k+1) = step(x_k), stored only as far as read.
+
+    Over a finite vertex set the sequence is eventually periodic.  Hashing
+    each frontier finds the first repeat x_(mu+lam) = x_mu exactly; from
+    then on every index reduces into the stored prefix.
+    """
+
+    def __init__(self, start: int, step: Callable[[int], int]):
+        self.items = [start]
+        self.mu = 0
+        self.lam = 0  # 0 until the first repeat is found
+        self._step = step
+        self._seen: dict[int, int] | None = {start: 0}
+
+    def _extend(self, k: int) -> None:
+        """Store frontiers up to index k, or stop at the first repeat."""
+        items, seen, step = self.items, self._seen, self._step
+        x = items[-1]
+        i = len(items)
+        while i <= k:
+            x = step(x)
+            j = seen.setdefault(x, i)
+            if j != i:
+                self.mu, self.lam, self._seen = j, i - j, None
+                return
+            items.append(x)
+            i += 1
+
+    def __getitem__(self, k: int) -> int:
+        if k >= len(self.items) and not self.lam:
+            self._extend(k)
+        if k < len(self.items):
+            return self.items[k]
+        return self.items[self.mu + (k - self.mu) % self.lam]
+
+    def hits(self, v: int) -> UPSet:
+        """{k >= 1 : v in x_k}, as a UPSet."""
+        if not self.lam:
+            self._extend(math.inf)
+        t = max(self.mu, 1)
+        exceptional = frozenset(k for k in range(1, t) if self.items[k] >> v & 1)
+        residues = frozenset(k % self.lam for k in range(t, t + self.lam) if self[k] >> v & 1)
+        return UPSet(t, self.lam, residues, exceptional)
+
+
+def closed_walk_spectra(g: Graph, masks: Sequence[int] | None = None) -> list[UPSet]:
+    """All L >= 1 admitting a closed walk of length L through v, per vertex.
+
+    The walk stays in v's SCC C (empty if v is on no cycle), so v's spectrum
+    is {k >= 1 : v in F_k} for F_0 = {v}, F_(k+1) = Out(F_k) & C.  ``masks``
+    is ``scc_masks(g)``, passed when the caller already has it.
+    """
+    if masks is None:
+        masks = scc_masks(g)
+    steps: dict[int, Callable[[int], int]] = {}
+    out = []
+    for v, comp in enumerate(masks):
+        if comp not in steps:
+            steps[comp] = frontier_step(g.rows, g.n, comp)
+        out.append(FrontierOrbit(1 << v, steps[comp]).hits(v))
+    return out
+
+
+def closed_walk_spectrum(g: Graph, v: int) -> UPSet:
     """All L >= 1 admitting a closed walk of length L through v, as a UPSet."""
     g._check_vertex(v)
-    return spectra_from_trace(power_trace(g, cap))[v]
+    return closed_walk_spectra(g)[v]
 
 
 def strongly_connected_components(g: Graph) -> list[list[int]]:
@@ -265,18 +364,22 @@ def strongly_connected_components(g: Graph) -> list[list[int]]:
     return components
 
 
+def scc_masks(g: Graph) -> list[int]:
+    """Per vertex, its SCC as a mask if a closed walk passes through it, else 0."""
+    masks = [0] * g.n
+    for comp in strongly_connected_components(g):
+        mask = 0
+        for v in comp:
+            mask |= 1 << v
+        if len(comp) >= 2 or g.rows[comp[0]] & mask:
+            for v in comp:
+                masks[v] = mask
+    return masks
+
+
 def cyclic_vertices(g: Graph) -> VertexSet:
     """Vertices lying on some closed walk: in a multi-vertex SCC, or looped."""
-    mask = 0
-    for comp in strongly_connected_components(g):
-        if len(comp) >= 2:
-            for v in comp:
-                mask |= 1 << v
-        else:
-            v = comp[0]
-            if g.rows[v] >> v & 1:
-                mask |= 1 << v
-    return VertexSet(g.n, mask)
+    return VertexSet(g.n, sum(set(scc_masks(g))))  # distinct SCCs are disjoint
 
 
 def transpose_rows(g: Graph) -> tuple[int, ...]:

@@ -40,7 +40,7 @@ from diagsets.diagonals import (
 from diagsets.graph import VertexSet
 from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
-from diagsets.walks import has_closed_walk, power_trace, spectra_from_trace
+from diagsets.walks import closed_walk_spectra, has_closed_walk, power_trace, spectra_from_trace
 
 EVENS = UPSet(0, 2, frozenset({0}))
 ODDS = UPSet(0, 2, frozenset({1}))
@@ -127,6 +127,7 @@ def test_criterion_04_spectrum_soundness(small_exhaustive, random_small):
     with criterion("4. spectrum soundness: membership = has_closed_walk = enumeration, L <= 40"):
         for g in small_exhaustive + random_small:
             spectra = spectra_from_trace(power_trace(g))
+            assert closed_walk_spectra(g) == spectra
             for v in range(g.n):
                 truth = closed_walk_lengths_bf(g, v, 40)
                 for length in range(1, 41):

@@ -3,11 +3,12 @@ import json
 import pytest
 
 from diagsets import cli
-from diagsets.bruteforce import PropertyResult, SweepReport
+from diagsets.bruteforce import OracleGuardError, PropertyResult, SweepReport
 from diagsets.diagonals import DiagonalSpec, Side, Witness, validate_witness
 from diagsets.graph import VertexSet
 from diagsets.graphio import parse_edge_list
 from diagsets.upsets import parse_upset
+from diagsets.walks import TraceCapError
 
 C3_TEXT = "n 3\n0 1\n1 2\n2 0\n"
 
@@ -155,3 +156,19 @@ def test_usage_errors_exit_two():
 
 def test_verify_bad_size_range(capsys):
     assert cli.main(["verify", "--order-max", "1", "--random", "2", "--size", "6..4"]) == 2
+
+
+def test_period_cap_exits_three(tmp_path, capsys):
+    path = _write(tmp_path, "c2.edges", "n 2\n0 1\n1 0\n")
+    assert cli.main(["analyze", "--input", path, "--s", "up(t=0,d=1048573,r=0)"]) == 3
+    assert "resource cap: intersection period 2097146 exceeds cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [TraceCapError, OracleGuardError])
+def test_resource_caps_exit_three(monkeypatch, capsys, error):
+    def capped(**kwargs):
+        raise error("over the cap")
+
+    monkeypatch.setattr(cli, "exhaustive_sweep", capped)
+    assert cli.main(["verify", "--order-max", "1"]) == 3
+    assert capsys.readouterr().err.strip() == "resource cap: over the cap"

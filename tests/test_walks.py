@@ -3,16 +3,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagsets.bruteforce import closed_walk_lengths_bf, walk_exists_bf
-from diagsets.graph import VertexSet, make_graph
+from diagsets.graph import VertexSet, bits_of, make_graph
 from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
 from diagsets.walks import (
     BoolMatrix,
+    FrontierOrbit,
     TraceCapError,
     _mul_rows_blocked,
     _mul_rows_naive,
+    closed_walk_spectra,
     closed_walk_spectrum,
     cyclic_vertices,
+    frontier_step,
     has_closed_walk,
     has_walk_from,
     mat_mul_bool,
@@ -185,6 +188,33 @@ def test_spectrum_sound_against_enumeration(g):
         assert not spectra[v].member(0)
         for length in range(1, 21):
             assert spectra[v].member(length) == (length in truth)
+
+
+@given(graphs(max_order=8))
+def test_frontier_spectra_equal_trace_spectra(g):
+    assert closed_walk_spectra(g) == spectra_from_trace(power_trace(g))
+
+
+@given(graphs(max_order=6), st.integers(0, 60))
+def test_frontier_orbit_reads_like_direct_iteration(g, k):
+    step = frontier_step(g.rows, g.n, (1 << g.n) - 1)
+    orbit = FrontierOrbit(1, step)
+    x = 1
+    for _ in range(k):
+        x = step(x)
+    assert orbit[k] == x
+    assert orbit[k + 1] == step(x)
+
+
+def test_frontier_step_block_tables_match_row_ors():
+    g = gen_random(40, 0.1, 5, "allow")
+    comp = sum(1 << v for v in range(3, 37))  # more than 8 vertices: block tables
+    step = frontier_step(g.rows, g.n, comp)
+    for f in (1 << 3, comp, 0b1011 << 20, 0):
+        expected = 0
+        for u in bits_of(f):
+            expected |= g.rows[u]
+        assert step(f) == expected & comp
 
 
 @given(graphs(max_order=6))
