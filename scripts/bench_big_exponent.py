@@ -38,7 +38,7 @@ def main() -> int:
 
     start = time.perf_counter()
     trace = power_trace(g)
-    via_trace = VertexSet(g.n, trace.power(args.n + 1).diag_bits()).complement()
+    via_trace = VertexSet(g.n, trace.power(args.n + 1).loops().bits).complement()
     t_trace = time.perf_counter() - start
     print(f"trace route: mu={trace.mu} lambda={trace.lam} in {t_trace:.3f}s")
 

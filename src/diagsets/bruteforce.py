@@ -18,18 +18,14 @@ from typing import Iterable, Iterator, Sequence
 
 from .diagonals import (
     DiagonalSpec,
+    GraphAnalysis,
     default_spec_battery,
     diagonal,
-    diagonal_S,
-    diagonal_inf,
-    diagonal_n,
     distinct_out_count,
-    inclusion_chain_check,
-    verify_battery,
 )
 from .graph import Graph, VertexSet
 from .upsets import UPSet
-from .walks import closed_walk_spectra, power_trace, spectra_from_trace
+from .walks import power_trace, spectra_from_trace
 
 MAX_ORACLE_ORDER = 8
 MAX_ORACLE_WALK = 12
@@ -235,14 +231,16 @@ def exhaustive_sweep(
         for g in enumerate_graphs(order):
             checked += 1
             per_order[order] += 1
+            analysis = GraphAnalysis(g)
+            dset = analysis.diagonal_set
             for spec in specs:
-                check(f"theorem[{spec.label()}]", g, lambda s=spec: verify_battery(g, [s]))
-            check("chain", g, lambda: inclusion_chain_check(g, 8, s_samples))
+                check(f"theorem[{spec.label()}]", g, lambda s=spec: analysis.verify_unequal(s))
+            check("chain", g, lambda: analysis.inclusion_chain_check(8, s_samples))
             check(
                 "oracle[D]",
                 g,
                 lambda: assert_eq(
-                    diagonal(g),
+                    dset(DiagonalSpec.d()),
                     VertexSet.from_indices(g.n, (v for v in range(g.n) if not g.has_edge(v, v))),
                     "D",
                 ),
@@ -253,12 +251,14 @@ def exhaustive_sweep(
                 check(
                     f"oracle[Dn({n})]",
                     g,
-                    lambda n=n: assert_eq(diagonal_n(g, n), diagonal_n_bf(g, n), f"Dn({n})"),
+                    lambda n=n: assert_eq(
+                        dset(DiagonalSpec.dn(n)), diagonal_n_bf(g, n), f"Dn({n})"
+                    ),
                 )
             check(
                 "oracle[Dinf]",
                 g,
-                lambda: assert_eq(diagonal_inf(g), diagonal_inf_bf(g), "Dinf"),
+                lambda: assert_eq(dset(DiagonalSpec.dinf()), diagonal_inf_bf(g), "Dinf"),
             )
             for s in finite_samples:
                 values = sorted(s.exceptional)
@@ -268,16 +268,16 @@ def exhaustive_sweep(
                     f"oracle[DS({s.literal()})]",
                     g,
                     lambda s=s, vv=values: assert_eq(
-                        diagonal_S(g, s), diagonal_S_bf(g, vv), f"DS({s.literal()})"
+                        dset(DiagonalSpec.ds(s)), diagonal_S_bf(g, vv), f"DS({s.literal()})"
                     ),
                 )
-            check("spectrum", g, lambda: _check_spectra(g, spectrum_max_len))
+            check("spectrum", g, lambda: _check_spectra(analysis, spectrum_max_len))
             check("pigeonhole", g, lambda: _check_pigeonhole(g))
     return SweepReport(checked, per_order, list(results.values()))
 
 
-def _check_spectra(g: Graph, max_len: int) -> None:
-    spectra = closed_walk_spectra(g)
+def _check_spectra(analysis: GraphAnalysis, max_len: int) -> None:
+    g, spectra = analysis.g, analysis.spectra
     if spectra != spectra_from_trace(power_trace(g)):
         raise AssertionError("frontier spectra differ from the power-trace spectra")
     for v in range(g.n):

@@ -14,11 +14,10 @@ from time import perf_counter
 from . import __version__
 from .bruteforce import OracleGuardError, exhaustive_sweep
 from .diagonals import (
+    GraphAnalysis,
     InternalDisagreementError,
     TheoremViolationError,
     default_spec_battery,
-    inclusion_chain_check,
-    verify_battery,
 )
 from .graphio import EdgeListError, emit_edge_list, gen_random, parse_edge_list, scan_seed_comment
 from .report import analyze_graph, report_json
@@ -83,6 +82,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.random:
+        lo, hi = _parse_size_range(args.size)
+        ps = _parse_p_list(args.p)
     failures = 0
     report = exhaustive_sweep(
         order_max=args.order_max, include_order_4=args.order_max >= 4
@@ -96,8 +98,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failures += report.total_failures()
 
     if args.random:
-        lo, hi = _parse_size_range(args.size)
-        ps = _parse_p_list(args.p)
         battery = default_spec_battery()
         s_samples = [spec.s for spec in battery if spec.kind == "DS"]
         random_failures = 0
@@ -106,9 +106,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             p = ps[i % len(ps)]
             loops = "allow" if i % 2 == 0 else "forbid"
             g = gen_random(order, p, args.seed + i, loops)
+            analysis = GraphAnalysis(g)
             try:
-                verify_battery(g, battery)
-                inclusion_chain_check(g, 8, s_samples)
+                analysis.verify_battery(battery)
+                analysis.inclusion_chain_check(8, s_samples)
             except (TheoremViolationError, InternalDisagreementError) as exc:
                 random_failures += 1
                 print(f"  FAIL seed={args.seed + i} order={order} p={p} loops={loops}: {exc}")

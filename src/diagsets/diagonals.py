@@ -21,19 +21,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable
 
 from .graph import Graph, VertexSet, bits_of
 from .upsets import UPSet
 from .walks import (
-    BoolMatrix,
     FrontierOrbit,
     closed_walk_spectra,
     cyclic_vertices,
     frontier_step,
     mat_mul_bool,
     mat_pow_bool,
-    reach_backward,
+    reach_from,
     scc_masks,
     transpose_rows,
 )
@@ -130,10 +130,7 @@ def diagonal(g: Graph) -> VertexSet:
 
 def diagonal_n(g: Graph, n: int) -> VertexSet:
     """Vertices with no closed walk of length n+1, for n >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1; use diagonal() for the n = 0 convention")
-    power = mat_pow_bool(BoolMatrix.from_graph(g), n + 1)
-    return VertexSet(g.n, power.diag_bits()).complement()
+    return GraphAnalysis(g).diagonal_set(DiagonalSpec.dn(n))
 
 
 def diagonal_inf(g: Graph) -> VertexSet:
@@ -142,28 +139,7 @@ def diagonal_inf(g: Graph) -> VertexSet:
     Computed twice, by cycle reachability and by the length-|V| matrix
     power; the routes must agree or the call aborts.
     """
-    scc_route = reach_backward(g, cyclic_vertices(g)).complement()
-    power = mat_pow_bool(BoolMatrix.from_graph(g), g.n)
-    dead = 0
-    for v, row in enumerate(power.rows):
-        if row == 0:
-            dead |= 1 << v
-    matrix_route = VertexSet(g.n, dead)
-    if scc_route != matrix_route:
-        raise InternalDisagreementError(
-            f"infinite-walk routes disagree: scc={scc_route.to_list()} "
-            f"matrix={matrix_route.to_list()}"
-        )
-    return scc_route
-
-
-def _diagonal_s_mask(spectra: Sequence[UPSet], s: UPSet) -> int:
-    shifted = s.shift(1)
-    mask = 0
-    for v, spectrum in enumerate(spectra):
-        if spectrum.intersect(shifted).is_empty():
-            mask |= 1 << v
-    return mask
+    return GraphAnalysis(g).diagonal_set(DiagonalSpec.dinf())
 
 
 def diagonal_S(g: Graph, s: UPSet) -> VertexSet:
@@ -172,78 +148,31 @@ def diagonal_S(g: Graph, s: UPSet) -> VertexSet:
     A closed walk of length 1 is exactly a self-loop, so this uniform rule
     also covers the 0-in-S clause of the definition.
     """
-    if s.is_empty():
-        raise ValueError("S must be nonempty")
-    return VertexSet(g.n, _diagonal_s_mask(closed_walk_spectra(g), s))
+    return GraphAnalysis(g).diagonal_set(DiagonalSpec.ds(s))
 
 
-def compute_diagonal(g: Graph, spec: DiagonalSpec) -> VertexSet:
-    if spec.kind == "D":
-        return diagonal(g)
-    if spec.kind == "Dn":
-        return diagonal_n(g, spec.n)
-    if spec.kind == "Dinf":
-        return diagonal_inf(g)
-    return diagonal_S(g, spec.s)
+def variant_witness(g: Graph, v: int, spec: DiagonalSpec) -> Witness:
+    """Witness for the Dn/Dinf/DS constructions, by the three-way case split."""
+    return GraphAnalysis(g).variant_witness(v, spec)
 
 
-class _Ctx:
-    """Per-graph lazy cache shared across witness constructions."""
+def verify_unequal(g: Graph, spec: DiagonalSpec) -> list[Witness]:
+    """Assert the diagonal differs from every Out(v) and return the witnesses."""
+    return GraphAnalysis(g).verify_unequal(spec)
 
-    def __init__(self, g: Graph):
-        self.g = g
-        self._masks: list[int] | None = None
-        self._spectra: list[UPSet] | None = None
-        self._cyclic: VertexSet | None = None
-        self._canreach: VertexSet | None = None
-        self._rev: tuple[int, ...] | None = None
-        self._back_steps: dict[int, Callable[[int], int]] = {}
-        self._dsets: dict[str, VertexSet] = {}
 
-    def masks(self) -> list[int]:
-        if self._masks is None:
-            self._masks = scc_masks(self.g)
-        return self._masks
+def verify_battery(
+    g: Graph, specs: Iterable[DiagonalSpec]
+) -> list[tuple[DiagonalSpec, VertexSet, list[Witness]]]:
+    """Run verify_unequal for many specs sharing one per-graph analysis."""
+    return GraphAnalysis(g).verify_battery(specs)
 
-    def spectra(self) -> list[UPSet]:
-        if self._spectra is None:
-            self._spectra = closed_walk_spectra(self.g, self.masks())
-        return self._spectra
 
-    def cyclic(self) -> VertexSet:
-        if self._cyclic is None:
-            self._cyclic = VertexSet(self.g.n, sum(set(self.masks())))
-        return self._cyclic
-
-    def canreach_cycle(self) -> VertexSet:
-        if self._canreach is None:
-            self._canreach = reach_backward(self.g, self.cyclic())
-        return self._canreach
-
-    def return_layers(self, v: int) -> FrontierOrbit:
-        """Layers B_k: the vertices of v's SCC with a length-k walk to v.
-
-        A closed walk through v stays in v's SCC, so a successor w of a
-        vertex on it continues to a length-k return exactly when w is in B_k.
-        Each call starts afresh, so the layers live only as long as the
-        witness that reads them.
-        """
-        comp = self.masks()[v]
-        if comp not in self._back_steps:
-            if self._rev is None:
-                self._rev = transpose_rows(self.g)
-            self._back_steps[comp] = frontier_step(self._rev, self.g.n, comp)
-        return FrontierOrbit(1 << v, self._back_steps[comp])
-
-    def dset(self, spec: DiagonalSpec) -> VertexSet:
-        key = spec.label()
-        if key not in self._dsets:
-            if spec.kind == "DS":
-                value = VertexSet(self.g.n, _diagonal_s_mask(self.spectra(), spec.s))
-            else:
-                value = compute_diagonal(self.g, spec)
-            self._dsets[key] = value
-        return self._dsets[key]
+def inclusion_chain_check(
+    g: Graph, n_max: int, s_samples: Iterable[UPSet] = ()
+) -> ChainReport:
+    """Check Dinf <= Dn <= D for n in 1..n_max and the intersection identities."""
+    return GraphAnalysis(g).inclusion_chain_check(n_max, s_samples)
 
 
 def cantor_witness(g: Graph, v: int) -> Witness:
@@ -268,76 +197,237 @@ def _closed_walk(g: Graph, layers: FrontierOrbit, v: int, length: int) -> tuple[
     return tuple(walk)
 
 
-def _tail_prefix(g: Graph, ctx: _Ctx, start: int) -> tuple[int, ...]:
-    """Shortest walk from start to a cyclic vertex (BFS, ascending tie-break)."""
-    cyc = ctx.cyclic()
-    if start in cyc:
-        return (start,)
-    parent: dict[int, int | None] = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in bits_of(g.rows[u]):
-                if w in parent:
-                    continue
-                parent[w] = u
-                if w in cyc:
-                    path = [w]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return tuple(reversed(path))
-                nxt.append(w)
-        frontier = nxt
-    raise InternalDisagreementError(f"vertex {start} cannot reach a cycle")
+class GraphAnalysis:
+    """The per-graph facts behind every diagonal set and witness, each computed once.
 
+    Each fact is computed on first read and kept: the SCC masks (one
+    Tarjan pass), the transposed rows, the cyclic and can-reach-a-cycle
+    sets, the closed-walk spectra, the powers A^k by exponent, per S the
+    shortest violating closed walk of every vertex, and the diagonal set of
+    every spec.  The independent routes run once per analysis: Dinf by
+    cycle reachability and by the length-|V| power, and in the chain check
+    D_S from the spectra and from the D_n of chained powers.  Return layers
+    are built per witness and dropped with it.
+    """
 
-def _build_variant_witness(
-    g: Graph, ctx: _Ctx, v: int, spec: DiagonalSpec, dx: VertexSet
-) -> Witness:
-    if g.has_edge(v, v):
-        # Looped: v itself, pumped around its loop as long as required.
+    def __init__(self, g: Graph):
+        self.g = g
+        self._powers: dict[int, Graph] = {}
+        self._shortest: dict[UPSet, list[int | None]] = {}
+        self._sets: dict[DiagonalSpec, VertexSet] = {}
+        self._back_steps: dict[int, Callable[[int], int]] = {}
+
+    @cached_property
+    def masks(self) -> list[int]:
+        return scc_masks(self.g)
+
+    @cached_property
+    def transposed_rows(self) -> tuple[int, ...]:
+        return transpose_rows(self.g)
+
+    @cached_property
+    def cyclic(self) -> VertexSet:
+        return VertexSet(self.g.n, sum(set(self.masks)))  # distinct SCCs are disjoint
+
+    @cached_property
+    def canreach_cycle(self) -> VertexSet:
+        return VertexSet(self.g.n, reach_from(self.transposed_rows, self.cyclic.bits))
+
+    @cached_property
+    def spectra(self) -> list[UPSet]:
+        return closed_walk_spectra(self.g, self.masks)
+
+    def power(self, exponent: int) -> Graph:
+        """A^exponent, the graph of walks of that length."""
+        if exponent not in self._powers:
+            self._powers[exponent] = mat_pow_bool(self.g, exponent)
+        return self._powers[exponent]
+
+    def shortest_violations(self, s: UPSet) -> list[int | None]:
+        """Per vertex, the shortest closed walk with a length in S+1, or None."""
+        if s not in self._shortest:
+            shifted = s.shift(1)
+            self._shortest[s] = [sp.intersect(shifted).min_element() for sp in self.spectra]
+        return self._shortest[s]
+
+    def diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
+        if spec not in self._sets:
+            self._sets[spec] = self._diagonal_set(spec)
+        return self._sets[spec]
+
+    def _diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
+        n = self.g.n
+        if spec.kind == "D":
+            return diagonal(self.g)
+        if spec.kind == "Dn":
+            return self.power(spec.n + 1).loops().complement()
+        if spec.kind == "DS":
+            shortest = self.shortest_violations(spec.s)
+            return VertexSet(n, sum(1 << v for v, m in enumerate(shortest) if m is None))
+        scc_route = self.canreach_cycle.complement()
+        dead = sum(1 << v for v, row in enumerate(self.power(n).rows) if not row)
+        matrix_route = VertexSet(n, dead)
+        if scc_route != matrix_route:
+            raise InternalDisagreementError(
+                f"infinite-walk routes disagree: scc={scc_route.to_list()} "
+                f"matrix={matrix_route.to_list()}"
+            )
+        return scc_route
+
+    def return_layers(self, v: int) -> FrontierOrbit:
+        """Layers B_k: the vertices of v's SCC with a length-k walk to v.
+
+        A closed walk through v stays in v's SCC, so a successor w of a
+        vertex on it continues to a length-k return exactly when w is in B_k.
+        Each call starts afresh, so the layers live only as long as the
+        witness that reads them.
+        """
+        comp = self.masks[v]
+        if comp not in self._back_steps:
+            self._back_steps[comp] = frontier_step(self.transposed_rows, self.g.n, comp)
+        return FrontierOrbit(1 << v, self._back_steps[comp])
+
+    def _tail_prefix(self, start: int) -> tuple[int, ...]:
+        """Shortest walk from start to a cyclic vertex (BFS, ascending tie-break)."""
+        cyc = self.cyclic
+        if start in cyc:
+            return (start,)
+        parent: dict[int, int | None] = {start: None}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in bits_of(self.g.rows[u]):
+                    if w in parent:
+                        continue
+                    parent[w] = u
+                    if w in cyc:
+                        path = [w]
+                        while parent[path[-1]] is not None:
+                            path.append(parent[path[-1]])
+                        return tuple(reversed(path))
+                    nxt.append(w)
+            frontier = nxt
+        raise InternalDisagreementError(f"vertex {start} cannot reach a cycle")
+
+    def variant_witness(self, v: int, spec: DiagonalSpec) -> Witness:
+        """Witness for the Dn/Dinf/DS constructions, by the three-way case split."""
+        g = self.g
+        g._check_vertex(v)
+        if spec.kind == "D":
+            raise ValueError("variant_witness handles Dn/Dinf/DS; use cantor_witness for D")
+        if g.has_edge(v, v):
+            # Looped: v itself, pumped around its loop as long as required.
+            if spec.kind == "Dinf":
+                return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v,), infinite_tail=True))
+            length = (spec.n if spec.kind == "Dn" else spec.s.min_element()) + 1
+            evidence = Evidence((v,) * (length + 1)) if length + 1 <= EVIDENCE_CAP else None
+            return Witness(v, Side.OUT_MINUS_DX, v, evidence)
+        if v in self.diagonal_set(spec):
+            return Witness(v, Side.DX_MINUS_OUT, v, None)
+        # Unlooped but outside the diagonal: rotate a violating walk from v.
         if spec.kind == "Dinf":
-            return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v,), infinite_tail=True))
-        length = (spec.n if spec.kind == "Dn" else spec.s.min_element()) + 1
-        evidence = Evidence((v,) * (length + 1)) if length + 1 <= EVIDENCE_CAP else None
-        return Witness(v, Side.OUT_MINUS_DX, v, evidence)
-    if v in dx:
-        return Witness(v, Side.DX_MINUS_OUT, v, None)
-    # Unlooped but outside the diagonal: rotate a violating walk from v.
-    if spec.kind == "Dinf":
-        for w in bits_of(g.rows[v]):
-            if w in ctx.canreach_cycle():
-                return Witness(
-                    w, Side.OUT_MINUS_DX, v, Evidence(_tail_prefix(g, ctx, w), infinite_tail=True)
+            for w in bits_of(g.rows[v]):
+                if w in self.canreach_cycle:
+                    return Witness(
+                        w, Side.OUT_MINUS_DX, v, Evidence(self._tail_prefix(w), infinite_tail=True)
+                    )
+            raise InternalDisagreementError(f"vertex {v} left D_inf without a successor on a cycle")
+        # Outside D_S means a shortest violation exists: both read one list.
+        length = spec.n + 1 if spec.kind == "Dn" else self.shortest_violations(spec.s)[v]
+        layers = self.return_layers(v)
+        firsts = g.rows[v] & layers[length - 1]
+        if not firsts:
+            raise InternalDisagreementError(
+                f"vertex {v} has no first step of a length-{length} return"
+            )
+        first = (firsts & -firsts).bit_length() - 1
+        evidence = None
+        if length + 1 <= EVIDENCE_CAP:
+            walk = _closed_walk(g, layers, v, length)
+            evidence = Evidence(walk[1:] + (walk[1],))
+        return Witness(first, Side.OUT_MINUS_DX, v, evidence)
+
+    def verify_unequal(self, spec: DiagonalSpec) -> list[Witness]:
+        """Assert the diagonal differs from every Out(v) and return validated witnesses."""
+        g = self.g
+        dx = self.diagonal_set(spec)
+        cyc = self.cyclic if spec.kind == "Dinf" else None
+        witnesses = []
+        for v in range(g.n):
+            if dx == g.out_set(v):
+                raise TheoremViolationError(f"{spec.label()} equals Out({v})")
+            w = cantor_witness(g, v) if spec.kind == "D" else self.variant_witness(v, spec)
+            validate_witness(g, spec, dx, w, cyclic=cyc)
+            witnesses.append(w)
+        return witnesses
+
+    def verify_battery(
+        self, specs: Iterable[DiagonalSpec]
+    ) -> list[tuple[DiagonalSpec, VertexSet, list[Witness]]]:
+        return [(spec, self.diagonal_set(spec), self.verify_unequal(spec)) for spec in specs]
+
+    def inclusion_chain_check(self, n_max: int, s_samples: Iterable[UPSet] = ()) -> ChainReport:
+        """Check Dinf <= Dn <= D for n in 1..n_max and the intersection identities.
+
+        Finite S: D_S equals the exact intersection of the Dn over S (with D
+        standing in for n = 0).  Ultimately periodic infinite S: the
+        intersection is truncated at the largest max(t_v, t_S+1) +
+        lcm(d_v, d_S) over the vertices v, with (t_v, d_v) the threshold
+        and period of v's spectrum; beyond it each vertex's violations are
+        periodic, so nothing new can appear.  The D_S side comes from the
+        spectra, the intersection side from powers A^(m+1) chained along
+        the members m of S.
+        """
+        if n_max < 1:
+            raise ValueError("n_max must be at least 1")
+        full = VertexSet.full(self.g.n)
+        d = self.diagonal_set(DiagonalSpec.d())
+        dinf = self.diagonal_set(DiagonalSpec.dinf())
+        for n in range(1, n_max + 1):
+            dn = self.diagonal_set(DiagonalSpec.dn(n))
+            if not dinf.issubset(dn):
+                raise TheoremViolationError(f"D_inf is not a subset of D_{n}")
+            if not dn.issubset(d):
+                raise TheoremViolationError(f"D_{n} is not a subset of D")
+
+        finite_ids: list[str] = []
+        truncated: list[tuple[str, int]] = []
+        for s in s_samples:
+            ds = self.diagonal_set(DiagonalSpec.ds(s))
+            if s.is_finite():
+                members = sorted(s.exceptional)
+                bound = None
+            else:
+                bound = max(
+                    max(sp.threshold, s.threshold + 1) + math.lcm(sp.period, s.period)
+                    for sp in self.spectra
                 )
-        raise InternalDisagreementError(f"vertex {v} left D_inf without a successor on a cycle")
-    if spec.kind == "Dn":
-        length = spec.n + 1
-    else:
-        shortest = ctx.spectra()[v].intersect(spec.s.shift(1)).min_element()
-        if shortest is None:
-            raise InternalDisagreementError(f"vertex {v} left D_S with an empty violation set")
-        length = shortest
-    layers = ctx.return_layers(v)
-    firsts = g.rows[v] & layers[length - 1]
-    if not firsts:
-        raise InternalDisagreementError(f"vertex {v} has no first step of a length-{length} return")
-    first = (firsts & -firsts).bit_length() - 1
-    evidence = None
-    if length + 1 <= EVIDENCE_CAP:
-        walk = _closed_walk(g, layers, v, length)
-        evidence = Evidence(walk[1:] + (walk[1],))
-    return Witness(first, Side.OUT_MINUS_DX, v, evidence)
-
-
-def variant_witness(g: Graph, v: int, spec: DiagonalSpec) -> Witness:
-    """Witness for the Dn/Dinf/DS constructions, by the three-way case split."""
-    g._check_vertex(v)
-    if spec.kind == "D":
-        raise ValueError("variant_witness handles Dn/Dinf/DS; use cantor_witness for D")
-    ctx = _Ctx(g)
-    return _build_variant_witness(g, ctx, v, spec, ctx.dset(spec))
+                members = list(s.members_upto(bound))
+            expected = d if members[0] == 0 else full
+            power, prev = None, -1  # power is A^(prev+1); None stands for A^0
+            for m in members:
+                if m == 0:
+                    continue
+                step = self.power(m - prev)
+                # Powers of A commute; the sparser step goes on the left.
+                power = step if power is None else mat_mul_bool(step, power)
+                prev = m
+                expected &= power.loops().complement()
+            if ds != expected:
+                raise TheoremViolationError(
+                    f"D_S for S={s.literal()} differs from the intersection of its D_n"
+                )
+            if bound is None:
+                finite_ids.append(s.literal())
+            else:
+                truncated.append((s.literal(), bound))
+        return ChainReport(
+            n_max=n_max,
+            inclusions_checked=2 * n_max,
+            finite_identities=tuple(finite_ids),
+            truncated_identities=tuple(truncated),
+        )
 
 
 def validate_witness(
@@ -391,39 +481,6 @@ def validate_witness(
         raise TheoremViolationError(f"{spec.label()}: evidence length {length} has no n in S")
 
 
-def _verify_one(g: Graph, ctx: _Ctx, spec: DiagonalSpec) -> tuple[VertexSet, list[Witness]]:
-    dx = ctx.dset(spec)
-    cyc = ctx.cyclic() if spec.kind == "Dinf" else None
-    witnesses = []
-    for v in range(g.n):
-        if dx == g.out_set(v):
-            raise TheoremViolationError(f"{spec.label()} equals Out({v})")
-        if spec.kind == "D":
-            w = cantor_witness(g, v)
-        else:
-            w = _build_variant_witness(g, ctx, v, spec, dx)
-        validate_witness(g, spec, dx, w, cyclic=cyc)
-        witnesses.append(w)
-    return dx, witnesses
-
-
-def verify_unequal(g: Graph, spec: DiagonalSpec) -> list[Witness]:
-    """Assert the diagonal differs from every Out(v) and return the witnesses."""
-    return _verify_one(g, _Ctx(g), spec)[1]
-
-
-def verify_battery(
-    g: Graph, specs: Iterable[DiagonalSpec]
-) -> list[tuple[DiagonalSpec, VertexSet, list[Witness]]]:
-    """Run verify_unequal for many specs sharing one per-graph cache."""
-    ctx = _Ctx(g)
-    out = []
-    for spec in specs:
-        dx, witnesses = _verify_one(g, ctx, spec)
-        out.append((spec, dx, witnesses))
-    return out
-
-
 def default_spec_battery() -> list[DiagonalSpec]:
     """The standard verification battery: D, Dn for n in 1..6, Dinf, five S."""
     evens = UPSet(0, 2, frozenset({0}))
@@ -462,77 +519,6 @@ class ChainReport:
             "ok": self.ok,
         }
 
-
-def inclusion_chain_check(
-    g: Graph, n_max: int, s_samples: Iterable[UPSet] = ()
-) -> ChainReport:
-    """Check Dinf <= Dn <= D for n in 1..n_max and the intersection identities.
-
-    Finite S: diagonal_S equals the exact intersection of the Dn over S
-    (with D standing in for n = 0).  Ultimately periodic infinite S: the
-    intersection is truncated at the largest max(t_v, t_S+1) + lcm(d_v, d_S)
-    over the vertices v, with (t_v, d_v) the threshold and period of v's
-    spectrum; beyond it each vertex's violations are periodic, so nothing
-    new can appear.  The D_S side comes from the spectra, the intersection
-    side from matrix powers A^(m+1) chained along the members m of S.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    d = diagonal(g)
-    dinf = diagonal_inf(g)
-    for n in range(1, n_max + 1):
-        dn = diagonal_n(g, n)
-        if not dinf.issubset(dn):
-            raise TheoremViolationError(f"D_inf is not a subset of D_{n}")
-        if not dn.issubset(d):
-            raise TheoremViolationError(f"D_{n} is not a subset of D")
-
-    finite_ids: list[str] = []
-    truncated: list[tuple[str, int]] = []
-    spectra: list[UPSet] | None = None
-    a = BoolMatrix.from_graph(g)
-    gap_powers: dict[int, BoolMatrix] = {}
-    for s in s_samples:
-        if s.is_empty():
-            raise ValueError("S samples must be nonempty")
-        if spectra is None:
-            spectra = closed_walk_spectra(g)
-        ds = VertexSet(g.n, _diagonal_s_mask(spectra, s))
-        if s.is_finite():
-            members = sorted(s.exceptional)
-            bound = None
-        else:
-            bound = max(
-                max(sp.threshold, s.threshold + 1) + math.lcm(sp.period, s.period)
-                for sp in spectra
-            )
-            members = list(s.members_upto(bound))
-        expected = d if members[0] == 0 else VertexSet.full(g.n)
-        power, prev = None, -1  # power is A^(prev+1); None stands for A^0
-        for m in members:
-            if m == 0:
-                continue
-            gap = m - prev
-            if gap not in gap_powers:
-                gap_powers[gap] = mat_pow_bool(a, gap)
-            # Powers of A commute; the sparser gap power goes on the left.
-            power = gap_powers[gap] if power is None else mat_mul_bool(gap_powers[gap], power)
-            prev = m
-            expected &= VertexSet(g.n, power.diag_bits()).complement()
-        if ds != expected:
-            raise TheoremViolationError(
-                f"D_S for S={s.literal()} differs from the intersection of its D_n"
-            )
-        if bound is None:
-            finite_ids.append(s.literal())
-        else:
-            truncated.append((s.literal(), bound))
-    return ChainReport(
-        n_max=n_max,
-        inclusions_checked=2 * n_max,
-        finite_identities=tuple(finite_ids),
-        truncated_identities=tuple(truncated),
-    )
 
 
 def distinct_out_count(g: Graph) -> tuple[int, int]:

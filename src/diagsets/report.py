@@ -14,14 +14,12 @@ from . import __version__
 from .diagonals import (
     DiagonalSpec,
     Evidence,
+    GraphAnalysis,
     Witness,
     distinct_out_count,
-    inclusion_chain_check,
-    verify_battery,
 )
 from .graph import Graph
 from .upsets import UPSet
-from .walks import closed_walk_spectra
 
 
 def _evidence_dict(ev: Evidence | None) -> dict | None:
@@ -55,16 +53,16 @@ def analyze_graph(
     specs += [DiagonalSpec.dn(n) for n in dict.fromkeys(n_values)]
     specs.append(DiagonalSpec.dinf())
     specs += [DiagonalSpec.ds(s) for s in s_sets]
+    analysis = GraphAnalysis(g)
 
     t0 = perf_counter()
-    battery = verify_battery(g, specs)
+    battery = analysis.verify_battery(specs)
     specs_ms = (perf_counter() - t0) * 1000.0
 
     spectra_section = None
     spectra_ms = 0.0
     if include_spectra:
         t0 = perf_counter()
-        spectra = closed_walk_spectra(g)
         spectra_section = [
             {
                 "vertex": v,
@@ -74,12 +72,12 @@ def analyze_graph(
                 "f": sorted(sp.exceptional),
                 "literal": sp.literal(),
             }
-            for v, sp in enumerate(spectra)
+            for v, sp in enumerate(analysis.spectra)
         ]
         spectra_ms = (perf_counter() - t0) * 1000.0
 
     t0 = perf_counter()
-    chain = inclusion_chain_check(g, chain_n_max, s_sets)
+    chain = analysis.inclusion_chain_check(chain_n_max, s_sets)
     chain_ms = (perf_counter() - t0) * 1000.0
 
     count, order = distinct_out_count(g)

@@ -155,16 +155,6 @@ class UPSet:
         return f"UPSet[{self.literal()}]"
 
 
-def upset_normalize(
-    threshold: int,
-    period: int,
-    residues: Iterable[int] = (),
-    exceptional: Iterable[int] = (),
-) -> UPSet:
-    """Canonicalize a raw (t, d, R, F) description; membership is unchanged."""
-    return UPSet(threshold, period, frozenset(residues), frozenset(exceptional))
-
-
 def _parse_nat(token: str, what: str) -> int:
     if not token.isdigit():
         raise ValueError(f"bad UPSet literal: {what} must be a natural number, got {token!r}")

@@ -26,40 +26,6 @@ _BLOCK_TABLE_MIN_ORDER = 64
 _BLOCK_TABLE_MIN_SCC = 8
 
 
-@dataclass(frozen=True)
-class BoolMatrix:
-    """Square boolean matrix stored as bitset rows (row u, bit w)."""
-
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("matrix order must be at least 1")
-        if len(self.rows) != self.n:
-            raise ValueError("row count must equal the order")
-        for row in self.rows:
-            if row < 0 or row >> self.n:
-                raise ValueError("row has bits outside [0, n)")
-
-    @classmethod
-    def identity(cls, n: int) -> BoolMatrix:
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> BoolMatrix:
-        return cls(g.n, g.rows)
-
-    def entry(self, u: int, w: int) -> bool:
-        return bool(self.rows[u] >> w & 1)
-
-    def diag_bits(self) -> int:
-        mask = 0
-        for v, row in enumerate(self.rows):
-            mask |= row & (1 << v)
-        return mask
-
-
 def _mul_rows_naive(a_rows: tuple[int, ...], b_rows: tuple[int, ...]) -> tuple[int, ...]:
     out = []
     for row in a_rows:
@@ -105,20 +71,24 @@ def _mul_rows_blocked(a_rows: tuple[int, ...], b_rows: tuple[int, ...], n: int) 
     return tuple(out)
 
 
-def mat_mul_bool(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
-    """OR-of-ANDs product; (a*b)[u,w] = 1 iff some x has a[u,x] and b[x,w]."""
+def mat_mul_bool(a: Graph, b: Graph) -> Graph:
+    """OR-of-ANDs product: u -> w in a*b iff some x has u -> x in a and x -> w in b.
+
+    The product of the graphs of length-j and length-k walks is the graph
+    of length-(j+k) walks.
+    """
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} != {b.n}")
     if a.n > _BLOCK_TABLE_MIN_ORDER:
-        return BoolMatrix(a.n, _mul_rows_blocked(a.rows, b.rows, a.n))
-    return BoolMatrix(a.n, _mul_rows_naive(a.rows, b.rows))
+        return Graph(a.n, _mul_rows_blocked(a.rows, b.rows, a.n))
+    return Graph(a.n, _mul_rows_naive(a.rows, b.rows))
 
 
-def mat_pow_bool(a: BoolMatrix, exponent: int) -> BoolMatrix:
-    """A^exponent by square-and-multiply; O(log exponent) products."""
+def mat_pow_bool(a: Graph, exponent: int) -> Graph:
+    """A^exponent, the graph of length-exponent walks, by square-and-multiply."""
     if exponent < 1:
         raise ValueError("exponent must be at least 1")
-    result: BoolMatrix | None = None
+    result: Graph | None = None
     base = a
     e = exponent
     while e:
@@ -136,17 +106,7 @@ def has_closed_walk(g: Graph, v: int, length: int) -> bool:
     g._check_vertex(v)
     if length < 1:
         raise ValueError("walk length must be at least 1")
-    power = mat_pow_bool(BoolMatrix.from_graph(g), length)
-    return power.entry(v, v)
-
-
-def has_walk_from(g: Graph, v: int, length: int) -> bool:
-    """True iff some walk of exactly `length` edges starts at v."""
-    g._check_vertex(v)
-    if length < 1:
-        raise ValueError("walk length must be at least 1")
-    power = mat_pow_bool(BoolMatrix.from_graph(g), length)
-    return power.rows[v] != 0
+    return mat_pow_bool(g, length).has_edge(v, v)
 
 
 class TraceCapError(RuntimeError):
@@ -167,7 +127,7 @@ class PowerTrace:
 
     mu: int
     lam: int
-    powers: tuple[BoolMatrix, ...]
+    powers: tuple[Graph, ...]
 
     def reduce_exponent(self, exponent: int) -> int:
         if exponent < 1:
@@ -176,7 +136,7 @@ class PowerTrace:
             return exponent
         return self.mu + (exponent - self.mu) % self.lam
 
-    def power(self, exponent: int) -> BoolMatrix:
+    def power(self, exponent: int) -> Graph:
         return self.powers[self.reduce_exponent(exponent) - 1]
 
 
@@ -186,10 +146,9 @@ def power_trace(g: Graph, cap: int | None = None) -> PowerTrace:
         cap = default_trace_cap(g.n)
     if cap < 2:
         raise ValueError("cap must be at least 2")
-    a = BoolMatrix.from_graph(g)
-    seen: dict[BoolMatrix, int] = {}
-    powers: list[BoolMatrix] = []
-    cur = a
+    seen: dict[Graph, int] = {}
+    powers: list[Graph] = []
+    cur = g
     k = 1
     while k <= cap:
         if cur in seen:
@@ -197,7 +156,7 @@ def power_trace(g: Graph, cap: int | None = None) -> PowerTrace:
             return PowerTrace(mu, k - mu, tuple(powers))
         seen[cur] = k
         powers.append(cur)
-        cur = mat_mul_bool(cur, a)
+        cur = mat_mul_bool(cur, g)
         k += 1
     raise TraceCapError(f"no repeated power within cap {cap}; raise the cap")
 
@@ -206,7 +165,7 @@ def spectra_from_trace(trace: PowerTrace) -> list[UPSet]:
     """Closed-walk length spectrum of every vertex, from one trace."""
     n = trace.powers[0].n
     mu, lam = trace.mu, trace.lam
-    diag = [m.diag_bits() for m in trace.powers]
+    diag = [m.loops().bits for m in trace.powers]
     out = []
     for v in range(n):
         bit = 1 << v
@@ -390,17 +349,20 @@ def transpose_rows(g: Graph) -> tuple[int, ...]:
     return tuple(rev)
 
 
+def reach_from(rows: Sequence[int], start: int) -> int:
+    """The mask of all vertices reachable along ``rows`` from the mask ``start``."""
+    reached = frontier = start
+    while frontier:
+        grown = 0
+        for w in bits_of(frontier):
+            grown |= rows[w]
+        frontier = grown & ~reached
+        reached |= frontier
+    return reached
+
+
 def reach_backward(g: Graph, targets: VertexSet) -> VertexSet:
     """All v with a (possibly empty) directed walk from v to some target."""
     if targets.width != g.n:
         raise ValueError(f"width mismatch: {targets.width} != {g.n}")
-    rev = transpose_rows(g)
-    reached = targets.bits
-    frontier = targets.bits
-    while frontier:
-        grown = 0
-        for w in bits_of(frontier):
-            grown |= rev[w]
-        frontier = grown & ~reached
-        reached |= frontier
-    return VertexSet(g.n, reached)
+    return VertexSet(g.n, reach_from(transpose_rows(g), targets.bits))

@@ -114,7 +114,7 @@ def test_spectra_and_sets_match_power_trace(name):
     oracle = spectra_from_trace(trace)
     assert closed_walk_spectra(g) == oracle
     for n in (1, 2, 3, 5, 8, BIG_N):
-        via_trace = VertexSet(g.n, trace.power(n + 1).diag_bits()).complement()
+        via_trace = VertexSet(g.n, trace.power(n + 1).loops().bits).complement()
         assert diagonal_n(g, n) == via_trace
     for s in S_SAMPLES:
         shifted = s.shift(1)

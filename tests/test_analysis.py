@@ -1,0 +1,85 @@
+"""GraphAnalysis: one per-graph cache that every entry point reads."""
+
+from collections import Counter
+
+from hypothesis import given, settings
+
+from diagsets import diagonals, walks
+from diagsets.diagonals import DiagonalSpec, GraphAnalysis, Side, default_spec_battery
+from diagsets.graph import make_graph
+from diagsets.graphio import gen_random
+from diagsets.report import analyze_graph
+from diagsets.upsets import UPSet
+from diagsets.walks import power_trace
+
+from strategies import graphs
+
+EVENS = UPSet(0, 2, frozenset({0}))
+
+
+def _count_calls(monkeypatch, calls, name, on_call=None):
+    """Count calls of ``name`` made through the walks and diagonals bindings."""
+    for module in (walks, diagonals):
+        original = getattr(module, name, None)
+        if original is None:
+            continue
+
+        def counted(*args, _original=original, **kwargs):
+            calls[name] += 1
+            if on_call is not None:
+                on_call(*args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
+    # Cycles of lengths 2 and 3 joined by a path, plus a looped tail:
+    # every spec has members inside and outside its set.
+    g = make_graph(8, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 6)])
+    calls: Counter = Counter()
+    exponents: Counter = Counter()
+    _count_calls(monkeypatch, calls, "strongly_connected_components")
+    _count_calls(monkeypatch, calls, "closed_walk_spectra")
+    _count_calls(monkeypatch, calls, "transpose_rows")
+    _count_calls(monkeypatch, calls, "mat_pow_bool", lambda a, k: exponents.update([k]))
+
+    report = analyze_graph(
+        g, n_values=(1, 2), s_sets=(EVENS, UPSet.from_finite([0, 2])), include_spectra=True
+    )
+
+    assert report["chain"]["ok"]
+    assert calls["strongly_connected_components"] == 1
+    assert calls["closed_walk_spectra"] == 1
+    assert calls["transpose_rows"] == 1
+    assert exponents and max(exponents.values()) == 1, exponents
+
+
+@given(graphs(max_order=6))
+@settings(max_examples=40)
+def test_ds_set_and_witness_lengths_read_the_shortest_violations(g):
+    analysis = GraphAnalysis(g)
+    for spec in default_spec_battery():
+        if spec.kind != "DS":
+            continue
+        shortest = analysis.shortest_violations(spec.s)
+        assert analysis.diagonal_set(spec).to_list() == [
+            v for v, m in enumerate(shortest) if m is None
+        ]
+        for v in range(g.n):
+            w = analysis.variant_witness(v, spec)
+            if g.has_edge(v, v) or shortest[v] is None or w.evidence is None:
+                continue
+            assert w.side is Side.OUT_MINUS_DX
+            assert len(w.evidence.vertices) - 1 == shortest[v]
+
+
+def test_power_memo_matches_the_trace():
+    g = gen_random(12, 0.2, 5, "allow")
+    analysis = GraphAnalysis(g)
+    trace = power_trace(g)
+    for k in (1, 2, 7, 10**9 + 8):
+        assert analysis.power(k) == trace.power(k)
+        assert analysis.power(k) is analysis.power(k)
+    spec = DiagonalSpec.dn(6)
+    assert analysis.diagonal_set(spec) == trace.power(7).loops().complement()

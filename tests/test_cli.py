@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +173,22 @@ def test_resource_caps_exit_three(monkeypatch, capsys, error):
     monkeypatch.setattr(cli, "exhaustive_sweep", capped)
     assert cli.main(["verify", "--order-max", "1"]) == 3
     assert capsys.readouterr().err.strip() == "resource cap: over the cap"
+
+
+@pytest.mark.parametrize("bad", [["--size", "9..3"], ["--p", "1.5"]])
+def test_verify_random_arguments_are_checked_before_the_sweep(capsys, bad):
+    assert cli.main(["verify", "--random", "2", *bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_report_example_is_current(tmp_path, capsys):
+    example = Path(__file__).resolve().parents[1] / "docs" / "report.example.json"
+    committed = example.read_text()
+    path = _write(tmp_path, "c3.edges", "# seed 42\n" + C3_TEXT)
+    rc = cli.main(["analyze", "--input", path, "--n", "1,2", "--s", "finite(0,2)", "--spectra"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    report["timings_ms"] = json.loads(committed)["timings_ms"]
+    assert json.dumps(report, indent=2) + "\n" == committed

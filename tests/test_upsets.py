@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diagsets.upsets import PeriodCapError, UPSet, parse_upset, upset_normalize
+from diagsets.upsets import PeriodCapError, UPSet, parse_upset
 
 from strategies import raw_upset_parts, upsets
 
@@ -81,11 +81,11 @@ def test_is_empty():
 
 
 def test_normalize_halves_redundant_period():
-    assert upset_normalize(0, 4, {0, 2}) == upset_normalize(0, 2, {0})
+    assert UPSet(0, 4, {0, 2}) == UPSet(0, 2, {0})
 
 
 def test_normalize_collapses_saturated_prefix_to_naturals():
-    s = upset_normalize(3, 1, {0}, {0, 1, 2})
+    s = UPSet(3, 1, {0}, {0, 1, 2})
     assert s == UPSet.naturals()
     assert (s.threshold, s.period) == (0, 1)
 
@@ -94,7 +94,7 @@ def test_normalize_keeps_disagreeing_prefix():
     # Membership: false at 0 and 1, true on evens from 2 on.  The trailing
     # exceptional slot at 1 agrees with the periodic rule and is dropped;
     # slot 0 disagrees (0 mod 2 is a residue), so the threshold stays at 1.
-    s = upset_normalize(2, 2, {0})
+    s = UPSet(2, 2, {0})
     assert (s.threshold, s.period, s.residues, s.exceptional) == (1, 2, frozenset({0}), frozenset())
     for m in range(2 + 2 * 2):
         assert s.member(m) == _raw_member(2, 2, {0}, set(), m)
@@ -168,7 +168,7 @@ def test_constructor_rejects_out_of_range_parts():
 @given(raw_upset_parts())
 def test_normalize_preserves_membership(parts):
     t, d, residues, exceptional = parts
-    s = upset_normalize(t, d, residues, exceptional)
+    s = UPSet(t, d, residues, exceptional)
     for m in range(t + 4 * d):
         assert s.member(m) == _raw_member(t, d, residues, exceptional, m)
 

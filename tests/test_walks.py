@@ -3,11 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagsets.bruteforce import closed_walk_lengths_bf, walk_exists_bf
-from diagsets.graph import VertexSet, bits_of, make_graph
+from diagsets.graph import Graph, VertexSet, bits_of, make_graph
 from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
 from diagsets.walks import (
-    BoolMatrix,
     FrontierOrbit,
     TraceCapError,
     _mul_rows_blocked,
@@ -17,7 +16,6 @@ from diagsets.walks import (
     cyclic_vertices,
     frontier_step,
     has_closed_walk,
-    has_walk_from,
     mat_mul_bool,
     mat_pow_bool,
     power_trace,
@@ -34,58 +32,60 @@ LOOP1 = make_graph(1, [(0, 0)])
 
 
 def test_mat_mul_gives_length_two_walks_on_c3():
-    a = BoolMatrix.from_graph(C3)
+    a = C3
     sq = mat_mul_bool(a, a)
     for u in range(3):
         for w in range(3):
-            assert sq.entry(u, w) == walk_exists_bf(C3, u, w, 2)
+            assert sq.has_edge(u, w) == walk_exists_bf(C3, u, w, 2)
     assert [sq.rows[u] for u in range(3)] == [0b100, 0b001, 0b010]
 
 
 def test_mat_mul_identity_is_neutral():
-    a = BoolMatrix.from_graph(C3)
-    assert mat_mul_bool(a, BoolMatrix.identity(3)) == a
-    assert mat_mul_bool(BoolMatrix.identity(3), a) == a
+    a = C3
+    assert mat_mul_bool(a, make_graph(3, [(v, v) for v in range(3)])) == a
+    assert mat_mul_bool(make_graph(3, [(v, v) for v in range(3)]), a) == a
 
 
 def test_mat_mul_with_zero_is_zero():
-    zero = BoolMatrix.from_graph(make_graph(3, []))
-    a = BoolMatrix.from_graph(C3)
+    zero = make_graph(3, [])
+    a = C3
     assert mat_mul_bool(zero, a) == zero
     assert mat_mul_bool(a, zero) == zero
 
 
 def test_mat_mul_rejects_order_mismatch():
     with pytest.raises(ValueError):
-        mat_mul_bool(BoolMatrix.identity(2), BoolMatrix.identity(3))
+        mat_mul_bool(
+            make_graph(2, [(v, v) for v in range(2)]), make_graph(3, [(v, v) for v in range(3)])
+        )
 
 
 def test_mat_pow_cubes_c3_to_identity():
-    a = BoolMatrix.from_graph(C3)
+    a = C3
     cubed = mat_pow_bool(a, 3)
-    assert cubed == BoolMatrix.identity(3)
+    assert cubed == make_graph(3, [(v, v) for v in range(3)])
     for u in range(3):
         for w in range(3):
-            assert cubed.entry(u, w) == walk_exists_bf(C3, u, w, 3)
+            assert cubed.has_edge(u, w) == walk_exists_bf(C3, u, w, 3)
 
 
 def test_mat_pow_one_is_the_matrix():
-    a = BoolMatrix.from_graph(C3)
+    a = C3
     assert mat_pow_bool(a, 1) == a
 
 
 def test_mat_pow_huge_exponent_matches_trace_reduction():
-    a = BoolMatrix.from_graph(C3)
+    a = C3
     trace = power_trace(C3)
     exponent = 3 * 10**9
     direct = mat_pow_bool(a, exponent)
     assert direct == trace.power(exponent)
-    assert direct == BoolMatrix.identity(3)  # exponent is a multiple of 3
+    assert direct == make_graph(3, [(v, v) for v in range(3)])  # exponent is a multiple of 3
 
 
 def test_mat_pow_rejects_nonpositive_exponent():
     with pytest.raises(ValueError):
-        mat_pow_bool(BoolMatrix.identity(2), 0)
+        mat_pow_bool(make_graph(2, [(v, v) for v in range(2)]), 0)
 
 
 def test_has_closed_walk_on_c3():
@@ -96,21 +96,6 @@ def test_has_closed_walk_on_c3():
 def test_loop_vertex_closes_walks_of_every_length():
     for length in range(1, 13):
         assert has_closed_walk(LOOP1, 0, length)
-
-
-def test_has_walk_from_path():
-    assert has_walk_from(PATH3, 0, 2)
-    assert not has_walk_from(PATH3, 0, 3)
-    for length in range(1, 4):
-        assert has_walk_from(PATH3, 0, length) == any(
-            walk_exists_bf(PATH3, 0, w, length) for w in range(3)
-        )
-
-
-def test_has_walk_from_cycle_pumps_forever():
-    assert has_walk_from(C3, 1, 10**6)
-    trace = power_trace(C3)
-    assert trace.power(10**6).rows[1] != 0
 
 
 def test_power_trace_c3():
@@ -140,7 +125,7 @@ def test_power_trace_cap_too_small():
 @given(graphs(max_order=6))
 def test_trace_reduction_matches_direct_powers(g):
     trace = power_trace(g)
-    a = BoolMatrix.from_graph(g)
+    a = g
     for exponent in range(1, trace.mu + 3 * trace.lam + 1):
         assert mat_pow_bool(a, exponent) == trace.power(exponent)
 
@@ -148,10 +133,10 @@ def test_trace_reduction_matches_direct_powers(g):
 @given(graphs(max_order=5), st.integers(1, 6))
 @settings(max_examples=40)
 def test_matrix_entries_are_walk_existence(g, length):
-    power = mat_pow_bool(BoolMatrix.from_graph(g), length)
+    power = mat_pow_bool(g, length)
     for u in range(g.n):
         for w in range(g.n):
-            assert power.entry(u, w) == walk_exists_bf(g, u, w, length)
+            assert power.has_edge(u, w) == walk_exists_bf(g, u, w, length)
 
 
 def test_spectrum_of_c3_vertex():
@@ -265,8 +250,8 @@ def test_reach_backward_rejects_width_mismatch():
 
 def test_blocked_and_naive_products_agree():
     g = gen_random(80, 0.08, 11, "allow")
-    a = BoolMatrix.from_graph(g)
-    naive = BoolMatrix(a.n, _mul_rows_naive(a.rows, a.rows))
-    blocked = BoolMatrix(a.n, _mul_rows_blocked(a.rows, a.rows, a.n))
+    a = g
+    naive = Graph(a.n, _mul_rows_naive(a.rows, a.rows))
+    blocked = Graph(a.n, _mul_rows_blocked(a.rows, a.rows, a.n))
     assert naive == blocked
     assert mat_mul_bool(a, a) == naive
