@@ -20,7 +20,6 @@ from .diagonals import (
     DiagonalSpec,
     GraphAnalysis,
     default_spec_battery,
-    diagonal,
     distinct_out_count,
 )
 from .graph import Graph, VertexSet
@@ -293,7 +292,7 @@ def _check_pigeonhole(g: Graph) -> None:
     count, order = distinct_out_count(g)
     if count > order:
         raise AssertionError(f"{count} distinct outgoing sets on {order} vertices")
-    d = diagonal(g)
+    d = g.loops().complement()
     for v in range(g.n):
         if g.out_set(v) == d:
             raise AssertionError(f"D equals Out({v})")

@@ -29,7 +29,7 @@ def _parse_n_list(text: str) -> list[int]:
     values = []
     for tok in text.split(","):
         tok = tok.strip()
-        if not tok.isdigit() or int(tok) < 1:
+        if not tok.isdecimal() or int(tok) < 1:
             raise ValueError(f"--n expects positive integers, got {tok!r} (D covers n = 0)")
         values.append(int(tok))
     return values
@@ -47,7 +47,7 @@ def _parse_p_list(text: str) -> list[float]:
 
 def _parse_size_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not sep or not lo.isdecimal() or not hi.isdecimal():
         raise ValueError(f"--size expects MIN..MAX, got {text!r}")
     lo_i, hi_i = int(lo), int(hi)
     if lo_i < 1 or hi_i < lo_i:
@@ -128,8 +128,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     g = parse_edge_list(Path(args.input).read_text())
-    if not 0 <= args.vertex < g.n:
-        raise ValueError(f"vertex {args.vertex} outside [0, {g.n})")
     print(closed_walk_spectrum(g, args.vertex).literal())
     return 0
 

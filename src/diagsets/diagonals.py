@@ -2,8 +2,8 @@
 
 Four constructions, each provably unequal to every outgoing set Out(v):
 
-* ``diagonal``       -- the unlooped vertices
-* ``diagonal_n``     -- vertices with no closed walk of length n+1
+* ``diagonal``       -- the unlooped vertices: D_S of {0}
+* ``diagonal_n``     -- vertices with no closed walk of length n+1: D_S of {n}
 * ``diagonal_inf``   -- vertices from which no infinite walk starts
 * ``diagonal_S``     -- vertices with no closed walk of length n+1 for any
                         n in a fixed nonempty ultimately periodic set S
@@ -115,6 +115,11 @@ class DiagonalSpec:
     def ds(cls, s: UPSet) -> DiagonalSpec:
         return cls("DS", s=s)
 
+    @cached_property
+    def lengths(self) -> UPSet | None:
+        """The S of D_S: {0} for D, {n} for Dn, S itself for DS, None for Dinf."""
+        return UPSet.from_finite([self.n or 0]) if self.kind in ("D", "Dn") else self.s
+
     def label(self) -> str:
         if self.kind == "Dn":
             return f"Dn({self.n})"
@@ -125,7 +130,7 @@ class DiagonalSpec:
 
 def diagonal(g: Graph) -> VertexSet:
     """The unlooped vertices: complement of loops(g)."""
-    return g.loops().complement()
+    return GraphAnalysis(g).diagonal_set(DiagonalSpec.d())
 
 
 def diagonal_n(g: Graph, n: int) -> VertexSet:
@@ -206,13 +211,13 @@ class GraphAnalysis:
     shortest violating closed walk of every vertex, and the diagonal set of
     every spec.  The independent routes run once per analysis: Dinf by
     cycle reachability and by the length-|V| power, and in the chain check
-    D_S from the spectra and from the D_n of chained powers.  Return layers
-    are built per witness and dropped with it.
+    D_n and D_S from the spectra and from the loops of powers of A.  Return
+    layers are built per witness and dropped with it.
     """
 
     def __init__(self, g: Graph):
         self.g = g
-        self._powers: dict[int, Graph] = {}
+        self._powers: dict[int, Graph] = {1: g}
         self._shortest: dict[UPSet, list[int | None]] = {}
         self._sets: dict[DiagonalSpec, VertexSet] = {}
         self._back_steps: dict[int, Callable[[int], int]] = {}
@@ -238,16 +243,25 @@ class GraphAnalysis:
         return closed_walk_spectra(self.g, self.masks)
 
     def power(self, exponent: int) -> Graph:
-        """A^exponent, the graph of walks of that length."""
+        """A^exponent: one product from a memoised A^(exponent-1), else by squaring."""
         if exponent not in self._powers:
-            self._powers[exponent] = mat_pow_bool(self.g, exponent)
+            prev = self._powers.get(exponent - 1)
+            self._powers[exponent] = (
+                mat_pow_bool(self.g, exponent) if prev is None else mat_mul_bool(self.g, prev)
+            )
         return self._powers[exponent]
 
     def shortest_violations(self, s: UPSet) -> list[int | None]:
         """Per vertex, the shortest closed walk with a length in S+1, or None."""
         if s not in self._shortest:
             shifted = s.shift(1)
-            self._shortest[s] = [sp.intersect(shifted).min_element() for sp in self.spectra]
+            if shifted.is_finite():  # one spectrum lookup per member, however large
+                members = sorted(shifted.exceptional)
+                self._shortest[s] = [
+                    next((k for k in members if sp.member(k)), None) for sp in self.spectra
+                ]
+            else:
+                self._shortest[s] = [sp.intersect(shifted).min_element() for sp in self.spectra]
         return self._shortest[s]
 
     def diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
@@ -257,12 +271,8 @@ class GraphAnalysis:
 
     def _diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         n = self.g.n
-        if spec.kind == "D":
-            return diagonal(self.g)
-        if spec.kind == "Dn":
-            return self.power(spec.n + 1).loops().complement()
-        if spec.kind == "DS":
-            shortest = self.shortest_violations(spec.s)
+        if spec.kind != "Dinf":
+            shortest = self.shortest_violations(spec.lengths)
             return VertexSet(n, sum(1 << v for v, m in enumerate(shortest) if m is None))
         scc_route = self.canreach_cycle.complement()
         dead = sum(1 << v for v, row in enumerate(self.power(n).rows) if not row)
@@ -320,7 +330,7 @@ class GraphAnalysis:
             # Looped: v itself, pumped around its loop as long as required.
             if spec.kind == "Dinf":
                 return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v,), infinite_tail=True))
-            length = (spec.n if spec.kind == "Dn" else spec.s.min_element()) + 1
+            length = spec.lengths.min_element() + 1
             evidence = Evidence((v,) * (length + 1)) if length + 1 <= EVIDENCE_CAP else None
             return Witness(v, Side.OUT_MINUS_DX, v, evidence)
         if v in self.diagonal_set(spec):
@@ -334,7 +344,7 @@ class GraphAnalysis:
                     )
             raise InternalDisagreementError(f"vertex {v} left D_inf without a successor on a cycle")
         # Outside D_S means a shortest violation exists: both read one list.
-        length = spec.n + 1 if spec.kind == "Dn" else self.shortest_violations(spec.s)[v]
+        length = self.shortest_violations(spec.lengths)[v]
         layers = self.return_layers(v)
         firsts = g.rows[v] & layers[length - 1]
         if not firsts:
@@ -352,13 +362,12 @@ class GraphAnalysis:
         """Assert the diagonal differs from every Out(v) and return validated witnesses."""
         g = self.g
         dx = self.diagonal_set(spec)
-        cyc = self.cyclic if spec.kind == "Dinf" else None
         witnesses = []
         for v in range(g.n):
             if dx == g.out_set(v):
                 raise TheoremViolationError(f"{spec.label()} equals Out({v})")
             w = cantor_witness(g, v) if spec.kind == "D" else self.variant_witness(v, spec)
-            validate_witness(g, spec, dx, w, cyclic=cyc)
+            validate_witness(g, spec, dx, w, cyclic=self.cyclic)
             witnesses.append(w)
         return witnesses
 
@@ -370,25 +379,25 @@ class GraphAnalysis:
     def inclusion_chain_check(self, n_max: int, s_samples: Iterable[UPSet] = ()) -> ChainReport:
         """Check Dinf <= Dn <= D for n in 1..n_max and the intersection identities.
 
-        Finite S: D_S equals the exact intersection of the Dn over S (with D
-        standing in for n = 0).  Ultimately periodic infinite S: the
-        intersection is truncated at the largest max(t_v, t_S+1) +
-        lcm(d_v, d_S) over the vertices v, with (t_v, d_v) the threshold
-        and period of v's spectrum; beyond it each vertex's violations are
-        periodic, so nothing new can appear.  The D_S side comes from the
-        spectra, the intersection side from powers A^(m+1) chained along
-        the members m of S.
+        Here the spectra meet matrix powers.  Each D_n (D for n = 0) must be
+        the unlooped vertices of A^(n+1), and D_S the intersection of the
+        D_n over S, read off powers A^(m+1) chained along the members m of S.
+        An infinite S is truncated at the largest max(t_v, t_S+1) +
+        lcm(d_v, d_S) over the vertices v, with (t_v, d_v) the threshold and
+        period of v's spectrum; beyond it each vertex's violations are
+        periodic, so nothing new can appear.
         """
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        full = VertexSet.full(self.g.n)
         d = self.diagonal_set(DiagonalSpec.d())
         dinf = self.diagonal_set(DiagonalSpec.dinf())
-        for n in range(1, n_max + 1):
-            dn = self.diagonal_set(DiagonalSpec.dn(n))
-            if not dinf.issubset(dn):
+        for n in range(n_max + 1):
+            dn = self.diagonal_set(DiagonalSpec.dn(n)) if n else d
+            if dn != self.power(n + 1).loops().complement():
+                raise InternalDisagreementError(f"D_{n} routes disagree: spectra vs A^{n + 1}")
+            if n and not dinf.issubset(dn):
                 raise TheoremViolationError(f"D_inf is not a subset of D_{n}")
-            if not dn.issubset(d):
+            if n and not dn.issubset(d):
                 raise TheoremViolationError(f"D_{n} is not a subset of D")
 
         finite_ids: list[str] = []
@@ -404,11 +413,9 @@ class GraphAnalysis:
                     for sp in self.spectra
                 )
                 members = list(s.members_upto(bound))
-            expected = d if members[0] == 0 else full
+            expected = VertexSet.full(self.g.n)
             power, prev = None, -1  # power is A^(prev+1); None stands for A^0
             for m in members:
-                if m == 0:
-                    continue
                 step = self.power(m - prev)
                 # Powers of A commute; the sparser step goes on the left.
                 power = step if power is None else mat_mul_bool(step, power)
@@ -473,11 +480,7 @@ def validate_witness(
     if verts[-1] != u:
         raise TheoremViolationError(f"{spec.label()}: closed-walk evidence does not return to {u}")
     length = len(verts) - 1
-    if spec.kind == "D" and length != 1:
-        raise TheoremViolationError(f"D: loop evidence must have length 1, got {length}")
-    if spec.kind == "Dn" and length != spec.n + 1:
-        raise TheoremViolationError(f"{spec.label()}: evidence length {length} != n+1")
-    if spec.kind == "DS" and not spec.s.member(length - 1):
+    if not spec.lengths.member(length - 1):
         raise TheoremViolationError(f"{spec.label()}: evidence length {length} has no n in S")
 
 

@@ -30,13 +30,13 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListError(f"line {lineno}: duplicate 'n' header")
             if edges:
                 raise EdgeListError(f"line {lineno}: 'n' header must precede all edges")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise EdgeListError(f"line {lineno}: malformed header, expected 'n <order>'")
             order = int(parts[1])
             if order < 1:
                 raise EdgeListError(f"line {lineno}: order must be at least 1")
             continue
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise EdgeListError(f"line {lineno}: expected '<u> <v>' with decimal ids")
         edges.append((int(parts[0]), int(parts[1]), lineno))
     if order is None:
@@ -65,7 +65,7 @@ def scan_seed_comment(text: str) -> int | None:
         stripped = raw.strip()
         if stripped.startswith("#"):
             parts = stripped[1:].split()
-            if len(parts) == 2 and parts[0] == "seed" and parts[1].isdigit():
+            if len(parts) == 2 and parts[0] == "seed" and parts[1].isdecimal():
                 return int(parts[1])
     return None
 

@@ -156,7 +156,7 @@ class UPSet:
 
 
 def _parse_nat(token: str, what: str) -> int:
-    if not token.isdigit():
+    if not token.isdecimal():
         raise ValueError(f"bad UPSet literal: {what} must be a natural number, got {token!r}")
     return int(token)
 

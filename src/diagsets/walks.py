@@ -101,14 +101,6 @@ def mat_pow_bool(a: Graph, exponent: int) -> Graph:
     return result
 
 
-def has_closed_walk(g: Graph, v: int, length: int) -> bool:
-    """True iff a closed walk of exactly `length` edges passes through v."""
-    g._check_vertex(v)
-    if length < 1:
-        raise ValueError("walk length must be at least 1")
-    return mat_pow_bool(g, length).has_edge(v, v)
-
-
 class TraceCapError(RuntimeError):
     """The power sequence did not repeat within the configured cap."""
 
@@ -268,6 +260,13 @@ def closed_walk_spectrum(g: Graph, v: int) -> UPSet:
     """All L >= 1 admitting a closed walk of length L through v, as a UPSet."""
     g._check_vertex(v)
     return closed_walk_spectra(g)[v]
+
+
+def has_closed_walk(g: Graph, v: int, length: int) -> bool:
+    """True iff a closed walk of exactly `length` edges passes through v."""
+    if length < 1:
+        raise ValueError("walk length must be at least 1")
+    return closed_walk_spectrum(g, v).member(length)
 
 
 def strongly_connected_components(g: Graph) -> list[list[int]]:

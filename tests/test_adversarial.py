@@ -16,6 +16,7 @@ import pytest
 from diagsets import cli
 from diagsets.diagonals import (
     DiagonalSpec,
+    GraphAnalysis,
     default_spec_battery,
     diagonal_S,
     diagonal_n,
@@ -139,6 +140,15 @@ def test_battery_and_chain_pass(name):
         assert len(witnesses) == g.n
     report = inclusion_chain_check(g, 8, S_SAMPLES)
     assert report.ok
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_dn_is_ds_of_a_singleton(name):
+    g, _ = CORPUS[name]()
+    ns = [*range(1, 9), BIG_N]
+    dn = GraphAnalysis(g).verify_battery([DiagonalSpec.dn(n) for n in ns])
+    ds = GraphAnalysis(g).verify_battery([DiagonalSpec.ds(UPSet.from_finite([n])) for n in ns])
+    assert [row[1:] for row in dn] == [row[1:] for row in ds]
 
 
 def test_cli_analyze_prime_cycle_union_exits_zero(tmp_path, capsys):

@@ -2,10 +2,18 @@
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 
 from diagsets import diagonals, walks
-from diagsets.diagonals import DiagonalSpec, GraphAnalysis, Side, default_spec_battery
+from diagsets.diagonals import (
+    DiagonalSpec,
+    GraphAnalysis,
+    InternalDisagreementError,
+    Side,
+    default_spec_battery,
+    diagonal_n,
+)
 from diagsets.graph import make_graph
 from diagsets.graphio import gen_random
 from diagsets.report import analyze_graph
@@ -53,6 +61,37 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     assert calls["closed_walk_spectra"] == 1
     assert calls["transpose_rows"] == 1
     assert exponents and max(exponents.values()) == 1, exponents
+
+
+def test_chain_check_reads_each_power_off_the_previous_one(monkeypatch):
+    g = gen_random(12, 0.3, 3, "allow")
+    analysis = GraphAnalysis(g)
+    analysis.diagonal_set(DiagonalSpec.dinf())  # A^12, by square-and-multiply
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls, "mat_mul_bool")
+    _count_calls(monkeypatch, calls, "mat_pow_bool")
+    analysis.inclusion_chain_check(8)
+    assert calls == {"mat_mul_bool": 8}  # A^2, ..., A^9, one product each
+
+
+def test_dn_at_a_huge_n_makes_no_matrix_product(monkeypatch):
+    g = gen_random(40, 0.08, 7, "allow")
+    n = 10**9 + 7
+    expected = power_trace(g).power(n + 1).loops().complement()
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls, "mat_mul_bool")
+    _count_calls(monkeypatch, calls, "mat_pow_bool")
+    assert diagonal_n(g, n) == expected
+    assert 0 < len(expected) < g.n
+    assert not calls
+
+
+def test_chain_check_catches_a_spectrum_that_disagrees_with_the_powers():
+    g = make_graph(3, [(0, 1), (1, 2), (2, 0)])
+    analysis = GraphAnalysis(g)
+    analysis.spectra[0] = UPSet.empty()  # 0 lies on the 3-cycle: A^3 has its loop
+    with pytest.raises(InternalDisagreementError, match="D_2 routes disagree"):
+        analysis.inclusion_chain_check(8)
 
 
 @given(graphs(max_order=6))

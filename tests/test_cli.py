@@ -84,6 +84,27 @@ def test_analyze_rejects_bad_literal(tmp_path, capsys):
     assert cli.main(["analyze", "--input", path, "--n", "0,2"]) == 2
 
 
+def test_analyze_ignores_a_seed_comment_without_a_decimal_seed(tmp_path, capsys):
+    path = _write(tmp_path, "c3.edges", "# seed \u00b2\n" + C3_TEXT)
+    assert cli.main(["analyze", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] is None
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", "\u00b2"], "--n expects positive integers"),
+        (["--s", "finite(\u00b2)"], "value must be a natural number"),
+    ],
+)
+def test_analyze_rejects_non_decimal_digits_with_the_parser_message(
+    tmp_path, capsys, args, message
+):
+    path = _write(tmp_path, "c3.edges", C3_TEXT)
+    assert cli.main(["analyze", "--input", path, *args]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_analyze_missing_file_is_usage_error(capsys):
     assert cli.main(["analyze", "--input", "/nonexistent/ghosts.edges"]) == 2
 

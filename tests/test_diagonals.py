@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from diagsets.bruteforce import diagonal_S_bf, diagonal_inf_bf, diagonal_n_bf
 from diagsets.diagonals import (
     DiagonalSpec,
+    GraphAnalysis,
     Side,
     TheoremViolationError,
     cantor_witness,
@@ -111,6 +112,25 @@ def test_cantor_witness_is_a_fixed_point_and_validates(g):
         w = cantor_witness(g, v)
         assert w.vertex == v
         validate_witness(g, DiagonalSpec.d(), d, w)
+
+
+@given(graphs(max_order=6))
+@settings(max_examples=40)
+def test_dn_is_ds_of_a_singleton(g):
+    for n in [*range(1, 9), 10**9 + 7]:
+        singleton = UPSet.from_finite([n])
+        assert diagonal_n(g, n) == diagonal_S(g, singleton)
+        dn, ds = DiagonalSpec.dn(n), DiagonalSpec.ds(singleton)
+        assert verify_unequal(g, dn) == verify_unequal(g, ds)
+
+
+@given(graphs(max_order=6))
+def test_d_is_ds_of_zero_with_the_cantor_witnesses(g):
+    zero = UPSet.from_finite([0])
+    assert diagonal(g) == diagonal_S(g, zero)
+    analysis = GraphAnalysis(g)
+    for v in range(g.n):
+        assert cantor_witness(g, v) == analysis.variant_witness(v, DiagonalSpec.ds(zero))
 
 
 def test_variant_witness_case_unlooped_outside_diagonal():

@@ -47,6 +47,12 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("n 0\n")
 
 
+def test_parse_rejects_non_decimal_digits_with_the_line_number():
+    # "²".isdigit() holds, but int("²") fails: the id must be decimal.
+    with pytest.raises(EdgeListError, match="line 2"):
+        parse_edge_list("n 3\n0 \u00b2\n")
+
+
 def test_parse_rejects_empty_document():
     with pytest.raises(EdgeListError):
         parse_edge_list("")
