@@ -21,7 +21,7 @@ from .diagonals import (
 )
 from .graphio import EdgeListError, emit_edge_list, gen_random, parse_edge_list, scan_seed_comment
 from .report import analyze_graph, report_json
-from .upsets import PeriodCapError, parse_upset
+from .upsets import parse_upset
 from .walks import TraceCapError, closed_walk_spectrum
 
 
@@ -82,6 +82,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.random < 0:
+        raise ValueError(f"--random expects a graph count of at least 0, got {args.random}")
     if args.random:
         lo, hi = _parse_size_range(args.size)
         ps = _parse_p_list(args.p)
@@ -186,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TheoremViolationError, InternalDisagreementError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (PeriodCapError, TraceCapError, OracleGuardError) as exc:
+    except (TraceCapError, OracleGuardError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     except (EdgeListError, ValueError) as exc:

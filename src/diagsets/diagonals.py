@@ -2,18 +2,18 @@
 
 Four constructions, each provably unequal to every outgoing set Out(v):
 
-* ``diagonal``       -- the unlooped vertices: D_S of {0}
-* ``diagonal_n``     -- vertices with no closed walk of length n+1: D_S of {n}
-* ``diagonal_inf``   -- vertices from which no infinite walk starts
-* ``diagonal_S``     -- vertices with no closed walk of length n+1 for any
-                        n in a fixed nonempty ultimately periodic set S
+* D     -- the unlooped vertices: D_S of {0}
+* Dn    -- vertices with no closed walk of length n+1: D_S of {n}
+* Dinf  -- vertices from which no infinite walk starts
+* DS    -- vertices with no closed walk of length n+1 for any n in a
+           fixed nonempty ultimately periodic set S
 
-``verify_unequal`` turns the inequality into checked artifacts: for every
-vertex it compares the diagonal set against Out(v) directly *and* emits a
-witness in their symmetric difference, re-validated against the computed
-sets.  A witness that fails validation, or an equality, raises
-``TheoremViolationError``: both are impossible unless the implementation
-is wrong.
+``GraphAnalysis.verify_unequal`` turns the inequality into checked
+artifacts: for every vertex it compares the diagonal set against Out(v)
+directly *and* emits a witness in their symmetric difference, re-validated
+against the computed sets.  A witness that fails validation, or an
+equality, raises ``TheoremViolationError``: both are impossible unless the
+implementation is wrong.
 """
 
 from __future__ import annotations
@@ -128,11 +128,6 @@ class DiagonalSpec:
         return self.kind
 
 
-def diagonal(g: Graph) -> VertexSet:
-    """The unlooped vertices: complement of loops(g)."""
-    return GraphAnalysis(g).diagonal_set(DiagonalSpec.d())
-
-
 def diagonal_n(g: Graph, n: int) -> VertexSet:
     """Vertices with no closed walk of length n+1, for n >= 1."""
     return GraphAnalysis(g).diagonal_set(DiagonalSpec.dn(n))
@@ -156,20 +151,10 @@ def diagonal_S(g: Graph, s: UPSet) -> VertexSet:
     return GraphAnalysis(g).diagonal_set(DiagonalSpec.ds(s))
 
 
-def variant_witness(g: Graph, v: int, spec: DiagonalSpec) -> Witness:
-    """Witness for the Dn/Dinf/DS constructions, by the three-way case split."""
-    return GraphAnalysis(g).variant_witness(v, spec)
-
-
-def verify_unequal(g: Graph, spec: DiagonalSpec) -> list[Witness]:
-    """Assert the diagonal differs from every Out(v) and return the witnesses."""
-    return GraphAnalysis(g).verify_unequal(spec)
-
-
 def verify_battery(
     g: Graph, specs: Iterable[DiagonalSpec]
 ) -> list[tuple[DiagonalSpec, VertexSet, list[Witness]]]:
-    """Run verify_unequal for many specs sharing one per-graph analysis."""
+    """Run GraphAnalysis.verify_unequal for many specs sharing one analysis."""
     return GraphAnalysis(g).verify_battery(specs)
 
 
@@ -255,13 +240,7 @@ class GraphAnalysis:
         """Per vertex, the shortest closed walk with a length in S+1, or None."""
         if s not in self._shortest:
             shifted = s.shift(1)
-            if shifted.is_finite():  # one spectrum lookup per member, however large
-                members = sorted(shifted.exceptional)
-                self._shortest[s] = [
-                    next((k for k in members if sp.member(k)), None) for sp in self.spectra
-                ]
-            else:
-                self._shortest[s] = [sp.intersect(shifted).min_element() for sp in self.spectra]
+            self._shortest[s] = [sp.min_common(shifted) for sp in self.spectra]
         return self._shortest[s]
 
     def diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
@@ -381,7 +360,8 @@ class GraphAnalysis:
 
         Here the spectra meet matrix powers.  Each D_n (D for n = 0) must be
         the unlooped vertices of A^(n+1), and D_S the intersection of the
-        D_n over S, read off powers A^(m+1) chained along the members m of S.
+        D_n over S, read off powers A^(m+1) for the members m of S: the
+        memoised power where there is one, else chained along the members.
         An infinite S is truncated at the largest max(t_v, t_S+1) +
         lcm(d_v, d_S) over the vertices v, with (t_v, d_v) the threshold and
         period of v's spectrum; beyond it each vertex's violations are
@@ -416,9 +396,12 @@ class GraphAnalysis:
             expected = VertexSet.full(self.g.n)
             power, prev = None, -1  # power is A^(prev+1); None stands for A^0
             for m in members:
-                step = self.power(m - prev)
-                # Powers of A commute; the sparser step goes on the left.
-                power = step if power is None else mat_mul_bool(step, power)
+                if m + 1 in self._powers:
+                    power = self._powers[m + 1]
+                else:
+                    step = self.power(m - prev)
+                    # Powers of A commute; the sparser step goes on the left.
+                    power = step if power is None else mat_mul_bool(step, power)
                 prev = m
                 expected &= power.loops().complement()
             if ds != expected:

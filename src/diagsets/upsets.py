@@ -13,6 +13,15 @@ therefore coincides with set equality.
 These sets appear in two roles: user-supplied length sets for the
 selective diagonal, and computed closed-walk spectra, which are closed
 under addition and hence ultimately periodic.
+
+Every operation works on residues and never scans the integers, so its
+cost grows with |R| and |F|, never with the values of t and d:
+
+* construction: O(|R| * k + |F|), for k <= |R| candidate periods
+* ``member``: O(1); ``shift``: one construction
+* ``intersect``: |R_a| * |R_b| CRT solves, |F| lookups, one construction
+* ``min_common``: the same solves and lookups, and no construction
+* ``members_upto``: O(|F| log |F| + |R| log |R|) plus O(1) per member
 """
 
 from __future__ import annotations
@@ -21,22 +30,32 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-# Guards lcm blowup during intersection; exceeding it is a hard error.
-PERIOD_CAP = 1 << 20
 
-
-class PeriodCapError(ValueError):
-    """Intersection would require a period beyond the configured cap."""
+def _common_residues(a: UPSet, b: UPSet) -> frozenset[int]:
+    """The x < lcm(d_a, d_b) with x mod d_a in R_a and x mod d_b in R_b, by CRT per pair."""
+    d, e = a.period, b.period
+    g = math.gcd(d, e)
+    inverse = pow(d // g, -1, e // g)
+    return frozenset(
+        r + d * ((s - r) // g * inverse % (e // g))
+        for r in a.residues
+        for s in b.residues
+        if (s - r) % g == 0
+    )
 
 
 def _minimize_period(d: int, residues: frozenset[int]) -> tuple[int, frozenset[int]]:
-    for dd in range(1, d + 1):
-        if d % dd:
-            continue
-        proj = frozenset(r % dd for r in residues)
-        if all((r % dd in proj) == (r in residues) for r in range(d)):
-            return dd, proj
-    return d, residues  # unreachable: dd == d always matches
+    # The least p with R + p = R (mod d) divides d and carries min R into R,
+    # so it is (r - min R) mod d for some r in R, or d itself.
+    if not residues:
+        return 1, residues
+    r0 = min(residues)
+    p = next(
+        p
+        for p in sorted({(r - r0) % d or d for r in residues})
+        if d % p == 0 and all((r + p) % d in residues for r in residues)
+    )
+    return p, frozenset(r % p for r in residues)
 
 
 @dataclass(frozen=True)
@@ -59,12 +78,15 @@ class UPSet:
         if any(not 0 <= f < t for f in exceptional):
             raise ValueError(f"exceptional values must lie in [0, {t})")
         d, residues = _minimize_period(d, residues)
-        while t > 0:
-            last = t - 1
-            if (last in exceptional) != (last % d in residues):
-                break
-            exceptional = exceptional - {last}
-            t = last
+        # The threshold drops to one past the last disagreement below t: a
+        # member of F off the residues, or the last miss of F in a residue class.
+        last = max((f for f in exceptional if f % d not in residues), default=-1)
+        for r in residues:
+            m = t - 1 - (t - 1 - r) % d
+            while m > last and m in exceptional:
+                m -= d
+            last = max(last, m)
+        t = last + 1
         object.__setattr__(self, "threshold", t)
         object.__setattr__(self, "period", d)
         object.__setattr__(self, "residues", residues)
@@ -110,18 +132,32 @@ class UPSet:
             frozenset(f + k for f in self.exceptional),
         )
 
-    def intersect(self, other: UPSet, cap: int = PERIOD_CAP) -> UPSet:
-        d = math.lcm(self.period, other.period)
-        if d > cap:
-            raise PeriodCapError(f"intersection period {d} exceeds cap {cap}")
-        t = max(self.threshold, other.threshold)
-        exceptional = frozenset(m for m in range(t) if self.member(m) and other.member(m))
-        residues = frozenset(
-            r
-            for r in range(d)
-            if r % self.period in self.residues and r % other.period in other.residues
+    def intersect(self, other: UPSet) -> UPSet:
+        # Below the larger threshold, only exceptional values of its side can be common.
+        low, high = sorted((self, other), key=lambda s: s.threshold)
+        return UPSet(
+            high.threshold,
+            math.lcm(self.period, other.period),
+            _common_residues(self, other),
+            frozenset(f for f in high.exceptional if low.member(f)),
         )
-        return UPSet(t, d, residues, exceptional)
+
+    def min_common(self, other: UPSet) -> int | None:
+        """The least member of both sets, or None, without building their intersection.
+
+        A finite side, else the side with the larger threshold t, holds every
+        common member below t among its exceptional values; from t on, each
+        common residue is lifted to its least value >= t.
+        """
+        if not self.residues or other.residues and self.threshold >= other.threshold:
+            a, b = self, other
+        else:
+            a, b = other, self
+        low = min((m for m in a.exceptional if b.member(m)), default=None)
+        if low is not None or not a.residues:
+            return low
+        t, d = a.threshold, math.lcm(self.period, other.period)
+        return min((t + (x - t) % d for x in _common_residues(self, other)), default=None)
 
     def min_element(self) -> int | None:
         if self.exceptional:
@@ -133,12 +169,12 @@ class UPSet:
 
     def members_upto(self, bound: int) -> Iterator[int]:
         """Members m with m <= bound, in increasing order."""
-        for m in range(min(self.threshold, bound + 1)):
-            if m in self.exceptional:
-                yield m
-        for m in range(self.threshold, bound + 1):
-            if m % self.period in self.residues:
-                yield m
+        yield from sorted(f for f in self.exceptional if f <= bound)
+        t, d = self.threshold, self.period
+        row = sorted(t + (r - t) % d for r in self.residues)  # the members in [t, t + d)
+        while row and row[0] <= bound:
+            yield from (m for m in row if m <= bound)
+            row = [m + d for m in row]
 
     def literal(self) -> str:
         """Render in the literal grammar accepted by :func:`parse_upset`."""

@@ -259,14 +259,8 @@ def closed_walk_spectra(g: Graph, masks: Sequence[int] | None = None) -> list[UP
 def closed_walk_spectrum(g: Graph, v: int) -> UPSet:
     """All L >= 1 admitting a closed walk of length L through v, as a UPSet."""
     g._check_vertex(v)
-    return closed_walk_spectra(g)[v]
-
-
-def has_closed_walk(g: Graph, v: int, length: int) -> bool:
-    """True iff a closed walk of exactly `length` edges passes through v."""
-    if length < 1:
-        raise ValueError("walk length must be at least 1")
-    return closed_walk_spectrum(g, v).member(length)
+    comp = scc_masks(g)[v]
+    return FrontierOrbit(1 << v, frontier_step(g.rows, g.n, comp)).hits(v)
 
 
 def strongly_connected_components(g: Graph) -> list[list[int]]:
@@ -358,10 +352,3 @@ def reach_from(rows: Sequence[int], start: int) -> int:
         frontier = grown & ~reached
         reached |= frontier
     return reached
-
-
-def reach_backward(g: Graph, targets: VertexSet) -> VertexSet:
-    """All v with a (possibly empty) directed walk from v to some target."""
-    if targets.width != g.n:
-        raise ValueError(f"width mismatch: {targets.width} != {g.n}")
-    return VertexSet(g.n, reach_from(transpose_rows(g), targets.bits))

@@ -54,3 +54,23 @@ def raw_upset_parts(draw, max_threshold: int = 6, max_period: int = 6):
     residues = frozenset(i for i in range(d) if r_mask >> i & 1)
     exceptional = frozenset(i for i in range(t) if f_mask >> i & 1)
     return t, d, residues, exceptional
+
+
+@st.composite
+def periodic_parts(draw, max_threshold: int = 60, max_period: int = 60):
+    """Raw (t, d, R, F) with room to canonicalize.
+
+    R repeats with a random divisor of d, and F follows the periodic rule
+    from a random cut up to t, so both the period and the threshold can
+    shrink.  R is empty (a finite set) about one time in four.
+    """
+    d = draw(st.integers(1, max_period))
+    p = draw(st.sampled_from([q for q in range(1, d + 1) if d % q == 0]))
+    r_mask = 0 if draw(st.integers(0, 3)) == 0 else draw(st.integers(0, (1 << p) - 1))
+    residues = frozenset(r for r in range(d) if r_mask >> (r % p) & 1)
+    t = draw(st.integers(0, max_threshold))
+    cut = draw(st.integers(0, t))
+    f_mask = draw(st.integers(0, (1 << cut) - 1))
+    exceptional = {m for m in range(cut) if f_mask >> m & 1}
+    exceptional |= {m for m in range(cut, t) if m % d in residues}
+    return t, d, residues, frozenset(exceptional)

@@ -27,9 +27,10 @@ from diagsets.bruteforce import (
     enumerate_graphs,
 )
 from diagsets.diagonals import (
+    DiagonalSpec,
+    GraphAnalysis,
     cantor_witness,
     default_spec_battery,
-    diagonal,
     diagonal_S,
     diagonal_inf,
     diagonal_n,
@@ -40,7 +41,12 @@ from diagsets.diagonals import (
 from diagsets.graph import VertexSet
 from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
-from diagsets.walks import closed_walk_spectra, has_closed_walk, power_trace, spectra_from_trace
+from diagsets.walks import (
+    closed_walk_spectra,
+    closed_walk_spectrum,
+    power_trace,
+    spectra_from_trace,
+)
 
 EVENS = UPSet(0, 2, frozenset({0}))
 ODDS = UPSet(0, 2, frozenset({1}))
@@ -124,7 +130,7 @@ def test_criterion_03_oracle_equivalence(small_exhaustive, random_small):
 
 
 def test_criterion_04_spectrum_soundness(small_exhaustive, random_small):
-    with criterion("4. spectrum soundness: membership = has_closed_walk = enumeration, L <= 40"):
+    with criterion("4. spectrum soundness: spectra = one-vertex spectrum = enumeration, L <= 40"):
         for g in small_exhaustive + random_small:
             spectra = spectra_from_trace(power_trace(g))
             assert closed_walk_spectra(g) == spectra
@@ -133,7 +139,7 @@ def test_criterion_04_spectrum_soundness(small_exhaustive, random_small):
                 for length in range(1, 41):
                     member = spectra[v].member(length)
                     assert member == (length in truth)
-                    assert member == has_closed_walk(g, v, length)
+                    assert member == closed_walk_spectrum(g, v).member(length)
                 assert not spectra[v].member(0)
 
 
@@ -185,7 +191,7 @@ def test_criterion_08_pigeonhole_count(small_exhaustive, random_small, random_mi
             count, order = distinct_out_count(g)
             assert count <= order
         for g in small_exhaustive:
-            d = diagonal(g)
+            d = GraphAnalysis(g).diagonal_set(DiagonalSpec.d())
             assert all(g.out_set(v) != d for v in range(g.n))
 
 

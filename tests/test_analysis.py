@@ -74,6 +74,18 @@ def test_chain_check_reads_each_power_off_the_previous_one(monkeypatch):
     assert calls == {"mat_mul_bool": 8}  # A^2, ..., A^9, one product each
 
 
+def test_chain_check_reads_memoised_powers_for_members_of_s(monkeypatch):
+    g = gen_random(12, 0.3, 3, "allow")
+    analysis = GraphAnalysis(g)
+    analysis.diagonal_set(DiagonalSpec.dinf())
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls, "mat_mul_bool")
+    _count_calls(monkeypatch, calls, "mat_pow_bool")
+    report = analysis.inclusion_chain_check(8, [UPSet.from_finite([0, 2])])
+    assert report.finite_identities == ("finite(0,2)",)
+    assert calls == {"mat_mul_bool": 8}  # A^1 and A^3 come from the D_n loop's memo
+
+
 def test_dn_at_a_huge_n_makes_no_matrix_product(monkeypatch):
     g = gen_random(40, 0.08, 7, "allow")
     n = 10**9 + 7

@@ -180,10 +180,15 @@ def test_verify_bad_size_range(capsys):
     assert cli.main(["verify", "--order-max", "1", "--random", "2", "--size", "6..4"]) == 2
 
 
-def test_period_cap_exits_three(tmp_path, capsys):
+def test_s_with_a_period_past_a_million_exits_zero(tmp_path, capsys):
     path = _write(tmp_path, "c2.edges", "n 2\n0 1\n1 0\n")
-    assert cli.main(["analyze", "--input", path, "--s", "up(t=0,d=1048573,r=0)"]) == 3
-    assert "resource cap: intersection period 2097146 exceeds cap" in capsys.readouterr().err
+    assert cli.main(["analyze", "--input", path, "--s", "up(t=0,d=1048573,r=0)"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["specs"][-1]["set"] == []
+    assert report["chain"]["truncated_identities"] == [
+        {"s": "up(t=0,d=1048573,r=0)", "bound": 2097147}
+    ]
+    assert report["chain"]["ok"]
 
 
 @pytest.mark.parametrize("error", [TraceCapError, OracleGuardError])
@@ -196,7 +201,7 @@ def test_resource_caps_exit_three(monkeypatch, capsys, error):
     assert capsys.readouterr().err.strip() == "resource cap: over the cap"
 
 
-@pytest.mark.parametrize("bad", [["--size", "9..3"], ["--p", "1.5"]])
+@pytest.mark.parametrize("bad", [["--size", "9..3"], ["--p", "1.5"], ["--random", "-1"]])
 def test_verify_random_arguments_are_checked_before_the_sweep(capsys, bad):
     assert cli.main(["verify", "--random", "2", *bad]) == 2
     captured = capsys.readouterr()

@@ -10,16 +10,13 @@ from diagsets.diagonals import (
     TheoremViolationError,
     cantor_witness,
     default_spec_battery,
-    diagonal,
     diagonal_S,
     diagonal_inf,
     diagonal_n,
     distinct_out_count,
     inclusion_chain_check,
     validate_witness,
-    variant_witness,
     verify_battery,
-    verify_unequal,
 )
 from diagsets.graph import VertexSet, make_graph
 from diagsets.upsets import UPSet
@@ -35,9 +32,10 @@ EVENS = UPSet(0, 2, frozenset({0}))
 
 
 def test_diagonal_examples():
-    assert diagonal(C3).to_list() == [0, 1, 2]
-    assert diagonal(K3_LOOPED).to_list() == []
-    assert diagonal(make_graph(2, [(0, 0), (0, 1)])).to_list() == [1]
+    assert GraphAnalysis(C3).diagonal_set(DiagonalSpec.d()).to_list() == [0, 1, 2]
+    assert GraphAnalysis(K3_LOOPED).diagonal_set(DiagonalSpec.d()).to_list() == []
+    looped_0 = make_graph(2, [(0, 0), (0, 1)])
+    assert GraphAnalysis(looped_0).diagonal_set(DiagonalSpec.d()).to_list() == [1]
 
 
 def test_diagonal_n_examples():
@@ -107,7 +105,7 @@ def test_cantor_witness_on_c3():
 
 @given(graphs(max_order=6))
 def test_cantor_witness_is_a_fixed_point_and_validates(g):
-    d = diagonal(g)
+    d = GraphAnalysis(g).diagonal_set(DiagonalSpec.d())
     for v in range(g.n):
         w = cantor_witness(g, v)
         assert w.vertex == v
@@ -121,13 +119,13 @@ def test_dn_is_ds_of_a_singleton(g):
         singleton = UPSet.from_finite([n])
         assert diagonal_n(g, n) == diagonal_S(g, singleton)
         dn, ds = DiagonalSpec.dn(n), DiagonalSpec.ds(singleton)
-        assert verify_unequal(g, dn) == verify_unequal(g, ds)
+        assert GraphAnalysis(g).verify_unequal(dn) == GraphAnalysis(g).verify_unequal(ds)
 
 
 @given(graphs(max_order=6))
 def test_d_is_ds_of_zero_with_the_cantor_witnesses(g):
     zero = UPSet.from_finite([0])
-    assert diagonal(g) == diagonal_S(g, zero)
+    assert GraphAnalysis(g).diagonal_set(DiagonalSpec.d()) == diagonal_S(g, zero)
     analysis = GraphAnalysis(g)
     for v in range(g.n):
         assert cantor_witness(g, v) == analysis.variant_witness(v, DiagonalSpec.ds(zero))
@@ -135,39 +133,39 @@ def test_d_is_ds_of_zero_with_the_cantor_witnesses(g):
 
 def test_variant_witness_case_unlooped_outside_diagonal():
     g = make_graph(2, [(0, 1), (1, 1)])
-    w = variant_witness(g, 0, DiagonalSpec.dinf())
+    w = GraphAnalysis(g).variant_witness(0, DiagonalSpec.dinf())
     assert (w.vertex, w.side) == (1, Side.OUT_MINUS_DX)
     assert w.evidence.infinite_tail
     assert w.evidence.vertices == (1,)
 
 
 def test_variant_witness_case_unlooped_inside_diagonal():
-    w = variant_witness(C3, 0, DiagonalSpec.dn(1))
+    w = GraphAnalysis(C3).variant_witness(0, DiagonalSpec.dn(1))
     assert (w.vertex, w.side) == (0, Side.DX_MINUS_OUT)
     assert w.evidence is None
 
 
 def test_variant_witness_case_looped_pumps_the_loop():
-    w = variant_witness(LOOP1, 0, DiagonalSpec.dn(4))
+    w = GraphAnalysis(LOOP1).variant_witness(0, DiagonalSpec.dn(4))
     assert (w.vertex, w.side) == (0, Side.OUT_MINUS_DX)
     assert w.evidence.vertices == (0,) * 6  # closed walk of length 5
 
 
 def test_variant_witness_rotates_a_violating_closed_walk():
-    w = variant_witness(C3, 0, DiagonalSpec.dn(2))
+    w = GraphAnalysis(C3).variant_witness(0, DiagonalSpec.dn(2))
     assert (w.vertex, w.side) == (1, Side.OUT_MINUS_DX)
     assert w.evidence.vertices == (1, 2, 0, 1)
 
 
 def test_variant_witness_rejects_plain_diagonal_spec():
     with pytest.raises(ValueError):
-        variant_witness(C3, 0, DiagonalSpec.d())
+        GraphAnalysis(C3).variant_witness(0, DiagonalSpec.d())
 
 
 def test_variant_witness_with_huge_n_omits_evidence_but_validates():
     two_cycle = make_graph(2, [(0, 1), (1, 0)])
     spec = DiagonalSpec.dn(10**9 + 1)  # n+1 is even: every vertex violates
-    w = variant_witness(two_cycle, 0, spec)
+    w = GraphAnalysis(two_cycle).variant_witness(0, spec)
     assert (w.vertex, w.side) == (1, Side.OUT_MINUS_DX)
     assert w.evidence is None
     validate_witness(two_cycle, spec, diagonal_n(two_cycle, 10**9 + 1), w)
@@ -187,14 +185,14 @@ def test_diagonal_spec_validation():
 
 
 def test_verify_unequal_cantor_on_c3():
-    witnesses = verify_unequal(C3, DiagonalSpec.d())
+    witnesses = GraphAnalysis(C3).verify_unequal(DiagonalSpec.d())
     assert [(w.vertex, w.side) for w in witnesses] == [
         (v, Side.DX_MINUS_OUT) for v in range(3)
     ]
 
 
 def test_verify_unequal_on_single_looped_vertex():
-    witnesses = verify_unequal(LOOP1, DiagonalSpec.dn(3))
+    witnesses = GraphAnalysis(LOOP1).verify_unequal(DiagonalSpec.dn(3))
     assert len(witnesses) == 1
     w = witnesses[0]
     assert (w.vertex, w.side) == (0, Side.OUT_MINUS_DX)
@@ -203,7 +201,7 @@ def test_verify_unequal_on_single_looped_vertex():
 
 def test_verify_unequal_on_edgeless_singleton():
     g = make_graph(1, [])
-    witnesses = verify_unequal(g, DiagonalSpec.dinf())
+    witnesses = GraphAnalysis(g).verify_unequal(DiagonalSpec.dinf())
     assert (witnesses[0].vertex, witnesses[0].side) == (0, Side.DX_MINUS_OUT)
 
 
@@ -227,14 +225,14 @@ def test_variant_inequality_holds_up_to_n_eight(g):
         dn = diagonal_n(g, n)
         for v in range(g.n):
             assert dn != g.out_set(v)
-    verify_unequal(g, DiagonalSpec.dn(7))
-    verify_unequal(g, DiagonalSpec.dn(8))
+    GraphAnalysis(g).verify_unequal(DiagonalSpec.dn(7))
+    GraphAnalysis(g).verify_unequal(DiagonalSpec.dn(8))
 
 
 def test_validate_witness_rejects_wrong_claims():
     from diagsets.diagonals import Evidence, Witness
 
-    d = diagonal(C3)
+    d = GraphAnalysis(C3).diagonal_set(DiagonalSpec.d())
     # 0 is unlooped, so it cannot sit in Out(0) \ D.
     with pytest.raises(TheoremViolationError):
         validate_witness(C3, DiagonalSpec.d(), d, Witness(0, Side.OUT_MINUS_DX, 0, None))
@@ -271,7 +269,8 @@ def test_inclusion_chain_on_c3():
 def test_chain_identity_with_zero_uses_plain_diagonal():
     # finite(0) makes D_S coincide with D itself; the check asserts that.
     for g in (C3, PATH3, LOOP1, K3_LOOPED):
-        assert diagonal_S(g, UPSet.from_finite([0])) == diagonal(g)
+        d = GraphAnalysis(g).diagonal_set(DiagonalSpec.d())
+        assert diagonal_S(g, UPSet.from_finite([0])) == d
         inclusion_chain_check(g, 4, [UPSet.from_finite([0])])
 
 

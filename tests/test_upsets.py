@@ -1,10 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diagsets.upsets import PeriodCapError, UPSet, parse_upset
+from diagsets.upsets import UPSet, parse_upset
 
-from strategies import raw_upset_parts, upsets
+from strategies import periodic_parts, raw_upset_parts, upsets
 
 EVENS = UPSet(0, 2, frozenset({0}))
 ODDS = UPSet(0, 2, frozenset({1}))
@@ -113,12 +115,23 @@ def test_members_upto():
     assert list(UPSet.empty().members_upto(10)) == []
 
 
-def test_intersect_respects_period_cap():
+def test_intersect_has_no_period_cap():
     a = UPSet(0, 997, frozenset({0}))
     b = UPSet(0, 1021, frozenset({0}))
-    with pytest.raises(PeriodCapError):
-        a.intersect(b, cap=1000)
     assert a.intersect(b).member(997 * 1021)
+
+
+def test_huge_thresholds_and_periods_cost_no_scan():
+    assert parse_upset("up(t=0,d=100000007,r=0)").period == 100000007
+    s = UPSet(10**7, 10**7 + 19, frozenset({0}))
+    assert (s.threshold, s.period, s.residues, s.exceptional) == (
+        1, 10**7 + 19, frozenset({0}), frozenset()
+    )
+    tail = UPSet(10**9, 1, frozenset({0}))  # every m >= 10^9
+    assert tail.min_common(EVENS) == 10**9
+    assert tail.min_common(UPSet(0, 1000003, frozenset({5}))) == 1000 * 1000003 + 5
+    assert list(tail.members_upto(10**9 + 2)) == [10**9, 10**9 + 1, 10**9 + 2]
+    assert UPSet.from_finite([10**9 + 8]).min_common(EVENS) == 10**9 + 8
 
 
 def test_literal_forms():
@@ -202,3 +215,30 @@ def test_shift_composes_additively(s, a, b):
     shifted = s.shift(a)
     for m in range(s.threshold + 3 * s.period + a):
         assert shifted.member(m) == (m >= a and s.member(m - a))
+
+
+@given(periodic_parts())
+def test_canonical_threshold_and_period_are_minimal(parts):
+    t, d, residues, exceptional = parts
+    s = UPSet(t, d, residues, exceptional)
+
+    def raw(m):
+        return _raw_member(t, d, residues, exceptional, m)
+
+    # Enumeration: the least period of the rule from t on, then one past the
+    # last m < t whose membership differs from that rule's.
+    period = next(p for p in range(1, d + 1) if all(raw(m) == raw(m + p) for m in range(t, t + d)))
+    threshold = 1 + max((m for m in range(t) if raw(m) != raw(m + period * t)), default=-1)
+    assert (s.threshold, s.period) == (threshold, period)
+    bound = t + 2 * d
+    assert list(s.members_upto(bound)) == [m for m in range(bound + 1) if raw(m)]
+
+
+@given(periodic_parts(), periodic_parts())
+def test_min_common_matches_enumeration(a_parts, b_parts):
+    a, b = UPSet(*a_parts), UPSet(*b_parts)
+    horizon = max(a.threshold, b.threshold) + math.lcm(a.period, b.period)
+    expected = next((m for m in range(horizon) if a.member(m) and b.member(m)), None)
+    assert a.min_common(b) == expected
+    assert b.min_common(a) == expected
+    assert a.intersect(b).min_element() == expected

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagsets import walks
 from diagsets.bruteforce import closed_walk_lengths_bf, walk_exists_bf
 from diagsets.graph import Graph, VertexSet, bits_of, make_graph
 from diagsets.graphio import gen_random
@@ -15,13 +16,13 @@ from diagsets.walks import (
     closed_walk_spectrum,
     cyclic_vertices,
     frontier_step,
-    has_closed_walk,
     mat_mul_bool,
     mat_pow_bool,
     power_trace,
-    reach_backward,
+    reach_from,
     spectra_from_trace,
     strongly_connected_components,
+    transpose_rows,
 )
 
 from strategies import graphs
@@ -89,13 +90,13 @@ def test_mat_pow_rejects_nonpositive_exponent():
 
 
 def test_has_closed_walk_on_c3():
-    assert has_closed_walk(C3, 0, 3)
-    assert not has_closed_walk(C3, 0, 2)
+    assert closed_walk_spectrum(C3, 0).member(3)
+    assert not closed_walk_spectrum(C3, 0).member(2)
 
 
 def test_loop_vertex_closes_walks_of_every_length():
     for length in range(1, 13):
-        assert has_closed_walk(LOOP1, 0, length)
+        assert closed_walk_spectrum(LOOP1, 0).member(length)
 
 
 def test_power_trace_c3():
@@ -162,6 +163,21 @@ def test_spectrum_of_two_meshed_cycles():
 def test_spectrum_of_edgeless_vertex_is_empty():
     g = make_graph(3, [])
     assert closed_walk_spectrum(g, 1).is_empty()
+
+
+def test_one_vertex_spectrum_runs_only_its_own_orbit(monkeypatch):
+    g = gen_random(16, 0.2, 1, "allow")
+    expected = closed_walk_spectra(g)[5]
+    built = []
+
+    class CountedOrbit(walks.FrontierOrbit):
+        def __init__(self, start, step):
+            built.append(start)
+            super().__init__(start, step)
+
+    monkeypatch.setattr(walks, "FrontierOrbit", CountedOrbit)
+    assert closed_walk_spectrum(g, 5) == expected
+    assert built == [1 << 5]
 
 
 @given(graphs(max_order=6))
@@ -236,16 +252,14 @@ def test_scc_partition_covers_all_vertices():
 
 
 def test_reach_backward_examples():
+    def reach_backward(g, targets):
+        return VertexSet(g.n, reach_from(transpose_rows(g), targets.bits))
+
     g = make_graph(2, [(0, 1)])
     assert reach_backward(g, VertexSet.from_indices(2, [1])).to_list() == [0, 1]
     assert reach_backward(C3, VertexSet.from_indices(3, [0])).to_list() == [0, 1, 2]
     edgeless = make_graph(3, [])
     assert reach_backward(edgeless, VertexSet.from_indices(3, [2])).to_list() == [2]
-
-
-def test_reach_backward_rejects_width_mismatch():
-    with pytest.raises(ValueError):
-        reach_backward(C3, VertexSet.from_indices(4, [0]))
 
 
 def test_blocked_and_naive_products_agree():
