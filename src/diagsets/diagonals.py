@@ -31,6 +31,7 @@ from .walks import (
     closed_walk_spectra,
     cyclic_vertices,
     frontier_step,
+    long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
     reach_from,
@@ -136,8 +137,9 @@ def diagonal_n(g: Graph, n: int) -> VertexSet:
 def diagonal_inf(g: Graph) -> VertexSet:
     """Vertices from which no infinite walk starts.
 
-    Computed twice, by cycle reachability and by the length-|V| matrix
-    power; the routes must agree or the call aborts.
+    Computed twice, by cycle reachability and by the zero rows of A^|V|,
+    read off the walk-count fixpoint of ``long_walk_starts``; the routes
+    must agree or the call aborts.
     """
     return GraphAnalysis(g).diagonal_set(DiagonalSpec.dinf())
 
@@ -195,7 +197,7 @@ class GraphAnalysis:
     sets, the closed-walk spectra, the powers A^k by exponent, per S the
     shortest violating closed walk of every vertex, and the diagonal set of
     every spec.  The independent routes run once per analysis: Dinf by
-    cycle reachability and by the length-|V| power, and in the chain check
+    cycle reachability and by the zero rows of A^|V|, and in the chain check
     D_n and D_S from the spectra and from the loops of powers of A.  Return
     layers are built per witness and dropped with it.
     """
@@ -254,8 +256,7 @@ class GraphAnalysis:
             shortest = self.shortest_violations(spec.lengths)
             return VertexSet(n, sum(1 << v for v, m in enumerate(shortest) if m is None))
         scc_route = self.canreach_cycle.complement()
-        dead = sum(1 << v for v, row in enumerate(self.power(n).rows) if not row)
-        matrix_route = VertexSet(n, dead)
+        matrix_route = VertexSet(n, long_walk_starts(self.g)).complement()
         if scc_route != matrix_route:
             raise InternalDisagreementError(
                 f"infinite-walk routes disagree: scc={scc_route.to_list()} "

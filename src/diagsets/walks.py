@@ -24,6 +24,10 @@ from .upsets import UPSet
 # below them the table build costs more than it saves.
 _BLOCK_TABLE_MIN_ORDER = 64
 _BLOCK_TABLE_MIN_SCC = 8
+# Above that order a product still ORs rows one set bit of the left factor
+# at a time while that is cheaper.  One such OR costs about three table
+# lookups (measured at orders 96 to 512 in CPython 3.11).
+_NAIVE_OR_COST = 3
 
 
 def _mul_rows_naive(a_rows: tuple[int, ...], b_rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -79,9 +83,14 @@ def mat_mul_bool(a: Graph, b: Graph) -> Graph:
     """
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} != {b.n}")
-    if a.n > _BLOCK_TABLE_MIN_ORDER:
-        return Graph(a.n, _mul_rows_blocked(a.rows, b.rows, a.n))
-    return Graph(a.n, _mul_rows_naive(a.rows, b.rows))
+    n = a.n
+    if n > _BLOCK_TABLE_MIN_ORDER:
+        # The blocked kernel reads ceil(n/8) table entries per row, after
+        # 255 ORs to build each of the ceil(n/8) tables.
+        blocked_cost = (n + 255) * -(-n // 8)
+        if _NAIVE_OR_COST * sum(map(int.bit_count, a.rows)) >= blocked_cost:
+            return Graph(n, _mul_rows_blocked(a.rows, b.rows, n))
+    return Graph(n, _mul_rows_naive(a.rows, b.rows))
 
 
 def mat_pow_bool(a: Graph, exponent: int) -> Graph:
@@ -99,6 +108,26 @@ def mat_pow_bool(a: Graph, exponent: int) -> Graph:
             base = mat_mul_bool(base, base)
     assert result is not None
     return result
+
+
+def long_walk_starts(g: Graph) -> int:
+    """The nonzero rows of A^|V|, as a mask: the vertices with a length-|V| walk.
+
+    This is A^k times the all-ones vector, read as sets: L_0 = V and
+    L_(k+1) = {v : Out(v) meets L_k}, so L_k holds the nonzero rows of A^k.
+    The chain L_0 >= L_1 >= ... shrinks, so it repeats within |V| steps and
+    stays put from then on.  Only the rows are read: no SCCs, no spectra.
+    """
+    rows = g.rows
+    live = (1 << g.n) - 1
+    while True:
+        dead = 0
+        for v in bits_of(live):
+            if not rows[v] & live:
+                dead |= 1 << v
+        if not dead:
+            return live
+        live ^= dead
 
 
 class TraceCapError(RuntimeError):

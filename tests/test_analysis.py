@@ -25,7 +25,7 @@ from strategies import graphs
 EVENS = UPSet(0, 2, frozenset({0}))
 
 
-def _count_calls(monkeypatch, calls, name, on_call=None):
+def _count_calls(monkeypatch, calls, name):
     """Count calls of ``name`` made through the walks and diagonals bindings."""
     for module in (walks, diagonals):
         original = getattr(module, name, None)
@@ -34,8 +34,6 @@ def _count_calls(monkeypatch, calls, name, on_call=None):
 
         def counted(*args, _original=original, **kwargs):
             calls[name] += 1
-            if on_call is not None:
-                on_call(*args)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -46,11 +44,11 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     # every spec has members inside and outside its set.
     g = make_graph(8, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 6)])
     calls: Counter = Counter()
-    exponents: Counter = Counter()
     _count_calls(monkeypatch, calls, "strongly_connected_components")
     _count_calls(monkeypatch, calls, "closed_walk_spectra")
     _count_calls(monkeypatch, calls, "transpose_rows")
-    _count_calls(monkeypatch, calls, "mat_pow_bool", lambda a, k: exponents.update([k]))
+    _count_calls(monkeypatch, calls, "mat_mul_bool")
+    _count_calls(monkeypatch, calls, "mat_pow_bool")
 
     report = analyze_graph(
         g, n_values=(1, 2), s_sets=(EVENS, UPSet.from_finite([0, 2])), include_spectra=True
@@ -60,13 +58,17 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     assert calls["strongly_connected_components"] == 1
     assert calls["closed_walk_spectra"] == 1
     assert calls["transpose_rows"] == 1
-    assert exponents and max(exponents.values()) == 1, exponents
+    # A^2, ..., A^9 for the chain, one product each; the evens stop at
+    # bound 7, so every power they read is one of those.  Building any
+    # A^k twice, or by squaring, breaks this count.
+    assert calls["mat_mul_bool"] == 8
+    assert calls["mat_pow_bool"] == 0
 
 
 def test_chain_check_reads_each_power_off_the_previous_one(monkeypatch):
     g = gen_random(12, 0.3, 3, "allow")
     analysis = GraphAnalysis(g)
-    analysis.diagonal_set(DiagonalSpec.dinf())  # A^12, by square-and-multiply
+    analysis.diagonal_set(DiagonalSpec.dinf())  # no matrix product
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "mat_mul_bool")
     _count_calls(monkeypatch, calls, "mat_pow_bool")
@@ -96,6 +98,13 @@ def test_dn_at_a_huge_n_makes_no_matrix_product(monkeypatch):
     assert diagonal_n(g, n) == expected
     assert 0 < len(expected) < g.n
     assert not calls
+
+
+def test_dinf_catches_routes_that_disagree(monkeypatch):
+    g = make_graph(3, [(0, 1), (1, 2), (2, 2)])  # every vertex starts an infinite walk
+    monkeypatch.setattr(diagonals, "long_walk_starts", lambda g: 0b011)
+    with pytest.raises(InternalDisagreementError, match="infinite-walk routes disagree"):
+        GraphAnalysis(g).diagonal_set(DiagonalSpec.dinf())
 
 
 def test_chain_check_catches_a_spectrum_that_disagrees_with_the_powers():

@@ -16,6 +16,7 @@ from diagsets.walks import (
     closed_walk_spectrum,
     cyclic_vertices,
     frontier_step,
+    long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
     power_trace,
@@ -269,3 +270,55 @@ def test_blocked_and_naive_products_agree():
     blocked = Graph(a.n, _mul_rows_blocked(a.rows, a.rows, a.n))
     assert naive == blocked
     assert mat_mul_bool(a, a) == naive
+
+
+def test_product_kernel_follows_the_left_factors_density(monkeypatch):
+    used = []
+    for name in ("_mul_rows_naive", "_mul_rows_blocked"):
+        original = getattr(walks, name)
+
+        def recorded(*args, _name=name, _original=original):
+            used.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(walks, name, recorded)
+    sparse = gen_random(80, 0.02, 4, "allow")
+    dense = gen_random(80, 0.5, 4, "allow")
+    small = gen_random(64, 0.5, 4, "allow")
+    assert mat_mul_bool(sparse, dense) == Graph(80, _mul_rows_blocked(sparse.rows, dense.rows, 80))
+    assert mat_mul_bool(dense, sparse) == Graph(80, _mul_rows_naive(dense.rows, sparse.rows))
+    mat_mul_bool(small, small)  # at order 64 and below, always row by row
+    assert used == ["_mul_rows_naive", "_mul_rows_blocked", "_mul_rows_naive"]
+
+
+def _nonzero_rows(g):
+    return sum(1 << v for v, row in enumerate(mat_pow_bool(g, g.n).rows) if row)
+
+
+# Uniform graphs of order 10 are dense; sparse ones have dead vertices.
+_sparse_graphs = st.builds(
+    lambda order, p, seed: gen_random(order, p, seed, "allow"),
+    st.integers(1, 10),
+    st.sampled_from([0.05, 0.1, 0.2, 0.3]),
+    st.integers(0, 2**16),
+)
+
+
+@given(graphs(max_order=10) | _sparse_graphs)
+@settings(max_examples=120)
+def test_long_walk_starts_are_the_nonzero_rows_of_the_order_power(g):
+    assert long_walk_starts(g) == _nonzero_rows(g)
+
+
+def test_long_walk_starts_on_long_paths():
+    cycle = [(100, 101), (101, 102), (102, 100)]
+    path = [(i, i + 1) for i in range(100)]
+    # A path of length 100 into a 3-cycle: every vertex starts an infinite walk.
+    into = make_graph(103, path + cycle)
+    assert long_walk_starts(into) == _nonzero_rows(into) == (1 << 103) - 1
+    # The same path out of a 2-cycle, ending in a sink: each step drops one
+    # path vertex, so the chain L_0 > L_1 > ... is as long as it gets.
+    out_of = make_graph(103, path + [(101, 102), (102, 101), (101, 0)])
+    assert long_walk_starts(out_of) == _nonzero_rows(out_of) == 0b11 << 101
+    bare = make_graph(103, path + [(100, 101), (101, 102)])
+    assert long_walk_starts(bare) == _nonzero_rows(bare) == 0
