@@ -22,7 +22,7 @@ def main() -> int:
     args = ap.parse_args()
 
     start = time.perf_counter()
-    report = exhaustive_sweep(order_max=args.order_max, include_order_4=args.order_max >= 4)
+    report = exhaustive_sweep(order_max=args.order_max)
     elapsed = time.perf_counter() - start
 
     print(f"checked {report.graphs_checked} graphs in {elapsed:.2f}s "

@@ -14,7 +14,7 @@ graphs through order 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .diagonals import (
     DiagonalSpec,
@@ -23,12 +23,12 @@ from .diagonals import (
     distinct_out_count,
 )
 from .graph import Graph, VertexSet
-from .upsets import UPSet
 from .walks import power_trace, spectra_from_trace
 
 MAX_ORACLE_ORDER = 8
 MAX_ORACLE_WALK = 12
 MAX_ORACLE_SPECTRUM = 128
+SWEEP_SPECTRUM_LEN = 40
 
 
 class OracleGuardError(ValueError):
@@ -177,34 +177,17 @@ class SweepReport:
         return self.total_failures() == 0
 
 
-def _default_s_samples() -> list[UPSet]:
-    return [spec.s for spec in default_spec_battery() if spec.kind == "DS"]
-
-
-def exhaustive_sweep(
-    order_max: int = 3,
-    n_values: Sequence[int] = (1, 2, 3, 4, 5, 6),
-    s_samples: Sequence[UPSet] | None = None,
-    include_order_4: bool = False,
-    spectrum_max_len: int = 40,
-) -> SweepReport:
-    """Check every theorem and every engine-vs-oracle pair over all small graphs.
+def exhaustive_sweep(order_max: int = 3) -> SweepReport:
+    """Check the default battery and every engine-vs-oracle pair over all small graphs.
 
     Failures are recorded, never raised; callers assert the report is clean.
-    Order 4 multiplies the corpus by 65536 and must be opted into.
+    Order 4 adds 65536 graphs to the 530 of orders 1 to 3.
     """
     if not 1 <= order_max <= 4:
         raise ValueError("order_max must be between 1 and 4")
-    if order_max == 4 and not include_order_4:
-        raise ValueError("order 4 sweeps 65536 extra graphs; pass include_order_4=True")
-    if s_samples is None:
-        s_samples = _default_s_samples()
-    specs = (
-        [DiagonalSpec.d()]
-        + [DiagonalSpec.dn(n) for n in n_values]
-        + [DiagonalSpec.dinf()]
-        + [DiagonalSpec.ds(s) for s in s_samples]
-    )
+    specs = default_spec_battery()
+    n_values = [spec.n for spec in specs if spec.kind == "Dn"]
+    s_samples = [spec.s for spec in specs if spec.kind == "DS"]
     finite_samples = [s for s in s_samples if s.is_finite()]
 
     results: dict[str, PropertyResult] = {}
@@ -270,18 +253,18 @@ def exhaustive_sweep(
                         dset(DiagonalSpec.ds(s)), diagonal_S_bf(g, vv), f"DS({s.literal()})"
                     ),
                 )
-            check("spectrum", g, lambda: _check_spectra(analysis, spectrum_max_len))
+            check("spectrum", g, lambda: _check_spectra(analysis))
             check("pigeonhole", g, lambda: _check_pigeonhole(g))
     return SweepReport(checked, per_order, list(results.values()))
 
 
-def _check_spectra(analysis: GraphAnalysis, max_len: int) -> None:
+def _check_spectra(analysis: GraphAnalysis) -> None:
     g, spectra = analysis.g, analysis.spectra
     if spectra != spectra_from_trace(power_trace(g)):
         raise AssertionError("frontier spectra differ from the power-trace spectra")
     for v in range(g.n):
-        truth = closed_walk_lengths_bf(g, v, max_len)
-        for length in range(1, max_len + 1):
+        truth = closed_walk_lengths_bf(g, v, SWEEP_SPECTRUM_LEN)
+        for length in range(1, SWEEP_SPECTRUM_LEN + 1):
             if spectra[v].member(length) != (length in truth):
                 raise AssertionError(f"spectrum of {v} wrong at length {length}")
         if spectra[v].member(0):

@@ -20,7 +20,7 @@ from .diagonals import (
     default_spec_battery,
 )
 from .graphio import EdgeListError, emit_edge_list, gen_random, parse_edge_list, scan_seed_comment
-from .report import analyze_graph, report_json
+from .report import CHAIN_N_MAX, analyze_graph, report_json
 from .upsets import parse_upset
 from .walks import TraceCapError, closed_walk_spectrum
 
@@ -88,9 +88,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lo, hi = _parse_size_range(args.size)
         ps = _parse_p_list(args.p)
     failures = 0
-    report = exhaustive_sweep(
-        order_max=args.order_max, include_order_4=args.order_max >= 4
-    )
+    report = exhaustive_sweep(order_max=args.order_max)
     print(f"exhaustive sweep: orders 1..{args.order_max}, {report.graphs_checked} graphs")
     for prop in report.properties:
         line = f"  {prop.name}: {prop.passes} pass / {prop.failures} fail"
@@ -111,7 +109,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             analysis = GraphAnalysis(g)
             try:
                 analysis.verify_battery(battery)
-                analysis.inclusion_chain_check(8, s_samples)
+                analysis.inclusion_chain_check(CHAIN_N_MAX, s_samples)
             except (TheoremViolationError, InternalDisagreementError) as exc:
                 random_failures += 1
                 print(f"  FAIL seed={args.seed + i} order={order} p={p} loops={loops}: {exc}")

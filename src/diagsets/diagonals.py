@@ -192,8 +192,8 @@ def _closed_walk(g: Graph, layers: FrontierOrbit, v: int, length: int) -> tuple[
 class GraphAnalysis:
     """The per-graph facts behind every diagonal set and witness, each computed once.
 
-    Each fact is computed on first read and kept: the SCC masks (one
-    Tarjan pass), the transposed rows, the cyclic and can-reach-a-cycle
+    Each fact is computed on first read and kept: the transposed rows, the
+    SCC masks (one Kosaraju pass over them), the cyclic and can-reach-a-cycle
     sets, the closed-walk spectra, the powers A^k by exponent, per S the
     shortest violating closed walk of every vertex, and the diagonal set of
     every spec.  The independent routes run once per analysis: Dinf by
@@ -211,7 +211,7 @@ class GraphAnalysis:
 
     @cached_property
     def masks(self) -> list[int]:
-        return scc_masks(self.g)
+        return scc_masks(self.g, self.transposed_rows)
 
     @cached_property
     def transposed_rows(self) -> tuple[int, ...]:
@@ -301,11 +301,9 @@ class GraphAnalysis:
         raise InternalDisagreementError(f"vertex {start} cannot reach a cycle")
 
     def variant_witness(self, v: int, spec: DiagonalSpec) -> Witness:
-        """Witness for the Dn/Dinf/DS constructions, by the three-way case split."""
+        """Witness by the three-way case split; for D = D_S({0}) it is ``cantor_witness``."""
         g = self.g
         g._check_vertex(v)
-        if spec.kind == "D":
-            raise ValueError("variant_witness handles Dn/Dinf/DS; use cantor_witness for D")
         if g.has_edge(v, v):
             # Looped: v itself, pumped around its loop as long as required.
             if spec.kind == "Dinf":
@@ -346,7 +344,7 @@ class GraphAnalysis:
         for v in range(g.n):
             if dx == g.out_set(v):
                 raise TheoremViolationError(f"{spec.label()} equals Out({v})")
-            w = cantor_witness(g, v) if spec.kind == "D" else self.variant_witness(v, spec)
+            w = self.variant_witness(v, spec)
             validate_witness(g, spec, dx, w, cyclic=self.cyclic)
             witnesses.append(w)
         return witnesses

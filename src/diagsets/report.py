@@ -21,6 +21,9 @@ from .diagonals import (
 from .graph import Graph
 from .upsets import UPSet
 
+# The chain check covers D_n for n in 0..CHAIN_N_MAX.
+CHAIN_N_MAX = 8
+
 
 def _evidence_dict(ev: Evidence | None) -> dict | None:
     if ev is None:
@@ -44,7 +47,6 @@ def analyze_graph(
     s_sets: Sequence[UPSet] = (),
     include_spectra: bool = False,
     seed: int | None = None,
-    chain_n_max: int = 8,
     parse_ms: float = 0.0,
 ) -> dict:
     """Full analysis of one graph: sets, witnesses, spectra, chain verdict."""
@@ -77,7 +79,7 @@ def analyze_graph(
         spectra_ms = (perf_counter() - t0) * 1000.0
 
     t0 = perf_counter()
-    chain = analysis.inclusion_chain_check(chain_n_max, s_sets)
+    chain = analysis.inclusion_chain_check(CHAIN_N_MAX, s_sets)
     chain_ms = (perf_counter() - t0) * 1000.0
 
     count, order = distinct_out_count(g)

@@ -4,7 +4,8 @@ Entry (u, w) of A^L is 1 exactly when a walk of length L from u to w
 exists; boolean products realize walk concatenation.  A closed walk
 through v never leaves v's strongly connected component (SCC), so
 spectra and witness walks come from frontier sets inside one SCC
-(:class:`FrontierOrbit`), whatever the period of the whole graph.
+(:class:`FrontierOrbit`), whatever the period of the whole graph.  The
+SCCs themselves come from bitset row ORs too (Kosaraju's two passes).
 
 :class:`PowerTrace`, the periodicity certificate of the whole power
 sequence A^1, A^2, ..., is kept only as an independent oracle for them.
@@ -272,10 +273,10 @@ def closed_walk_spectra(g: Graph, masks: Sequence[int] | None = None) -> list[UP
 
     The walk stays in v's SCC C (empty if v is on no cycle), so v's spectrum
     is {k >= 1 : v in F_k} for F_0 = {v}, F_(k+1) = Out(F_k) & C.  ``masks``
-    is ``scc_masks(g)``, passed when the caller already has it.
+    is ``scc_masks(g, transpose_rows(g))``, passed when the caller has it.
     """
     if masks is None:
-        masks = scc_masks(g)
+        masks = scc_masks(g, transpose_rows(g))
     steps: dict[int, Callable[[int], int]] = {}
     out = []
     for v, comp in enumerate(masks):
@@ -288,79 +289,57 @@ def closed_walk_spectra(g: Graph, masks: Sequence[int] | None = None) -> list[UP
 def closed_walk_spectrum(g: Graph, v: int) -> UPSet:
     """All L >= 1 admitting a closed walk of length L through v, as a UPSet."""
     g._check_vertex(v)
-    comp = scc_masks(g)[v]
+    # v's SCC alone: the vertices that v reaches and that reach v.
+    comp = reach_from(g.rows, 1 << v) & reach_from(transpose_rows(g), 1 << v)
     return FrontierOrbit(1 << v, frontier_step(g.rows, g.n, comp)).hits(v)
 
 
-def strongly_connected_components(g: Graph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to spare the recursion limit."""
-    n = g.n
-    index = [0] * n
-    low = [0] * n
-    visited = [False] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if visited[root]:
-            continue
-        work = [(root, bits_of(g.rows[root]))]
-        visited[root] = True
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, bits_of(g.rows[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
+def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:
+    """The SCCs as masks, by Kosaraju's two passes; ``rev`` is ``transpose_rows(g)``.
+
+    Pass 1 is a depth-first search whose next child is the lowest unseen
+    successor; it lists the vertices as they finish.  Pass 2 takes them in
+    reverse finishing order: the still unassigned vertices that reach one
+    form its SCC.
+    """
+    rows = g.rows
+    unseen = (1 << g.n) - 1
+    finished: list[int] = []
+    while unseen:
+        stack = [(unseen & -unseen).bit_length() - 1]
+        unseen &= unseen - 1
+        while stack:
+            nxt = rows[stack[-1]] & unseen
+            if nxt:
+                low = nxt & -nxt
+                unseen ^= low
+                stack.append(low.bit_length() - 1)
+            else:
+                finished.append(stack.pop())
+    components = []
+    unassigned = (1 << g.n) - 1
+    for v in reversed(finished):
+        if unassigned >> v & 1:
+            components.append(reach_from(rev, 1 << v, within=unassigned))
+            unassigned ^= components[-1]
     return components
 
 
-def scc_masks(g: Graph) -> list[int]:
+def scc_masks(g: Graph, rev: Sequence[int]) -> list[int]:
     """Per vertex, its SCC as a mask if a closed walk passes through it, else 0."""
     masks = [0] * g.n
-    for comp in strongly_connected_components(g):
-        mask = 0
-        for v in comp:
-            mask |= 1 << v
-        if len(comp) >= 2 or g.rows[comp[0]] & mask:
-            for v in comp:
-                masks[v] = mask
+    for comp in strongly_connected_components(g, rev):
+        v = comp.bit_length() - 1
+        if comp & (comp - 1) or g.rows[v] >> v & 1:
+            for v in bits_of(comp):
+                masks[v] = comp
     return masks
 
 
 def cyclic_vertices(g: Graph) -> VertexSet:
     """Vertices lying on some closed walk: in a multi-vertex SCC, or looped."""
-    return VertexSet(g.n, sum(set(scc_masks(g))))  # distinct SCCs are disjoint
+    masks = set(scc_masks(g, transpose_rows(g)))
+    return VertexSet(g.n, sum(masks))  # distinct SCCs are disjoint
 
 
 def transpose_rows(g: Graph) -> tuple[int, ...]:
@@ -371,13 +350,13 @@ def transpose_rows(g: Graph) -> tuple[int, ...]:
     return tuple(rev)
 
 
-def reach_from(rows: Sequence[int], start: int) -> int:
-    """The mask of all vertices reachable along ``rows`` from the mask ``start``."""
+def reach_from(rows: Sequence[int], start: int, within: int = -1) -> int:
+    """The mask ``start`` and all it reaches along ``rows`` within the mask ``within``."""
     reached = frontier = start
     while frontier:
         grown = 0
         for w in bits_of(frontier):
             grown |= rows[w]
-        frontier = grown & ~reached
+        frontier = grown & within & ~reached
         reached |= frontier
     return reached

@@ -96,5 +96,3 @@ def test_sweep_rejects_bad_bounds():
         exhaustive_sweep(order_max=0)
     with pytest.raises(ValueError):
         exhaustive_sweep(order_max=5)
-    with pytest.raises(ValueError):
-        exhaustive_sweep(order_max=4)  # needs the explicit opt-in flag

@@ -128,7 +128,8 @@ def test_d_is_ds_of_zero_with_the_cantor_witnesses(g):
     assert GraphAnalysis(g).diagonal_set(DiagonalSpec.d()) == diagonal_S(g, zero)
     analysis = GraphAnalysis(g)
     for v in range(g.n):
-        assert cantor_witness(g, v) == analysis.variant_witness(v, DiagonalSpec.ds(zero))
+        for spec in (DiagonalSpec.d(), DiagonalSpec.ds(zero)):
+            assert cantor_witness(g, v) == analysis.variant_witness(v, spec)
 
 
 def test_variant_witness_case_unlooped_outside_diagonal():
@@ -157,9 +158,10 @@ def test_variant_witness_rotates_a_violating_closed_walk():
     assert w.evidence.vertices == (1, 2, 0, 1)
 
 
-def test_variant_witness_rejects_plain_diagonal_spec():
-    with pytest.raises(ValueError):
-        GraphAnalysis(C3).variant_witness(0, DiagonalSpec.d())
+def test_variant_witness_for_plain_diagonal_spec_is_the_cantor_witness():
+    for g in (C3, LOOP1, make_graph(2, [(0, 1), (1, 1)])):
+        for v in range(g.n):
+            assert GraphAnalysis(g).variant_witness(v, DiagonalSpec.d()) == cantor_witness(g, v)
 
 
 def test_variant_witness_with_huge_n_omits_evidence_but_validates():

@@ -21,6 +21,7 @@ from diagsets.walks import (
     mat_pow_bool,
     power_trace,
     reach_from,
+    scc_masks,
     spectra_from_trace,
     strongly_connected_components,
     transpose_rows,
@@ -197,6 +198,13 @@ def test_frontier_spectra_equal_trace_spectra(g):
     assert closed_walk_spectra(g) == spectra_from_trace(power_trace(g))
 
 
+@given(graphs(max_order=6))
+def test_one_vertex_spectrum_equals_trace_spectrum(g):
+    spectra = spectra_from_trace(power_trace(g))
+    for v in range(g.n):
+        assert closed_walk_spectrum(g, v) == spectra[v]
+
+
 @given(graphs(max_order=6), st.integers(0, 60))
 def test_frontier_orbit_reads_like_direct_iteration(g, k):
     step = frontier_step(g.rows, g.n, (1 << g.n) - 1)
@@ -246,10 +254,45 @@ def test_cyclic_vertices_equal_nonempty_spectra(g):
 
 
 def test_scc_partition_covers_all_vertices():
-    comps = strongly_connected_components(C3)
-    assert sorted(v for comp in comps for v in comp) == [0, 1, 2]
+    comps = strongly_connected_components(C3, transpose_rows(C3))
+    assert sorted(v for comp in comps for v in bits_of(comp)) == [0, 1, 2]
     assert len(comps) == 1
-    assert len(strongly_connected_components(PATH3)) == 3
+    assert len(strongly_connected_components(PATH3, transpose_rows(PATH3))) == 3
+
+
+@given(graphs(max_order=8))
+def test_scc_masks_are_mutual_reachability(g):
+    def reachable(u):
+        seen, todo = {u}, [u]
+        while todo:
+            x = todo.pop()
+            for y in range(g.n):
+                if g.has_edge(x, y) and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    reach = [reachable(u) for u in range(g.n)]
+    for v, mask in enumerate(scc_masks(g, transpose_rows(g))):
+        # v is on a closed walk iff some successor of v reaches back to v.
+        cyclic = any(g.has_edge(v, w) and v in reach[w] for w in range(g.n))
+        comp = {u for u in reach[v] if v in reach[u]} if cyclic else set()
+        assert set(bits_of(mask)) == comp
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scc_masks_on_a_long_path_into_a_cycle(reverse):
+    # Path 0 -> 1 -> ... -> 2999 into the 3-cycle 3000 -> 3001 -> 3002 -> 3000,
+    # so the DFS stack grows 3,003 deep; with the labels reversed it starts
+    # at the cycle and meets the path one root at a time.
+    n = 3003
+    edges = [(v, v + 1) for v in range(n - 1)] + [(n - 1, n - 3)]
+    label = (lambda v: n - 1 - v) if reverse else (lambda v: v)
+    g = make_graph(n, [(label(u), label(w)) for u, w in edges])
+    cycle = sum(1 << label(v) for v in range(n - 3, n))
+    masks = scc_masks(g, transpose_rows(g))
+    assert masks == [cycle if cycle >> v & 1 else 0 for v in range(n)]
+    assert len(strongly_connected_components(g, transpose_rows(g))) == n - 2
 
 
 def test_reach_backward_examples():
