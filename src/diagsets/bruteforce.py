@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .diagonals import (
+    CHAIN_N_MAX,
     DiagonalSpec,
     GraphAnalysis,
     default_spec_battery,
@@ -217,7 +218,7 @@ def exhaustive_sweep(order_max: int = 3) -> SweepReport:
             dset = analysis.diagonal_set
             for spec in specs:
                 check(f"theorem[{spec.label()}]", g, lambda s=spec: analysis.verify_unequal(s))
-            check("chain", g, lambda: analysis.inclusion_chain_check(8, s_samples))
+            check("chain", g, lambda: analysis.inclusion_chain_check(CHAIN_N_MAX, s_samples))
             check(
                 "oracle[D]",
                 g,

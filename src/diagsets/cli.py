@@ -14,13 +14,14 @@ from time import perf_counter
 from . import __version__
 from .bruteforce import OracleGuardError, exhaustive_sweep
 from .diagonals import (
+    CHAIN_N_MAX,
     GraphAnalysis,
     InternalDisagreementError,
     TheoremViolationError,
     default_spec_battery,
 )
 from .graphio import EdgeListError, emit_edge_list, gen_random, parse_edge_list, scan_seed_comment
-from .report import CHAIN_N_MAX, analyze_graph, report_json
+from .report import analyze_graph, report_json
 from .upsets import parse_upset
 from .walks import TraceCapError, closed_walk_spectrum
 

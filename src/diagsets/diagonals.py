@@ -24,16 +24,15 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .graph import Graph, VertexSet, bits_of
+from .graph import Graph, VertexSet
 from .upsets import UPSet
 from .walks import (
     FrontierOrbit,
     closed_walk_spectra,
-    cyclic_vertices,
-    frontier_step,
     long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
+    orbit_step,
     reach_from,
     scc_masks,
     transpose_rows,
@@ -160,6 +159,10 @@ def verify_battery(
     return GraphAnalysis(g).verify_battery(specs)
 
 
+# The chain check covers D_n for n in 0..CHAIN_N_MAX in reports and sweeps.
+CHAIN_N_MAX = 8
+
+
 def inclusion_chain_check(
     g: Graph, n_max: int, s_samples: Iterable[UPSet] = ()
 ) -> ChainReport:
@@ -175,15 +178,18 @@ def cantor_witness(g: Graph, v: int) -> Witness:
     return Witness(v, Side.DX_MINUS_OUT, v, None)
 
 
-def _closed_walk(g: Graph, layers: FrontierOrbit, v: int, length: int) -> tuple[int, ...]:
-    """A closed walk of the given length through v, smallest successor first."""
-    walk = [v]
+def _descend(g: Graph, layers: FrontierOrbit, start: int, length: int) -> tuple[int, ...]:
+    """The least walk of the given length from start into layers[0], smallest step first.
+
+    ``layers[k]`` holds the vertices with a length-k walk into layers[0].
+    """
+    walk = [start]
     for remaining in range(length - 1, -1, -1):
         nxt = g.rows[walk[-1]] & layers[remaining]
         if not nxt:
             raise InternalDisagreementError(
                 f"no continuation at step {length - remaining} of a length-{length} "
-                f"closed walk via {v}"
+                f"descent from {start}"
             )
         walk.append((nxt & -nxt).bit_length() - 1)
     return tuple(walk)
@@ -199,7 +205,8 @@ class GraphAnalysis:
     every spec.  The independent routes run once per analysis: Dinf by
     cycle reachability and by the zero rows of A^|V|, and in the chain check
     D_n and D_S from the spectra and from the loops of powers of A.  Return
-    layers are built per witness and dropped with it.
+    layers are built per witness and dropped with it; the backward layers
+    of the cyclic set serve every Dinf tail.
     """
 
     def __init__(self, g: Graph):
@@ -264,41 +271,21 @@ class GraphAnalysis:
             )
         return scc_route
 
-    def return_layers(self, v: int) -> FrontierOrbit:
-        """Layers B_k: the vertices of v's SCC with a length-k walk to v.
+    def back_layers(self, start: int, mask: int) -> FrontierOrbit:
+        """Layers x_0 = start, x_(k+1) = In(x_k) & mask, with one backward step per mask.
 
-        A closed walk through v stays in v's SCC, so a successor w of a
-        vertex on it continues to a length-k return exactly when w is in B_k.
-        Each call starts afresh, so the layers live only as long as the
-        witness that reads them.
+        With start {v} and mask v's SCC, x_k holds the vertices with a
+        length-k walk to v, as a closed walk through v never leaves its SCC.
+        Each call starts afresh, so the layers live only as long as their reader.
         """
-        comp = self.masks[v]
-        if comp not in self._back_steps:
-            self._back_steps[comp] = frontier_step(self.transposed_rows, self.g.n, comp)
-        return FrontierOrbit(1 << v, self._back_steps[comp])
+        if mask not in self._back_steps:
+            self._back_steps[mask] = orbit_step(self.transposed_rows, self.g.n, mask)
+        return FrontierOrbit(start, self._back_steps[mask])
 
-    def _tail_prefix(self, start: int) -> tuple[int, ...]:
-        """Shortest walk from start to a cyclic vertex (BFS, ascending tie-break)."""
-        cyc = self.cyclic
-        if start in cyc:
-            return (start,)
-        parent: dict[int, int | None] = {start: None}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in bits_of(self.g.rows[u]):
-                    if w in parent:
-                        continue
-                    parent[w] = u
-                    if w in cyc:
-                        path = [w]
-                        while parent[path[-1]] is not None:
-                            path.append(parent[path[-1]])
-                        return tuple(reversed(path))
-                    nxt.append(w)
-            frontier = nxt
-        raise InternalDisagreementError(f"vertex {start} cannot reach a cycle")
+    @cached_property
+    def cycle_layers(self) -> FrontierOrbit:
+        """Layers L_0 = cyclic, L_(k+1) = In(L_k): the vertices within k steps of a cycle."""
+        return self.back_layers(self.cyclic.bits, self.canreach_cycle.bits)
 
     def variant_witness(self, v: int, spec: DiagonalSpec) -> Witness:
         """Witness by the three-way case split; for D = D_S({0}) it is ``cantor_witness``."""
@@ -315,15 +302,18 @@ class GraphAnalysis:
             return Witness(v, Side.DX_MINUS_OUT, v, None)
         # Unlooped but outside the diagonal: rotate a violating walk from v.
         if spec.kind == "Dinf":
-            for w in bits_of(g.rows[v]):
-                if w in self.canreach_cycle:
-                    return Witness(
-                        w, Side.OUT_MINUS_DX, v, Evidence(self._tail_prefix(w), infinite_tail=True)
-                    )
-            raise InternalDisagreementError(f"vertex {v} left D_inf without a successor on a cycle")
+            firsts = g.rows[v] & self.canreach_cycle.bits
+            if not firsts:
+                raise InternalDisagreementError(f"vertex {v} left D_inf without a path to a cycle")
+            w = (firsts & -firsts).bit_length() - 1
+            d = 0  # w's distance to a cycle
+            while not self.cycle_layers[d] >> w & 1:
+                d += 1
+            tail = _descend(g, self.cycle_layers, w, d)
+            return Witness(w, Side.OUT_MINUS_DX, v, Evidence(tail, infinite_tail=True))
         # Outside D_S means a shortest violation exists: both read one list.
         length = self.shortest_violations(spec.lengths)[v]
-        layers = self.return_layers(v)
+        layers = self.back_layers(1 << v, self.masks[v])
         firsts = g.rows[v] & layers[length - 1]
         if not firsts:
             raise InternalDisagreementError(
@@ -332,7 +322,7 @@ class GraphAnalysis:
         first = (firsts & -firsts).bit_length() - 1
         evidence = None
         if length + 1 <= EVIDENCE_CAP:
-            walk = _closed_walk(g, layers, v, length)
+            walk = _descend(g, layers, v, length)
             evidence = Evidence(walk[1:] + (walk[1],))
         return Witness(first, Side.OUT_MINUS_DX, v, evidence)
 
@@ -345,7 +335,7 @@ class GraphAnalysis:
             if dx == g.out_set(v):
                 raise TheoremViolationError(f"{spec.label()} equals Out({v})")
             w = self.variant_witness(v, spec)
-            validate_witness(g, spec, dx, w, cyclic=self.cyclic)
+            validate_witness(g, spec, dx, w, self.cyclic)
             witnesses.append(w)
         return witnesses
 
@@ -424,9 +414,9 @@ def validate_witness(
     spec: DiagonalSpec,
     dx: VertexSet,
     witness: Witness,
-    cyclic: VertexSet | None = None,
+    cyclic: VertexSet,
 ) -> None:
-    """Re-check every claim a witness makes; raise on any failure."""
+    """Re-check every claim a witness makes; a Dinf tail must end in ``cyclic``."""
     u, v = witness.vertex, witness.against
     out_v = g.out_set(v)
     if witness.side is Side.OUT_MINUS_DX:
@@ -451,8 +441,7 @@ def validate_witness(
     if ev.infinite_tail:
         if spec.kind != "Dinf":
             raise TheoremViolationError(f"{spec.label()}: infinite-tail evidence is Dinf-only")
-        cyc = cyclic if cyclic is not None else cyclic_vertices(g)
-        if verts[-1] not in cyc:
+        if verts[-1] not in cyclic:
             raise TheoremViolationError(
                 f"{spec.label()}: tail prefix ends at non-cyclic vertex {verts[-1]}"
             )

@@ -12,6 +12,7 @@ from typing import Sequence
 
 from . import __version__
 from .diagonals import (
+    CHAIN_N_MAX,
     DiagonalSpec,
     Evidence,
     GraphAnalysis,
@@ -20,9 +21,6 @@ from .diagonals import (
 )
 from .graph import Graph
 from .upsets import UPSet
-
-# The chain check covers D_n for n in 0..CHAIN_N_MAX.
-CHAIN_N_MAX = 8
 
 
 def _evidence_dict(ev: Evidence | None) -> dict | None:
@@ -54,6 +52,7 @@ def analyze_graph(
     specs = [DiagonalSpec.d()]
     specs += [DiagonalSpec.dn(n) for n in dict.fromkeys(n_values)]
     specs.append(DiagonalSpec.dinf())
+    s_sets = list(dict.fromkeys(s_sets))
     specs += [DiagonalSpec.ds(s) for s in s_sets]
     analysis = GraphAnalysis(g)
 

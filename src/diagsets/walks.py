@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graph import Graph, VertexSet, bits_of
+from .graph import Graph, bits_of
 from .upsets import UPSet
 
 # Row-OR accumulation switches to 8-bit block tables above this order
@@ -29,19 +29,6 @@ _BLOCK_TABLE_MIN_SCC = 8
 # at a time while that is cheaper.  One such OR costs about three table
 # lookups (measured at orders 96 to 512 in CPython 3.11).
 _NAIVE_OR_COST = 3
-
-
-def _mul_rows_naive(a_rows: tuple[int, ...], b_rows: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for row in a_rows:
-        acc = 0
-        m = row
-        while m:
-            low = m & -m
-            acc |= b_rows[low.bit_length() - 1]
-            m ^= low
-        out.append(acc)
-    return tuple(out)
 
 
 def _block_tables(rows: Sequence[int], n: int, mask: int) -> list:
@@ -62,36 +49,51 @@ def _block_tables(rows: Sequence[int], n: int, mask: int) -> list:
     return tables
 
 
-def _mul_rows_blocked(a_rows: tuple[int, ...], b_rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # Per 8-column block of A, precompute the OR of every B-row subset so
-    # each result row needs only ceil(n/8) lookups.
-    tables = _block_tables(b_rows, n, (1 << n) - 1)
+def frontier_step(rows: Sequence[int], n: int, comp: int, blocked: bool) -> Callable[[int], int]:
+    """F -> (OR of rows[u] over u in F) & comp; ``blocked`` reads it off 8-bit block tables."""
+    if not blocked:
+
+        def step(f: int) -> int:
+            acc = 0
+            while f:
+                low = f & -f
+                acc |= rows[low.bit_length() - 1]
+                f ^= low
+            return acc & comp
+
+        return step
+    tables = _block_tables(rows, n, comp)
     nbytes = len(tables)
-    out = []
-    for row in a_rows:
+
+    def step(f: int) -> int:
         acc = 0
-        for tab, byte in zip(tables, row.to_bytes(nbytes, "little")):
+        for tab, byte in zip(tables, f.to_bytes(nbytes, "little")):
             acc |= tab[byte]
-        out.append(acc)
-    return tuple(out)
+        return acc & comp
+
+    return step
+
+
+def orbit_step(rows: Sequence[int], n: int, comp: int) -> Callable[[int], int]:
+    """``frontier_step`` inside one SCC, with block tables above 8 of its vertices."""
+    return frontier_step(rows, n, comp, comp.bit_count() > _BLOCK_TABLE_MIN_SCC)
 
 
 def mat_mul_bool(a: Graph, b: Graph) -> Graph:
     """OR-of-ANDs product: u -> w in a*b iff some x has u -> x in a and x -> w in b.
 
     The product of the graphs of length-j and length-k walks is the graph
-    of length-(j+k) walks.
+    of length-(j+k) walks: row u of a*b is one frontier step from row u of a.
     """
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} != {b.n}")
     n = a.n
-    if n > _BLOCK_TABLE_MIN_ORDER:
-        # The blocked kernel reads ceil(n/8) table entries per row, after
-        # 255 ORs to build each of the ceil(n/8) tables.
-        blocked_cost = (n + 255) * -(-n // 8)
-        if _NAIVE_OR_COST * sum(map(int.bit_count, a.rows)) >= blocked_cost:
-            return Graph(n, _mul_rows_blocked(a.rows, b.rows, n))
-    return Graph(n, _mul_rows_naive(a.rows, b.rows))
+    # The block tables cost 255 ORs to build each of the ceil(n/8) tables,
+    # then ceil(n/8) lookups per row.
+    blocked = n > _BLOCK_TABLE_MIN_ORDER and (
+        _NAIVE_OR_COST * sum(map(int.bit_count, a.rows)) >= (n + 255) * -(-n // 8)
+    )
+    return Graph(n, tuple(map(frontier_step(b.rows, n, (1 << n) - 1, blocked), a.rows)))
 
 
 def mat_pow_bool(a: Graph, exponent: int) -> Graph:
@@ -197,31 +199,6 @@ def spectra_from_trace(trace: PowerTrace) -> list[UPSet]:
     return out
 
 
-def frontier_step(rows: Sequence[int], n: int, comp: int) -> Callable[[int], int]:
-    """F -> (OR of rows[u] over u in F) & comp, for frontiers F inside comp."""
-    if comp.bit_count() <= _BLOCK_TABLE_MIN_SCC:
-
-        def step(f: int) -> int:
-            acc = 0
-            while f:
-                low = f & -f
-                acc |= rows[low.bit_length() - 1]
-                f ^= low
-            return acc & comp
-
-        return step
-    tables = _block_tables(rows, n, comp)
-    nbytes = len(tables)
-
-    def step(f: int) -> int:
-        acc = 0
-        for tab, byte in zip(tables, f.to_bytes(nbytes, "little")):
-            acc |= tab[byte]
-        return acc & comp
-
-    return step
-
-
 class FrontierOrbit:
     """Frontiers x_0 = start, x_(k+1) = step(x_k), stored only as far as read.
 
@@ -281,7 +258,7 @@ def closed_walk_spectra(g: Graph, masks: Sequence[int] | None = None) -> list[UP
     out = []
     for v, comp in enumerate(masks):
         if comp not in steps:
-            steps[comp] = frontier_step(g.rows, g.n, comp)
+            steps[comp] = orbit_step(g.rows, g.n, comp)
         out.append(FrontierOrbit(1 << v, steps[comp]).hits(v))
     return out
 
@@ -291,7 +268,7 @@ def closed_walk_spectrum(g: Graph, v: int) -> UPSet:
     g._check_vertex(v)
     # v's SCC alone: the vertices that v reaches and that reach v.
     comp = reach_from(g.rows, 1 << v) & reach_from(transpose_rows(g), 1 << v)
-    return FrontierOrbit(1 << v, frontier_step(g.rows, g.n, comp)).hits(v)
+    return FrontierOrbit(1 << v, orbit_step(g.rows, g.n, comp)).hits(v)
 
 
 def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:
@@ -334,12 +311,6 @@ def scc_masks(g: Graph, rev: Sequence[int]) -> list[int]:
             for v in bits_of(comp):
                 masks[v] = comp
     return masks
-
-
-def cyclic_vertices(g: Graph) -> VertexSet:
-    """Vertices lying on some closed walk: in a multi-vertex SCC, or looped."""
-    masks = set(scc_masks(g, transpose_rows(g)))
-    return VertexSet(g.n, sum(masks))  # distinct SCCs are disjoint
 
 
 def transpose_rows(g: Graph) -> tuple[int, ...]:

@@ -62,9 +62,21 @@ def test_analyze_report_witnesses_validate_on_reload(tmp_path, capsys):
                 else:
                     evidence = Evidence(tuple(ev["infinite_tail"]), infinite_tail=True)
             witness = Witness(row["u"], Side(row["side"]), row["v"], evidence)
-            validate_witness(g, spec, dx, witness)
+            validate_witness(g, spec, dx, witness, VertexSet.full(3))
     spectra = {entry["vertex"]: entry for entry in report["spectra"]}
     assert spectra[0]["literal"] == "up(t=1,d=3,r=0)"
+
+
+def test_analyze_drops_duplicate_s_sets(tmp_path, capsys):
+    path = _write(tmp_path, "c2.edges", "n 2\n0 1\n1 0\n")
+    # Two literals for the evens: both parse to up(t=0,d=2,r=0).
+    rc = cli.main(
+        ["analyze", "--input", path, "--s", "up(t=0,d=2,r=0)", "--s", "up(t=0,d=4,r=0|2)"]
+    )
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [entry["spec"] for entry in report["specs"]] == ["D", "Dinf", "DS(up(t=0,d=2,r=0))"]
+    assert [row["s"] for row in report["chain"]["truncated_identities"]] == ["up(t=0,d=2,r=0)"]
 
 
 def test_analyze_out_file(tmp_path, capsys):

@@ -18,7 +18,8 @@ from diagsets.diagonals import (
     validate_witness,
     verify_battery,
 )
-from diagsets.graph import VertexSet, make_graph
+from diagsets.graph import VertexSet, bits_of, make_graph
+from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
 from diagsets.walks import power_trace, spectra_from_trace
 
@@ -109,7 +110,7 @@ def test_cantor_witness_is_a_fixed_point_and_validates(g):
     for v in range(g.n):
         w = cantor_witness(g, v)
         assert w.vertex == v
-        validate_witness(g, DiagonalSpec.d(), d, w)
+        validate_witness(g, DiagonalSpec.d(), d, w, GraphAnalysis(g).cyclic)
 
 
 @given(graphs(max_order=6))
@@ -138,6 +139,67 @@ def test_variant_witness_case_unlooped_outside_diagonal():
     assert (w.vertex, w.side) == (1, Side.OUT_MINUS_DX)
     assert w.evidence.infinite_tail
     assert w.evidence.vertices == (1,)
+
+
+def reference_tail(g, cyclic, start):
+    """The breadth-first search that built Dinf tails before the layer descent.
+
+    Successors are visited in ascending order; the first cyclic vertex
+    found ends the walk.
+    """
+    if start in cyclic:
+        return (start,)
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in bits_of(g.rows[u]):
+                if w in parent:
+                    continue
+                parent[w] = u
+                if w in cyclic:
+                    path = [w]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                nxt.append(w)
+        frontier = nxt
+    raise AssertionError(f"vertex {start} cannot reach a cycle")
+
+
+def _assert_dinf_tails_match_the_reference(g):
+    analysis = GraphAnalysis(g)
+    for w in analysis.verify_unequal(DiagonalSpec.dinf()):
+        if w.evidence is not None:
+            assert w.evidence.vertices == reference_tail(g, analysis.cyclic, w.vertex)
+
+
+_sparse_graphs = st.builds(
+    gen_random,
+    st.integers(1, 14),
+    st.sampled_from([0.05, 0.1, 0.15, 0.2]),
+    st.integers(0, 2**16),
+    st.sampled_from(["allow", "forbid"]),
+)
+
+
+@given(_sparse_graphs)
+@settings(max_examples=300)
+def test_dinf_tails_equal_the_breadth_first_reference(g):
+    _assert_dinf_tails_match_the_reference(g)
+
+
+def test_dinf_tail_where_breadth_first_discovery_is_not_ascending():
+    # From 0 the search meets 5 (via 1) before 3 (via 2) at depth 2, and
+    # both lead to a cycle in one step; the tail takes the smaller first step.
+    edges = [(8, 0), (0, 1), (0, 2), (1, 5), (2, 3), (5, 6), (6, 7), (7, 6), (3, 4), (4, 4)]
+    g = make_graph(9, edges)
+    w = GraphAnalysis(g).variant_witness(8, DiagonalSpec.dinf())
+    assert (w.vertex, w.side) == (0, Side.OUT_MINUS_DX)
+    assert w.evidence.vertices == (0, 1, 5, 6)
+    assert reference_tail(g, GraphAnalysis(g).cyclic, 0) == (0, 1, 5, 6)
+    _assert_dinf_tails_match_the_reference(g)
 
 
 def test_variant_witness_case_unlooped_inside_diagonal():
@@ -170,7 +232,7 @@ def test_variant_witness_with_huge_n_omits_evidence_but_validates():
     w = GraphAnalysis(two_cycle).variant_witness(0, spec)
     assert (w.vertex, w.side) == (1, Side.OUT_MINUS_DX)
     assert w.evidence is None
-    validate_witness(two_cycle, spec, diagonal_n(two_cycle, 10**9 + 1), w)
+    validate_witness(two_cycle, spec, diagonal_n(two_cycle, 10**9 + 1), w, VertexSet.full(2))
 
 
 def test_diagonal_spec_validation():
@@ -235,21 +297,23 @@ def test_validate_witness_rejects_wrong_claims():
     from diagsets.diagonals import Evidence, Witness
 
     d = GraphAnalysis(C3).diagonal_set(DiagonalSpec.d())
+    cyclic = VertexSet.full(3)
     # 0 is unlooped, so it cannot sit in Out(0) \ D.
     with pytest.raises(TheoremViolationError):
-        validate_witness(C3, DiagonalSpec.d(), d, Witness(0, Side.OUT_MINUS_DX, 0, None))
+        validate_witness(C3, DiagonalSpec.d(), d, Witness(0, Side.OUT_MINUS_DX, 0, None), cyclic)
     # 1 lies in Out(0), so it is not in D \ Out(0).
     with pytest.raises(TheoremViolationError):
-        validate_witness(C3, DiagonalSpec.d(), d, Witness(1, Side.DX_MINUS_OUT, 0, None))
+        validate_witness(C3, DiagonalSpec.d(), d, Witness(1, Side.DX_MINUS_OUT, 0, None), cyclic)
     # Evidence must be a real walk of the advertised length.
     ok = Witness(0, Side.DX_MINUS_OUT, 0, None)
-    validate_witness(C3, DiagonalSpec.d(), d, ok)
+    validate_witness(C3, DiagonalSpec.d(), d, ok, cyclic)
     with pytest.raises(TheoremViolationError):
         validate_witness(
             C3,
             DiagonalSpec.dn(2),
             diagonal_n(C3, 2),
             Witness(1, Side.OUT_MINUS_DX, 0, Evidence((1, 0, 1))),  # 1->0 is no edge
+            cyclic,
         )
     with pytest.raises(TheoremViolationError):
         validate_witness(
@@ -257,7 +321,16 @@ def test_validate_witness_rejects_wrong_claims():
             DiagonalSpec.dn(2),
             diagonal_n(C3, 2),
             Witness(1, Side.OUT_MINUS_DX, 0, Evidence((1, 2, 1))),  # wrong length and 2->1 no edge
+            cyclic,
         )
+    # A Dinf tail must end on a cycle: here only 2 is on one.
+    g = make_graph(3, [(0, 1), (1, 2), (2, 2)])
+    dinf, on_cycle = diagonal_inf(g), VertexSet.from_indices(3, [2])
+    tail = Witness(1, Side.OUT_MINUS_DX, 0, Evidence((1, 2), infinite_tail=True))
+    validate_witness(g, DiagonalSpec.dinf(), dinf, tail, on_cycle)
+    short = Witness(1, Side.OUT_MINUS_DX, 0, Evidence((1,), infinite_tail=True))
+    with pytest.raises(TheoremViolationError, match="non-cyclic vertex 1"):
+        validate_witness(g, DiagonalSpec.dinf(), dinf, short, on_cycle)
 
 
 def test_inclusion_chain_on_c3():

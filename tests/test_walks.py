@@ -4,17 +4,15 @@ from hypothesis import strategies as st
 
 from diagsets import walks
 from diagsets.bruteforce import closed_walk_lengths_bf, walk_exists_bf
+from diagsets.diagonals import GraphAnalysis
 from diagsets.graph import Graph, VertexSet, bits_of, make_graph
 from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
 from diagsets.walks import (
     FrontierOrbit,
     TraceCapError,
-    _mul_rows_blocked,
-    _mul_rows_naive,
     closed_walk_spectra,
     closed_walk_spectrum,
-    cyclic_vertices,
     frontier_step,
     long_walk_starts,
     mat_mul_bool,
@@ -207,7 +205,7 @@ def test_one_vertex_spectrum_equals_trace_spectrum(g):
 
 @given(graphs(max_order=6), st.integers(0, 60))
 def test_frontier_orbit_reads_like_direct_iteration(g, k):
-    step = frontier_step(g.rows, g.n, (1 << g.n) - 1)
+    step = frontier_step(g.rows, g.n, (1 << g.n) - 1, g.n > 8)
     orbit = FrontierOrbit(1, step)
     x = 1
     for _ in range(k):
@@ -219,7 +217,7 @@ def test_frontier_orbit_reads_like_direct_iteration(g, k):
 def test_frontier_step_block_tables_match_row_ors():
     g = gen_random(40, 0.1, 5, "allow")
     comp = sum(1 << v for v in range(3, 37))  # more than 8 vertices: block tables
-    step = frontier_step(g.rows, g.n, comp)
+    step = frontier_step(g.rows, g.n, comp, True)
     for f in (1 << 3, comp, 0b1011 << 20, 0):
         expected = 0
         for u in bits_of(f):
@@ -239,9 +237,9 @@ def test_spectrum_closed_under_addition(g):
 
 
 def test_cyclic_vertices_examples():
-    assert cyclic_vertices(C3).to_list() == [0, 1, 2]
-    assert cyclic_vertices(PATH3).to_list() == []
-    assert cyclic_vertices(make_graph(2, [(0, 1), (1, 1)])).to_list() == [1]
+    assert GraphAnalysis(C3).cyclic.to_list() == [0, 1, 2]
+    assert GraphAnalysis(PATH3).cyclic.to_list() == []
+    assert GraphAnalysis(make_graph(2, [(0, 1), (1, 1)])).cyclic.to_list() == [1]
 
 
 @given(graphs(max_order=6))
@@ -250,7 +248,7 @@ def test_cyclic_vertices_equal_nonempty_spectra(g):
     expected = VertexSet.from_indices(
         g.n, (v for v in range(g.n) if not spectra[v].is_empty())
     )
-    assert cyclic_vertices(g) == expected
+    assert GraphAnalysis(g).cyclic == expected
 
 
 def test_scc_partition_covers_all_vertices():
@@ -306,32 +304,40 @@ def test_reach_backward_examples():
     assert reach_backward(edgeless, VertexSet.from_indices(3, [2])).to_list() == [2]
 
 
+def _product_by_steps(a, b, blocked):
+    return Graph(a.n, tuple(map(frontier_step(b.rows, a.n, (1 << a.n) - 1, blocked), a.rows)))
+
+
 def test_blocked_and_naive_products_agree():
     g = gen_random(80, 0.08, 11, "allow")
     a = g
-    naive = Graph(a.n, _mul_rows_naive(a.rows, a.rows))
-    blocked = Graph(a.n, _mul_rows_blocked(a.rows, a.rows, a.n))
+    naive = _product_by_steps(a, a, False)
+    blocked = _product_by_steps(a, a, True)
     assert naive == blocked
     assert mat_mul_bool(a, a) == naive
 
 
 def test_product_kernel_follows_the_left_factors_density(monkeypatch):
-    used = []
-    for name in ("_mul_rows_naive", "_mul_rows_blocked"):
-        original = getattr(walks, name)
-
-        def recorded(*args, _name=name, _original=original):
-            used.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(walks, name, recorded)
     sparse = gen_random(80, 0.02, 4, "allow")
     dense = gen_random(80, 0.5, 4, "allow")
     small = gen_random(64, 0.5, 4, "allow")
-    assert mat_mul_bool(sparse, dense) == Graph(80, _mul_rows_blocked(sparse.rows, dense.rows, 80))
-    assert mat_mul_bool(dense, sparse) == Graph(80, _mul_rows_naive(dense.rows, sparse.rows))
+    # Each product is checked against the other kernel.
+    sparse_dense = _product_by_steps(sparse, dense, True)
+    dense_sparse = _product_by_steps(dense, sparse, False)
+    builds = []
+    original = walks._block_tables
+
+    def recorded(rows, n, mask):
+        builds.append(n)
+        return original(rows, n, mask)
+
+    monkeypatch.setattr(walks, "_block_tables", recorded)
+    assert mat_mul_bool(sparse, dense) == sparse_dense
+    assert builds == []  # a sparse left factor: one row OR per edge
+    assert mat_mul_bool(dense, sparse) == dense_sparse
+    assert builds == [80]  # a dense one: block tables
     mat_mul_bool(small, small)  # at order 64 and below, always row by row
-    assert used == ["_mul_rows_naive", "_mul_rows_blocked", "_mul_rows_naive"]
+    assert builds == [80]
 
 
 def _nonzero_rows(g):
