@@ -4,17 +4,7 @@ __version__ = "0.1.0"
 
 from .graph import Graph, VertexSet, make_graph
 from .upsets import UPSet, parse_upset
-from .walks import (
-    PowerTrace,
-    TraceCapError,
-    closed_walk_spectra,
-    closed_walk_spectrum,
-    mat_mul_bool,
-    mat_pow_bool,
-    power_trace,
-    spectra_from_trace,
-    strongly_connected_components,
-)
+from .walks import closed_walk_spectrum
 from .diagonals import (
     ChainReport,
     DiagonalSpec,
@@ -44,15 +34,12 @@ __all__ = [
     "Graph",
     "GraphAnalysis",
     "InternalDisagreementError",
-    "PowerTrace",
     "Side",
     "TheoremViolationError",
-    "TraceCapError",
     "UPSet",
     "VertexSet",
     "Witness",
     "cantor_witness",
-    "closed_walk_spectra",
     "closed_walk_spectrum",
     "default_spec_battery",
     "diagonal_S",
@@ -63,13 +50,8 @@ __all__ = [
     "gen_random",
     "inclusion_chain_check",
     "make_graph",
-    "mat_mul_bool",
-    "mat_pow_bool",
     "parse_edge_list",
     "parse_upset",
-    "power_trace",
-    "spectra_from_trace",
-    "strongly_connected_components",
     "validate_witness",
     "verify_battery",
 ]

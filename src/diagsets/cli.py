@@ -187,8 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     except (TheoremViolationError, InternalDisagreementError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (TraceCapError, OracleGuardError) as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
+    except (TraceCapError, OracleGuardError, MemoryError, OverflowError) as exc:
+        print(f"resource cap: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (EdgeListError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,13 +22,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph, VertexSet
 from .upsets import UPSet
 from .walks import (
     FrontierOrbit,
-    closed_walk_spectra,
     long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
@@ -178,21 +177,23 @@ def cantor_witness(g: Graph, v: int) -> Witness:
     return Witness(v, Side.DX_MINUS_OUT, v, None)
 
 
-def _descend(g: Graph, layers: FrontierOrbit, start: int, length: int) -> tuple[int, ...]:
+def _descend(g: Graph, layers: FrontierOrbit, start: int, length: int) -> Iterator[int]:
     """The least walk of the given length from start into layers[0], smallest step first.
 
     ``layers[k]`` holds the vertices with a length-k walk into layers[0].
+    The walk is yielded vertex by vertex, so a reader may stop early.
     """
-    walk = [start]
+    u = start
+    yield u
     for remaining in range(length - 1, -1, -1):
-        nxt = g.rows[walk[-1]] & layers[remaining]
+        nxt = g.rows[u] & layers[remaining]
         if not nxt:
             raise InternalDisagreementError(
                 f"no continuation at step {length - remaining} of a length-{length} "
                 f"descent from {start}"
             )
-        walk.append((nxt & -nxt).bit_length() - 1)
-    return tuple(walk)
+        u = (nxt & -nxt).bit_length() - 1
+        yield u
 
 
 class GraphAnalysis:
@@ -204,9 +205,9 @@ class GraphAnalysis:
     shortest violating closed walk of every vertex, and the diagonal set of
     every spec.  The independent routes run once per analysis: Dinf by
     cycle reachability and by the zero rows of A^|V|, and in the chain check
-    D_n and D_S from the spectra and from the loops of powers of A.  Return
-    layers are built per witness and dropped with it; the backward layers
-    of the cyclic set serve every Dinf tail.
+    D_n and D_S from the spectra and from the loops of powers of A.  A
+    vertex's backward layers give its spectrum and its witness walks and
+    are dropped after each read; those of the cyclic set serve Dinf tails.
     """
 
     def __init__(self, g: Graph):
@@ -234,7 +235,7 @@ class GraphAnalysis:
 
     @cached_property
     def spectra(self) -> list[UPSet]:
-        return closed_walk_spectra(self.g, self.masks)
+        return [self.back_layers(1 << v, comp).hits(v) for v, comp in enumerate(self.masks)]
 
     def power(self, exponent: int) -> Graph:
         """A^exponent: one product from a memoised A^(exponent-1), else by squaring."""
@@ -275,8 +276,9 @@ class GraphAnalysis:
         """Layers x_0 = start, x_(k+1) = In(x_k) & mask, with one backward step per mask.
 
         With start {v} and mask v's SCC, x_k holds the vertices with a
-        length-k walk to v, as a closed walk through v never leaves its SCC.
-        Each call starts afresh, so the layers live only as long as their reader.
+        length-k walk to v, as a closed walk through v never leaves its SCC;
+        v's spectrum is {k >= 1 : v in x_k}.  Each call starts afresh, so the
+        layers live only as long as their reader.
         """
         if mask not in self._back_steps:
             self._back_steps[mask] = orbit_step(self.transposed_rows, self.g.n, mask)
@@ -309,21 +311,16 @@ class GraphAnalysis:
             d = 0  # w's distance to a cycle
             while not self.cycle_layers[d] >> w & 1:
                 d += 1
-            tail = _descend(g, self.cycle_layers, w, d)
+            tail = tuple(_descend(g, self.cycle_layers, w, d))
             return Witness(w, Side.OUT_MINUS_DX, v, Evidence(tail, infinite_tail=True))
         # Outside D_S means a shortest violation exists: both read one list.
         length = self.shortest_violations(spec.lengths)[v]
-        layers = self.back_layers(1 << v, self.masks[v])
-        firsts = g.rows[v] & layers[length - 1]
-        if not firsts:
-            raise InternalDisagreementError(
-                f"vertex {v} has no first step of a length-{length} return"
-            )
-        first = (firsts & -firsts).bit_length() - 1
+        walk = _descend(g, self.back_layers(1 << v, self.masks[v]), v, length)
+        next(walk)  # v itself
+        first = next(walk)
         evidence = None
         if length + 1 <= EVIDENCE_CAP:
-            walk = _descend(g, layers, v, length)
-            evidence = Evidence(walk[1:] + (walk[1],))
+            evidence = Evidence((first, *walk, first))
         return Witness(first, Side.OUT_MINUS_DX, v, evidence)
 
     def verify_unequal(self, spec: DiagonalSpec) -> list[Witness]:

@@ -70,9 +70,14 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def emit_edge_list(g: Graph, seed: int | None = None) -> str:
-    """Render a graph as an edge-list document; reparsing yields an equal graph."""
+    """Render a graph as an edge-list document; reparsing yields an equal graph.
+
+    A ``seed`` is written as ``# seed N``, which reads back only if N >= 0.
+    """
     lines = []
     if seed is not None:
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         lines.append(f"# seed {seed}")
     lines.append(f"n {g.n}")
     lines.extend(f"{u} {w}" for u, w in g.edges())

@@ -2,10 +2,11 @@
 
 Entry (u, w) of A^L is 1 exactly when a walk of length L from u to w
 exists; boolean products realize walk concatenation.  A closed walk
-through v never leaves v's strongly connected component (SCC), so
-spectra and witness walks come from frontier sets inside one SCC
-(:class:`FrontierOrbit`), whatever the period of the whole graph.  The
-SCCs themselves come from bitset row ORs too (Kosaraju's two passes).
+through v never leaves its strongly connected component (SCC) C, so v's
+spectrum {k >= 1 : v in B_k} and its witness walks come from the backward
+layers B_0 = {v}, B_(k+1) = In(B_k) & C (:class:`FrontierOrbit`), whatever
+the period of the whole graph.  The SCCs themselves come from bitset row
+ORs too (Kosaraju's two passes).
 
 :class:`PowerTrace`, the periodicity certificate of the whole power
 sequence A^1, A^2, ..., is kept only as an independent oracle for them.
@@ -245,30 +246,13 @@ class FrontierOrbit:
         return UPSet(t, self.lam, residues, exceptional)
 
 
-def closed_walk_spectra(g: Graph, masks: Sequence[int] | None = None) -> list[UPSet]:
-    """All L >= 1 admitting a closed walk of length L through v, per vertex.
-
-    The walk stays in v's SCC C (empty if v is on no cycle), so v's spectrum
-    is {k >= 1 : v in F_k} for F_0 = {v}, F_(k+1) = Out(F_k) & C.  ``masks``
-    is ``scc_masks(g, transpose_rows(g))``, passed when the caller has it.
-    """
-    if masks is None:
-        masks = scc_masks(g, transpose_rows(g))
-    steps: dict[int, Callable[[int], int]] = {}
-    out = []
-    for v, comp in enumerate(masks):
-        if comp not in steps:
-            steps[comp] = orbit_step(g.rows, g.n, comp)
-        out.append(FrontierOrbit(1 << v, steps[comp]).hits(v))
-    return out
-
-
 def closed_walk_spectrum(g: Graph, v: int) -> UPSet:
     """All L >= 1 admitting a closed walk of length L through v, as a UPSet."""
     g._check_vertex(v)
+    rev = transpose_rows(g)
     # v's SCC alone: the vertices that v reaches and that reach v.
-    comp = reach_from(g.rows, 1 << v) & reach_from(transpose_rows(g), 1 << v)
-    return FrontierOrbit(1 << v, orbit_step(g.rows, g.n, comp)).hits(v)
+    comp = reach_from(g.rows, 1 << v) & reach_from(rev, 1 << v)
+    return FrontierOrbit(1 << v, orbit_step(rev, g.n, comp)).hits(v)
 
 
 def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:

@@ -42,7 +42,6 @@ from diagsets.graph import VertexSet
 from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
 from diagsets.walks import (
-    closed_walk_spectra,
     closed_walk_spectrum,
     power_trace,
     spectra_from_trace,
@@ -133,7 +132,7 @@ def test_criterion_04_spectrum_soundness(small_exhaustive, random_small):
     with criterion("4. spectrum soundness: spectra = one-vertex spectrum = enumeration, L <= 40"):
         for g in small_exhaustive + random_small:
             spectra = spectra_from_trace(power_trace(g))
-            assert closed_walk_spectra(g) == spectra
+            assert GraphAnalysis(g).spectra == spectra
             for v in range(g.n):
                 truth = closed_walk_lengths_bf(g, v, 40)
                 for length in range(1, 41):

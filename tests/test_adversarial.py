@@ -28,7 +28,6 @@ from diagsets.graphio import emit_edge_list
 from diagsets.upsets import UPSet
 from diagsets.walks import (
     TraceCapError,
-    closed_walk_spectra,
     power_trace,
     spectra_from_trace,
 )
@@ -105,7 +104,7 @@ TRACTABLE = sorted(set(CORPUS) - {"cycles-2-3-5-7-11-13", "wielandt-64"})
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_spectra_match_closed_forms(name):
     g, expected = CORPUS[name]()
-    assert closed_walk_spectra(g) == expected
+    assert GraphAnalysis(g).spectra == expected
 
 
 @pytest.mark.parametrize("name", TRACTABLE)
@@ -113,7 +112,7 @@ def test_spectra_and_sets_match_power_trace(name):
     g, _ = CORPUS[name]()
     trace = power_trace(g, cap=TRACE_CAP)
     oracle = spectra_from_trace(trace)
-    assert closed_walk_spectra(g) == oracle
+    assert GraphAnalysis(g).spectra == oracle
     for n in (1, 2, 3, 5, 8, BIG_N):
         via_trace = VertexSet(g.n, trace.power(n + 1).loops().bits).complement()
         assert diagonal_n(g, n) == via_trace

@@ -45,7 +45,14 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     g = make_graph(8, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 6)])
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "strongly_connected_components")
-    _count_calls(monkeypatch, calls, "closed_walk_spectra")
+    _count_calls(monkeypatch, calls, "orbit_step")
+    hits = walks.FrontierOrbit.hits
+
+    def counted_hits(self, v):
+        calls["FrontierOrbit.hits"] += 1
+        return hits(self, v)
+
+    monkeypatch.setattr(walks.FrontierOrbit, "hits", counted_hits)
     _count_calls(monkeypatch, calls, "transpose_rows")
     _count_calls(monkeypatch, calls, "mat_mul_bool")
     _count_calls(monkeypatch, calls, "mat_pow_bool")
@@ -56,7 +63,11 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
 
     assert report["chain"]["ok"]
     assert calls["strongly_connected_components"] == 1
-    assert calls["closed_walk_spectra"] == 1
+    assert calls["FrontierOrbit.hits"] == g.n  # one spectrum per vertex
+    # One step function per mask that layers step in: the SCCs {0, 1},
+    # {2, 3, 4} and {6}, the empty mask of the acyclic vertices 5 and 7,
+    # and the can-reach-a-cycle set {0, ..., 6} of the Dinf tails.
+    assert calls["orbit_step"] == 5
     assert calls["transpose_rows"] == 1
     # A^2, ..., A^9 for the chain, one product each; the evens stop at
     # bound 7, so every power they read is one of those.  Building any

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -211,6 +214,38 @@ def test_resource_caps_exit_three(monkeypatch, capsys, error):
     monkeypatch.setattr(cli, "exhaustive_sweep", capped)
     assert cli.main(["verify", "--order-max", "1"]) == 3
     assert capsys.readouterr().err.strip() == "resource cap: over the cap"
+
+
+@pytest.mark.parametrize("text", ["0 99999999999999999999\n", "n 99999999999999999999\n"])
+def test_ids_too_large_to_represent_exit_three(tmp_path, capsys, text):
+    path = _write(tmp_path, "huge.edges", text)
+    assert cli.main(["analyze", "--input", path]) == 3
+    assert capsys.readouterr().err.startswith("resource cap: ")
+
+
+def test_an_order_past_the_memory_limit_exits_three(tmp_path):
+    # The adjacency rows of 3e8 vertices need 2.4 GB; the child may map 1 GiB.
+    path = _write(tmp_path, "big.edges", "n 300000000\n")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from diagsets import cli\n"
+        f"sys.exit(cli.main(['analyze', '--input', {path!r}]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("resource cap: ")
+
+
+def test_gen_rejects_a_negative_seed_before_writing(capsys):
+    # "# seed -7" would not read back, and Random(-7) draws the graph of seed 7.
+    assert cli.main(["gen", "--n", "3", "--p", "0.5", "--seed", "-7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative, got -7\n"
 
 
 @pytest.mark.parametrize("bad", [["--size", "9..3"], ["--p", "1.5"], ["--random", "-1"]])

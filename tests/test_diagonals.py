@@ -235,6 +235,25 @@ def test_variant_witness_with_huge_n_omits_evidence_but_validates():
     validate_witness(two_cycle, spec, diagonal_n(two_cycle, 10**9 + 1), w, VertexSet.full(2))
 
 
+@given(graphs(max_order=6))
+@settings(max_examples=60)
+def test_closed_walk_witness_is_the_least_first_step_by_the_trace(g):
+    # The first step of a shortest violating closed walk from v, read off
+    # A^(L-1) of the whole-graph trace; Dn(10^9+7) takes the no-evidence path.
+    trace = power_trace(g)
+    analysis = GraphAnalysis(g)
+    specs = [DiagonalSpec.dn(n) for n in (*range(1, 9), 10**9 + 7)]
+    specs += [spec for spec in default_spec_battery() if spec.kind == "DS"]
+    for spec in specs:
+        shortest = analysis.shortest_violations(spec.lengths)
+        for v in range(g.n):
+            w = analysis.variant_witness(v, spec)
+            if g.has_edge(v, v) or w.side is not Side.OUT_MINUS_DX:
+                continue
+            back = trace.power(shortest[v] - 1)
+            assert w.vertex == min(u for u in g.out_set(v) if back.has_edge(u, v))
+
+
 def test_diagonal_spec_validation():
     with pytest.raises(ValueError):
         DiagonalSpec("Dn", n=0)

@@ -11,7 +11,6 @@ from diagsets.upsets import UPSet
 from diagsets.walks import (
     FrontierOrbit,
     TraceCapError,
-    closed_walk_spectra,
     closed_walk_spectrum,
     frontier_step,
     long_walk_starts,
@@ -167,7 +166,7 @@ def test_spectrum_of_edgeless_vertex_is_empty():
 
 def test_one_vertex_spectrum_runs_only_its_own_orbit(monkeypatch):
     g = gen_random(16, 0.2, 1, "allow")
-    expected = closed_walk_spectra(g)[5]
+    expected = GraphAnalysis(g).spectra[5]
     built = []
 
     class CountedOrbit(walks.FrontierOrbit):
@@ -193,7 +192,7 @@ def test_spectrum_sound_against_enumeration(g):
 
 @given(graphs(max_order=8))
 def test_frontier_spectra_equal_trace_spectra(g):
-    assert closed_walk_spectra(g) == spectra_from_trace(power_trace(g))
+    assert GraphAnalysis(g).spectra == spectra_from_trace(power_trace(g))
 
 
 @given(graphs(max_order=6))
