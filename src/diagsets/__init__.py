@@ -16,13 +16,8 @@ from .diagonals import (
     Witness,
     cantor_witness,
     default_spec_battery,
-    diagonal_S,
-    diagonal_inf,
-    diagonal_n,
     distinct_out_count,
-    inclusion_chain_check,
     validate_witness,
-    verify_battery,
 )
 from .graphio import EdgeListError, emit_edge_list, gen_random, parse_edge_list
 
@@ -42,16 +37,11 @@ __all__ = [
     "cantor_witness",
     "closed_walk_spectrum",
     "default_spec_battery",
-    "diagonal_S",
-    "diagonal_inf",
-    "diagonal_n",
     "distinct_out_count",
     "emit_edge_list",
     "gen_random",
-    "inclusion_chain_check",
     "make_graph",
     "parse_edge_list",
     "parse_upset",
     "validate_witness",
-    "verify_battery",
 ]

@@ -21,14 +21,13 @@ from typing import Callable, Sequence
 from .graph import Graph, bits_of
 from .upsets import UPSet
 
-# Row-OR accumulation switches to 8-bit block tables above this order
-# for products, and above this many SCC vertices for frontier steps;
-# below them the table build costs more than it saves.
-_BLOCK_TABLE_MIN_ORDER = 64
+# Orbit steps read 8-bit block tables above this many SCC vertices; below
+# it the table build costs more than it saves.
 _BLOCK_TABLE_MIN_SCC = 8
-# Above that order a product still ORs rows one set bit of the left factor
-# at a time while that is cheaper.  One such OR costs about three table
-# lookups (measured at orders 96 to 512 in CPython 3.11).
+# A product ORs rows one set bit of the left factor at a time while that
+# is cheaper than building block tables, at every order.  One such OR
+# costs about three table lookups (measured at orders 8 to 512 in
+# CPython 3.11).
 _NAIVE_OR_COST = 3
 
 
@@ -50,7 +49,7 @@ def _block_tables(rows: Sequence[int], n: int, mask: int) -> list:
     return tables
 
 
-def frontier_step(rows: Sequence[int], n: int, comp: int, blocked: bool) -> Callable[[int], int]:
+def frontier_step(rows: Sequence[int], comp: int, blocked: bool) -> Callable[[int], int]:
     """F -> (OR of rows[u] over u in F) & comp; ``blocked`` reads it off 8-bit block tables."""
     if not blocked:
 
@@ -63,7 +62,7 @@ def frontier_step(rows: Sequence[int], n: int, comp: int, blocked: bool) -> Call
             return acc & comp
 
         return step
-    tables = _block_tables(rows, n, comp)
+    tables = _block_tables(rows, len(rows), comp)
     nbytes = len(tables)
 
     def step(f: int) -> int:
@@ -75,9 +74,9 @@ def frontier_step(rows: Sequence[int], n: int, comp: int, blocked: bool) -> Call
     return step
 
 
-def orbit_step(rows: Sequence[int], n: int, comp: int) -> Callable[[int], int]:
+def orbit_step(rows: Sequence[int], comp: int) -> Callable[[int], int]:
     """``frontier_step`` inside one SCC, with block tables above 8 of its vertices."""
-    return frontier_step(rows, n, comp, comp.bit_count() > _BLOCK_TABLE_MIN_SCC)
+    return frontier_step(rows, comp, comp.bit_count() > _BLOCK_TABLE_MIN_SCC)
 
 
 def mat_mul_bool(a: Graph, b: Graph) -> Graph:
@@ -91,10 +90,8 @@ def mat_mul_bool(a: Graph, b: Graph) -> Graph:
     n = a.n
     # The block tables cost 255 ORs to build each of the ceil(n/8) tables,
     # then ceil(n/8) lookups per row.
-    blocked = n > _BLOCK_TABLE_MIN_ORDER and (
-        _NAIVE_OR_COST * sum(map(int.bit_count, a.rows)) >= (n + 255) * -(-n // 8)
-    )
-    return Graph(n, tuple(map(frontier_step(b.rows, n, (1 << n) - 1, blocked), a.rows)))
+    blocked = _NAIVE_OR_COST * sum(map(int.bit_count, a.rows)) >= (n + 255) * -(-n // 8)
+    return Graph(n, tuple(map(frontier_step(b.rows, (1 << n) - 1, blocked), a.rows)))
 
 
 def mat_pow_bool(a: Graph, exponent: int) -> Graph:
@@ -252,7 +249,7 @@ def closed_walk_spectrum(g: Graph, v: int) -> UPSet:
     rev = transpose_rows(g)
     # v's SCC alone: the vertices that v reaches and that reach v.
     comp = reach_from(g.rows, 1 << v) & reach_from(rev, 1 << v)
-    return FrontierOrbit(1 << v, orbit_step(rev, g.n, comp)).hits(v)
+    return FrontierOrbit(1 << v, orbit_step(rev, comp)).hits(v)
 
 
 def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:
@@ -307,11 +304,9 @@ def transpose_rows(g: Graph) -> tuple[int, ...]:
 
 def reach_from(rows: Sequence[int], start: int, within: int = -1) -> int:
     """The mask ``start`` and all it reaches along ``rows`` within the mask ``within``."""
+    step = frontier_step(rows, within, False)
     reached = frontier = start
     while frontier:
-        grown = 0
-        for w in bits_of(frontier):
-            grown |= rows[w]
-        frontier = grown & within & ~reached
+        frontier = step(frontier) & ~reached
         reached |= frontier
     return reached

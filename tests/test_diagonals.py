@@ -352,6 +352,14 @@ def test_validate_witness_rejects_wrong_claims():
         validate_witness(g, DiagonalSpec.dinf(), dinf, short, on_cycle)
 
 
+def test_a_diagonal_equal_to_an_outgoing_set_is_a_theorem_violation():
+    analysis = GraphAnalysis(C3)
+    spec = DiagonalSpec.d()
+    analysis._sets[spec] = C3.out_set(0)  # planted: the theorem rules it out
+    with pytest.raises(TheoremViolationError, match=r"equals Out\(0\)"):
+        analysis.verify_unequal(spec)
+
+
 def test_inclusion_chain_on_c3():
     report = inclusion_chain_check(C3, 6, [UPSet.from_finite([0]), EVENS])
     assert report.ok

@@ -204,7 +204,7 @@ def test_one_vertex_spectrum_equals_trace_spectrum(g):
 
 @given(graphs(max_order=6), st.integers(0, 60))
 def test_frontier_orbit_reads_like_direct_iteration(g, k):
-    step = frontier_step(g.rows, g.n, (1 << g.n) - 1, g.n > 8)
+    step = frontier_step(g.rows, (1 << g.n) - 1, g.n > 8)
     orbit = FrontierOrbit(1, step)
     x = 1
     for _ in range(k):
@@ -216,7 +216,7 @@ def test_frontier_orbit_reads_like_direct_iteration(g, k):
 def test_frontier_step_block_tables_match_row_ors():
     g = gen_random(40, 0.1, 5, "allow")
     comp = sum(1 << v for v in range(3, 37))  # more than 8 vertices: block tables
-    step = frontier_step(g.rows, g.n, comp, True)
+    step = frontier_step(g.rows, comp, True)
     for f in (1 << 3, comp, 0b1011 << 20, 0):
         expected = 0
         for u in bits_of(f):
@@ -304,25 +304,33 @@ def test_reach_backward_examples():
 
 
 def _product_by_steps(a, b, blocked):
-    return Graph(a.n, tuple(map(frontier_step(b.rows, a.n, (1 << a.n) - 1, blocked), a.rows)))
+    return Graph(a.n, tuple(map(frontier_step(b.rows, (1 << a.n) - 1, blocked), a.rows)))
 
 
 def test_blocked_and_naive_products_agree():
-    g = gen_random(80, 0.08, 11, "allow")
-    a = g
-    naive = _product_by_steps(a, a, False)
-    blocked = _product_by_steps(a, a, True)
-    assert naive == blocked
-    assert mat_mul_bool(a, a) == naive
+    # Order 80, and every order from 1 to 24 (most not multiples of 8),
+    # sparse to dense: the cost model picks block tables at any order.
+    cases = [(80, 0.08, 11)] + [
+        (order, p, order) for order in range(1, 25) for p in (0.05, 0.2, 0.5, 0.9)
+    ]
+    for order, p, seed in cases:
+        a = gen_random(order, p, seed, "allow")
+        b = gen_random(order, p, seed + 100, "allow")
+        naive = _product_by_steps(a, b, False)
+        assert _product_by_steps(a, b, True) == naive
+        assert mat_mul_bool(a, b) == naive
 
 
 def test_product_kernel_follows_the_left_factors_density(monkeypatch):
     sparse = gen_random(80, 0.02, 4, "allow")
     dense = gen_random(80, 0.5, 4, "allow")
-    small = gen_random(64, 0.5, 4, "allow")
+    dense64 = gen_random(64, 0.5, 4, "allow")
+    sparse64 = gen_random(64, 0.02, 4, "allow")
     # Each product is checked against the other kernel.
     sparse_dense = _product_by_steps(sparse, dense, True)
     dense_sparse = _product_by_steps(dense, sparse, False)
+    sparse_dense64 = _product_by_steps(sparse64, dense64, True)
+    dense_sparse64 = _product_by_steps(dense64, sparse64, False)
     builds = []
     original = walks._block_tables
 
@@ -335,8 +343,11 @@ def test_product_kernel_follows_the_left_factors_density(monkeypatch):
     assert builds == []  # a sparse left factor: one row OR per edge
     assert mat_mul_bool(dense, sparse) == dense_sparse
     assert builds == [80]  # a dense one: block tables
-    mat_mul_bool(small, small)  # at order 64 and below, always row by row
-    assert builds == [80]
+    # The same rule at order 64.
+    assert mat_mul_bool(dense64, sparse64) == dense_sparse64
+    assert builds == [80, 64]
+    assert mat_mul_bool(sparse64, dense64) == sparse_dense64
+    assert builds == [80, 64]
 
 
 def _nonzero_rows(g):
