@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .graph import Graph, VertexSet, make_graph
 from .upsets import UPSet, parse_upset
-from .walks import closed_walk_spectrum
 from .diagonals import (
     ChainReport,
     DiagonalSpec,
@@ -35,7 +34,6 @@ __all__ = [
     "VertexSet",
     "Witness",
     "cantor_witness",
-    "closed_walk_spectrum",
     "default_spec_battery",
     "distinct_out_count",
     "emit_edge_list",

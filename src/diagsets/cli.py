@@ -23,7 +23,7 @@ from .diagonals import (
 from .graphio import EdgeListError, emit_edge_list, gen_random, parse_edge_list, scan_seed_comment
 from .report import analyze_graph, report_json
 from .upsets import parse_upset
-from .walks import TraceCapError, closed_walk_spectrum
+from .walks import TraceCapError
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -129,7 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     g = parse_edge_list(Path(args.input).read_text())
-    print(closed_walk_spectrum(g, args.vertex).literal())
+    print(GraphAnalysis(g).spectrum(args.vertex).literal())
     return 0
 
 

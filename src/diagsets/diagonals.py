@@ -24,7 +24,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, bits_of
 from .upsets import UPSet
 from .walks import (
     FrontierOrbit,
@@ -33,7 +33,7 @@ from .walks import (
     mat_pow_bool,
     orbit_step,
     reach_from,
-    scc_masks,
+    strongly_connected_components,
     transpose_rows,
 )
 
@@ -206,8 +206,10 @@ class GraphAnalysis:
     every spec.  The independent routes run once per analysis: Dinf by
     cycle reachability and by the zero rows of A^|V|, and in the chain check
     D_n and D_S from the spectra and from the loops of powers of A.  A
-    vertex's backward layers give its spectrum and its witness walks and
-    are dropped after each read; those of the cyclic set serve Dinf tails.
+    vertex's backward layers give its spectrum (``spectrum`` reads one
+    vertex's alone) and its witness walks, and are dropped after each read;
+    those of the cyclic set serve Dinf tails.  Every closed-walk witness,
+    looped or not, takes its length from ``shortest_violations``.
     """
 
     def __init__(self, g: Graph):
@@ -219,7 +221,15 @@ class GraphAnalysis:
 
     @cached_property
     def masks(self) -> list[int]:
-        return scc_masks(self.g, self.transposed_rows)
+        """Per vertex, its SCC as a mask if a closed walk passes through it, else 0."""
+        rows = self.g.rows
+        masks = [0] * self.g.n
+        for comp in strongly_connected_components(self.g, self.transposed_rows):
+            v = comp.bit_length() - 1
+            if comp & (comp - 1) or rows[v] >> v & 1:
+                for v in bits_of(comp):
+                    masks[v] = comp
+        return masks
 
     @cached_property
     def transposed_rows(self) -> tuple[int, ...]:
@@ -233,9 +243,14 @@ class GraphAnalysis:
     def canreach_cycle(self) -> VertexSet:
         return VertexSet(self.g.n, reach_from(self.transposed_rows, self.cyclic.bits))
 
+    def spectrum(self, v: int) -> UPSet:
+        """{L >= 1 : a closed walk of length L passes through v}, off v's backward layers."""
+        self.g._check_vertex(v)  # a negative v would index another vertex's mask
+        return self.back_layers(1 << v, self.masks[v]).hits(v)
+
     @cached_property
     def spectra(self) -> list[UPSet]:
-        return [self.back_layers(1 << v, comp).hits(v) for v, comp in enumerate(self.masks)]
+        return [self.spectrum(v) for v in range(self.g.n)]
 
     def power(self, exponent: int) -> Graph:
         """A^exponent: one product from a memoised A^(exponent-1), else by squaring."""
@@ -297,7 +312,7 @@ class GraphAnalysis:
             # Looped: v itself, pumped around its loop as long as required.
             if spec.kind == "Dinf":
                 return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v,), infinite_tail=True))
-            length = spec.lengths.min_element() + 1
+            length = self.shortest_violations(spec.lengths)[v]  # min(S) + 1
             evidence = Evidence((v,) * (length + 1)) if length + 1 <= EVIDENCE_CAP else None
             return Witness(v, Side.OUT_MINUS_DX, v, evidence)
         if v in self.diagonal_set(spec):

@@ -159,14 +159,6 @@ class UPSet:
         t, d = a.threshold, math.lcm(self.period, other.period)
         return min((t + (x - t) % d for x in _common_residues(self, other)), default=None)
 
-    def min_element(self) -> int | None:
-        if self.exceptional:
-            return min(self.exceptional)
-        if not self.residues:
-            return None
-        t, d = self.threshold, self.period
-        return min(t + (r - t) % d for r in self.residues)
-
     def members_upto(self, bound: int) -> Iterator[int]:
         """Members m with m <= bound, in increasing order."""
         yield from sorted(f for f in self.exceptional if f <= bound)

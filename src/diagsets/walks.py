@@ -6,7 +6,8 @@ through v never leaves its strongly connected component (SCC) C, so v's
 spectrum {k >= 1 : v in B_k} and its witness walks come from the backward
 layers B_0 = {v}, B_(k+1) = In(B_k) & C (:class:`FrontierOrbit`), whatever
 the period of the whole graph.  The SCCs themselves come from bitset row
-ORs too (Kosaraju's two passes).
+ORs too (Kosaraju's two passes).  ``diagonals.GraphAnalysis`` composes
+these kernels into each vertex's SCC mask and spectrum, once per graph.
 
 :class:`PowerTrace`, the periodicity certificate of the whole power
 sequence A^1, A^2, ..., is kept only as an independent oracle for them.
@@ -243,15 +244,6 @@ class FrontierOrbit:
         return UPSet(t, self.lam, residues, exceptional)
 
 
-def closed_walk_spectrum(g: Graph, v: int) -> UPSet:
-    """All L >= 1 admitting a closed walk of length L through v, as a UPSet."""
-    g._check_vertex(v)
-    rev = transpose_rows(g)
-    # v's SCC alone: the vertices that v reaches and that reach v.
-    comp = reach_from(g.rows, 1 << v) & reach_from(rev, 1 << v)
-    return FrontierOrbit(1 << v, orbit_step(rev, comp)).hits(v)
-
-
 def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:
     """The SCCs as masks, by Kosaraju's two passes; ``rev`` is ``transpose_rows(g)``.
 
@@ -281,17 +273,6 @@ def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:
             components.append(reach_from(rev, 1 << v, within=unassigned))
             unassigned ^= components[-1]
     return components
-
-
-def scc_masks(g: Graph, rev: Sequence[int]) -> list[int]:
-    """Per vertex, its SCC as a mask if a closed walk passes through it, else 0."""
-    masks = [0] * g.n
-    for comp in strongly_connected_components(g, rev):
-        v = comp.bit_length() - 1
-        if comp & (comp - 1) or g.rows[v] >> v & 1:
-            for v in bits_of(comp):
-                masks[v] = comp
-    return masks
 
 
 def transpose_rows(g: Graph) -> tuple[int, ...]:

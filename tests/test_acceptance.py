@@ -31,18 +31,12 @@ from diagsets.diagonals import (
     GraphAnalysis,
     cantor_witness,
     default_spec_battery,
-    diagonal_S,
-    diagonal_inf,
-    diagonal_n,
     distinct_out_count,
-    inclusion_chain_check,
-    verify_battery,
 )
 from diagsets.graph import VertexSet
 from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
 from diagsets.walks import (
-    closed_walk_spectrum,
     power_trace,
     spectra_from_trace,
 )
@@ -97,7 +91,7 @@ def test_criterion_01_exhaustive_theorem_check(small_exhaustive):
         assert by_order == {1: 2, 2: 16, 3: 512}
         start = time.perf_counter()
         for g in small_exhaustive:
-            results = verify_battery(g, battery)
+            results = GraphAnalysis(g).verify_battery(battery)
             assert all(len(witnesses) == g.n for _, _, witnesses in results)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -111,7 +105,7 @@ def test_criterion_02_randomized_theorem_check(random_mid):
         assert min(orders) == 4 and max(orders) == 64
         start = time.perf_counter()
         for g in random_mid:
-            results = verify_battery(g, battery)
+            results = GraphAnalysis(g).verify_battery(battery)
             assert all(len(witnesses) == g.n for _, _, witnesses in results)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
@@ -122,10 +116,11 @@ def test_criterion_03_oracle_equivalence(small_exhaustive, random_small):
         finite_samples = [[0], [1], [0, 2], [2, 5], [0, 1, 2, 3, 4, 5]]
         for g in small_exhaustive + random_small:
             for n in range(1, 6):
-                assert diagonal_n(g, n) == diagonal_n_bf(g, n)
-            assert diagonal_inf(g) == diagonal_inf_bf(g)
+                assert GraphAnalysis(g).diagonal_set(DiagonalSpec.dn(n)) == diagonal_n_bf(g, n)
+            assert GraphAnalysis(g).diagonal_set(DiagonalSpec.dinf()) == diagonal_inf_bf(g)
             for values in finite_samples:
-                assert diagonal_S(g, UPSet.from_finite(values)) == diagonal_S_bf(g, values)
+                spec = DiagonalSpec.ds(UPSet.from_finite(values))
+                assert GraphAnalysis(g).diagonal_set(spec) == diagonal_S_bf(g, values)
 
 
 def test_criterion_04_spectrum_soundness(small_exhaustive, random_small):
@@ -138,15 +133,15 @@ def test_criterion_04_spectrum_soundness(small_exhaustive, random_small):
                 for length in range(1, 41):
                     member = spectra[v].member(length)
                     assert member == (length in truth)
-                    assert member == closed_walk_spectrum(g, v).member(length)
+                    assert member == GraphAnalysis(g).spectrum(v).member(length)
                 assert not spectra[v].member(0)
 
 
 def test_criterion_05_dinf_triple_agreement(small_exhaustive, random_small):
     with criterion("5. D_inf triple agreement: SCC route = matrix route = brute force"):
         for g in small_exhaustive + random_small:
-            # diagonal_inf computes both engine routes and aborts on mismatch.
-            assert diagonal_inf(g) == diagonal_inf_bf(g)
+            # The Dinf diagonal set computes both engine routes and aborts on mismatch.
+            assert GraphAnalysis(g).diagonal_set(DiagonalSpec.dinf()) == diagonal_inf_bf(g)
 
 
 def test_criterion_06_chain_and_intersection_identities(
@@ -161,7 +156,7 @@ def test_criterion_06_chain_and_intersection_identities(
             ODDS,
         ]
         for g in small_exhaustive + random_small + random_mid:
-            inclusion_chain_check(g, 8, samples)
+            GraphAnalysis(g).inclusion_chain_check(8, samples)
         # Truncation-bound validation on brute-force-checkable orders: the
         # engine D_S must match enumeration over a window beyond the bound.
         for g in small_exhaustive + random_small:
@@ -170,7 +165,7 @@ def test_criterion_06_chain_and_intersection_identities(
                 bound = max(trace.mu, s.threshold + 1) + math.lcm(trace.lam, s.period)
                 window = min(MAX_ORACLE_SPECTRUM, 2 * bound + 16)
                 assert window >= bound
-                engine = diagonal_S(g, s)
+                engine = GraphAnalysis(g).diagonal_set(DiagonalSpec.ds(s))
                 for v in range(g.n):
                     lengths = closed_walk_lengths_bf(g, v, window)
                     violated = any(s.member(length - 1) for length in lengths)
@@ -195,11 +190,11 @@ def test_criterion_08_pigeonhole_count(small_exhaustive, random_small, random_mi
 
 
 def test_criterion_09_big_exponent_performance():
-    with criterion("9. diagonal_n at n = 10^9+7 on order 256 in < 2 s, equal to trace route"):
+    with criterion("9. Dn at n = 10^9+7 on order 256 in < 2 s, equal to trace route"):
         g = gen_random(256, 0.05, 424242, "allow")
         n = 10**9 + 7
         start = time.perf_counter()
-        fast = diagonal_n(g, n)
+        fast = GraphAnalysis(g).diagonal_set(DiagonalSpec.dn(n))
         elapsed = time.perf_counter() - start
         trace = power_trace(g)
         via_trace = VertexSet(g.n, trace.power(n + 1).loops().bits).complement()

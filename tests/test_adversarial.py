@@ -18,10 +18,6 @@ from diagsets.diagonals import (
     DiagonalSpec,
     GraphAnalysis,
     default_spec_battery,
-    diagonal_S,
-    diagonal_n,
-    inclusion_chain_check,
-    verify_battery,
 )
 from diagsets.graph import VertexSet, make_graph
 from diagsets.graphio import emit_edge_list
@@ -115,13 +111,13 @@ def test_spectra_and_sets_match_power_trace(name):
     assert GraphAnalysis(g).spectra == oracle
     for n in (1, 2, 3, 5, 8, BIG_N):
         via_trace = VertexSet(g.n, trace.power(n + 1).loops().bits).complement()
-        assert diagonal_n(g, n) == via_trace
+        assert GraphAnalysis(g).diagonal_set(DiagonalSpec.dn(n)) == via_trace
     for s in S_SAMPLES:
         shifted = s.shift(1)
         via_trace = VertexSet.from_indices(
             g.n, (v for v in range(g.n) if oracle[v].intersect(shifted).is_empty())
         )
-        assert diagonal_S(g, s) == via_trace
+        assert GraphAnalysis(g).diagonal_set(DiagonalSpec.ds(s)) == via_trace
 
 
 def test_default_trace_cap_is_too_small_for_coprime_unions():
@@ -135,9 +131,9 @@ def test_default_trace_cap_is_too_small_for_coprime_unions():
 def test_battery_and_chain_pass(name):
     g, _ = CORPUS[name]()
     specs = default_spec_battery() + [DiagonalSpec.dn(BIG_N)]
-    for _, _, witnesses in verify_battery(g, specs):
+    for _, _, witnesses in GraphAnalysis(g).verify_battery(specs):
         assert len(witnesses) == g.n
-    report = inclusion_chain_check(g, 8, S_SAMPLES)
+    report = GraphAnalysis(g).inclusion_chain_check(8, S_SAMPLES)
     assert report.ok
 
 
@@ -174,4 +170,5 @@ def test_chain_truncates_at_the_per_vertex_bound():
     # the 3-cycle gives 1 + 6, the path vertices 1 + 2.
     g, _ = CORPUS["path-100-cycle-3"]()
     evens = UPSet(0, 2, frozenset({0}))
-    assert inclusion_chain_check(g, 8, [evens]).truncated_identities == ((evens.literal(), 7),)
+    report = GraphAnalysis(g).inclusion_chain_check(8, [evens])
+    assert report.truncated_identities == ((evens.literal(), 7),)

@@ -12,7 +12,6 @@ from diagsets.diagonals import (
     InternalDisagreementError,
     Side,
     default_spec_battery,
-    diagonal_n,
 )
 from diagsets.graph import make_graph
 from diagsets.graphio import gen_random
@@ -106,7 +105,7 @@ def test_dn_at_a_huge_n_makes_no_matrix_product(monkeypatch):
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "mat_mul_bool")
     _count_calls(monkeypatch, calls, "mat_pow_bool")
-    assert diagonal_n(g, n) == expected
+    assert GraphAnalysis(g).diagonal_set(DiagonalSpec.dn(n)) == expected
     assert 0 < len(expected) < g.n
     assert not calls
 

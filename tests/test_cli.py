@@ -138,7 +138,9 @@ def test_spectrum_subcommand(tmp_path, capsys):
 
 def test_spectrum_vertex_out_of_range(tmp_path, capsys):
     path = _write(tmp_path, "c3.edges", C3_TEXT)
-    assert cli.main(["spectrum", "--input", path, "--vertex", "5"]) == 2
+    for vertex in ("5", "-1"):
+        assert cli.main(["spectrum", "--input", path, "--vertex", vertex]) == 2
+        assert f"vertex {vertex} outside [0, 3)" in capsys.readouterr().err
 
 
 def test_gen_emits_parseable_deterministic_output(capsys):

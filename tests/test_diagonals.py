@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagsets import diagonals
 from diagsets.bruteforce import diagonal_S_bf, diagonal_inf_bf, diagonal_n_bf
 from diagsets.diagonals import (
     DiagonalSpec,
@@ -10,17 +11,12 @@ from diagsets.diagonals import (
     TheoremViolationError,
     cantor_witness,
     default_spec_battery,
-    diagonal_S,
-    diagonal_inf,
-    diagonal_n,
     distinct_out_count,
-    inclusion_chain_check,
     validate_witness,
-    verify_battery,
 )
 from diagsets.graph import VertexSet, bits_of, make_graph
 from diagsets.graphio import gen_random
-from diagsets.upsets import UPSet
+from diagsets.upsets import UPSet, parse_upset
 from diagsets.walks import power_trace, spectra_from_trace
 
 from strategies import graphs
@@ -40,38 +36,39 @@ def test_diagonal_examples():
 
 
 def test_diagonal_n_examples():
-    assert diagonal_n(C3, 1) == diagonal_n_bf(C3, 1)
-    assert diagonal_n(C3, 1).to_list() == [0, 1, 2]
-    assert diagonal_n(C3, 2).to_list() == []
+    assert GraphAnalysis(C3).diagonal_set(DiagonalSpec.dn(1)) == diagonal_n_bf(C3, 1)
+    assert GraphAnalysis(C3).diagonal_set(DiagonalSpec.dn(1)).to_list() == [0, 1, 2]
+    assert GraphAnalysis(C3).diagonal_set(DiagonalSpec.dn(2)).to_list() == []
 
 
 def test_diagonal_n_rejects_zero():
     with pytest.raises(ValueError):
-        diagonal_n(C3, 0)
+        GraphAnalysis(C3).diagonal_set(DiagonalSpec.dn(0))
 
 
 def test_looped_vertex_excluded_for_every_n():
     g = make_graph(3, [(0, 0), (0, 1), (1, 2)])
     for n in range(1, 9):
-        assert 0 not in diagonal_n(g, n)
+        assert 0 not in GraphAnalysis(g).diagonal_set(DiagonalSpec.dn(n))
 
 
 def test_diagonal_inf_examples():
-    assert diagonal_inf(PATH3).to_list() == [0, 1, 2]
-    assert diagonal_inf(C3).to_list() == []
+    assert GraphAnalysis(PATH3).diagonal_set(DiagonalSpec.dinf()).to_list() == [0, 1, 2]
+    assert GraphAnalysis(C3).diagonal_set(DiagonalSpec.dinf()).to_list() == []
     g = make_graph(2, [(0, 1), (1, 1)])
-    assert diagonal_inf(g).to_list() == []
-    assert diagonal_inf(g) == diagonal_inf_bf(g)
+    assert GraphAnalysis(g).diagonal_set(DiagonalSpec.dinf()).to_list() == []
+    assert GraphAnalysis(g).diagonal_set(DiagonalSpec.dinf()) == diagonal_inf_bf(g)
 
 
 def test_diagonal_S_examples():
-    assert diagonal_S(C3, UPSet.from_finite([2])).to_list() == []
-    assert diagonal_S(C3, UPSet.from_finite([0, 1])).to_list() == [0, 1, 2]
+    analysis = GraphAnalysis(C3)
+    assert analysis.diagonal_set(DiagonalSpec.ds(UPSet.from_finite([2]))).to_list() == []
+    assert analysis.diagonal_set(DiagonalSpec.ds(UPSet.from_finite([0, 1]))).to_list() == [0, 1, 2]
 
 
 def test_diagonal_S_rejects_empty_set():
     with pytest.raises(ValueError):
-        diagonal_S(C3, UPSet.empty())
+        GraphAnalysis(C3).diagonal_set(DiagonalSpec.ds(UPSet.empty()))
     with pytest.raises(ValueError):
         DiagonalSpec.ds(UPSet.empty())
 
@@ -83,13 +80,14 @@ def test_diagonal_S_of_naturals_is_the_acyclic_walk_set(g):
     expected = VertexSet.from_indices(
         g.n, (v for v in range(g.n) if spectra[v].is_empty())
     )
-    assert diagonal_S(g, UPSet.naturals()) == expected
+    assert GraphAnalysis(g).diagonal_set(DiagonalSpec.ds(UPSet.naturals())) == expected
 
 
 @given(graphs(max_order=6), st.sets(st.integers(0, 5), min_size=1))
 @settings(max_examples=60)
 def test_diagonal_S_matches_literal_two_clause_oracle(g, values):
-    assert diagonal_S(g, UPSet.from_finite(values)) == diagonal_S_bf(g, values)
+    spec = DiagonalSpec.ds(UPSet.from_finite(values))
+    assert GraphAnalysis(g).diagonal_set(spec) == diagonal_S_bf(g, values)
 
 
 def test_cantor_witness_on_loop():
@@ -118,15 +116,16 @@ def test_cantor_witness_is_a_fixed_point_and_validates(g):
 def test_dn_is_ds_of_a_singleton(g):
     for n in [*range(1, 9), 10**9 + 7]:
         singleton = UPSet.from_finite([n])
-        assert diagonal_n(g, n) == diagonal_S(g, singleton)
         dn, ds = DiagonalSpec.dn(n), DiagonalSpec.ds(singleton)
+        assert GraphAnalysis(g).diagonal_set(dn) == GraphAnalysis(g).diagonal_set(ds)
         assert GraphAnalysis(g).verify_unequal(dn) == GraphAnalysis(g).verify_unequal(ds)
 
 
 @given(graphs(max_order=6))
 def test_d_is_ds_of_zero_with_the_cantor_witnesses(g):
     zero = UPSet.from_finite([0])
-    assert GraphAnalysis(g).diagonal_set(DiagonalSpec.d()) == diagonal_S(g, zero)
+    d_via_s = GraphAnalysis(g).diagonal_set(DiagonalSpec.ds(zero))
+    assert GraphAnalysis(g).diagonal_set(DiagonalSpec.d()) == d_via_s
     analysis = GraphAnalysis(g)
     for v in range(g.n):
         for spec in (DiagonalSpec.d(), DiagonalSpec.ds(zero)):
@@ -209,9 +208,14 @@ def test_variant_witness_case_unlooped_inside_diagonal():
 
 
 def test_variant_witness_case_looped_pumps_the_loop():
-    w = GraphAnalysis(LOOP1).variant_witness(0, DiagonalSpec.dn(4))
-    assert (w.vertex, w.side) == (0, Side.OUT_MINUS_DX)
-    assert w.evidence.vertices == (0,) * 6  # closed walk of length 5
+    for spec, copies in (
+        (DiagonalSpec.dn(4), 6),  # closed walk of length 5
+        (DiagonalSpec.ds(parse_upset("up(t=4,d=3,r=2)")), 7),  # least member 5
+        (DiagonalSpec.ds(parse_upset("up(t=4,d=3,r=2,f=1)")), 3),  # least member the exceptional 1
+    ):
+        w = GraphAnalysis(LOOP1).variant_witness(0, spec)
+        assert (w.vertex, w.side) == (0, Side.OUT_MINUS_DX)
+        assert w.evidence.vertices == (0,) * copies
 
 
 def test_variant_witness_rotates_a_violating_closed_walk():
@@ -232,7 +236,8 @@ def test_variant_witness_with_huge_n_omits_evidence_but_validates():
     w = GraphAnalysis(two_cycle).variant_witness(0, spec)
     assert (w.vertex, w.side) == (1, Side.OUT_MINUS_DX)
     assert w.evidence is None
-    validate_witness(two_cycle, spec, diagonal_n(two_cycle, 10**9 + 1), w, VertexSet.full(2))
+    dx = GraphAnalysis(two_cycle).diagonal_set(DiagonalSpec.dn(10**9 + 1))
+    validate_witness(two_cycle, spec, dx, w, VertexSet.full(2))
 
 
 @given(graphs(max_order=6))
@@ -291,7 +296,7 @@ def test_verify_unequal_on_edgeless_singleton():
 @given(graphs(max_order=6))
 @settings(max_examples=40)
 def test_verify_battery_validates_all_specs_everywhere(g):
-    for spec, dx, witnesses in verify_battery(g, default_spec_battery()):
+    for spec, dx, witnesses in GraphAnalysis(g).verify_battery(default_spec_battery()):
         assert len(witnesses) == g.n
         for w in witnesses:
             out_v = g.out_set(w.against)
@@ -305,7 +310,7 @@ def test_verify_battery_validates_all_specs_everywhere(g):
 @settings(max_examples=30)
 def test_variant_inequality_holds_up_to_n_eight(g):
     for n in range(1, 9):
-        dn = diagonal_n(g, n)
+        dn = GraphAnalysis(g).diagonal_set(DiagonalSpec.dn(n))
         for v in range(g.n):
             assert dn != g.out_set(v)
     GraphAnalysis(g).verify_unequal(DiagonalSpec.dn(7))
@@ -330,7 +335,7 @@ def test_validate_witness_rejects_wrong_claims():
         validate_witness(
             C3,
             DiagonalSpec.dn(2),
-            diagonal_n(C3, 2),
+            GraphAnalysis(C3).diagonal_set(DiagonalSpec.dn(2)),
             Witness(1, Side.OUT_MINUS_DX, 0, Evidence((1, 0, 1))),  # 1->0 is no edge
             cyclic,
         )
@@ -338,13 +343,14 @@ def test_validate_witness_rejects_wrong_claims():
         validate_witness(
             C3,
             DiagonalSpec.dn(2),
-            diagonal_n(C3, 2),
+            GraphAnalysis(C3).diagonal_set(DiagonalSpec.dn(2)),
             Witness(1, Side.OUT_MINUS_DX, 0, Evidence((1, 2, 1))),  # wrong length and 2->1 no edge
             cyclic,
         )
     # A Dinf tail must end on a cycle: here only 2 is on one.
     g = make_graph(3, [(0, 1), (1, 2), (2, 2)])
-    dinf, on_cycle = diagonal_inf(g), VertexSet.from_indices(3, [2])
+    dinf = GraphAnalysis(g).diagonal_set(DiagonalSpec.dinf())
+    on_cycle = VertexSet.from_indices(3, [2])
     tail = Witness(1, Side.OUT_MINUS_DX, 0, Evidence((1, 2), infinite_tail=True))
     validate_witness(g, DiagonalSpec.dinf(), dinf, tail, on_cycle)
     short = Witness(1, Side.OUT_MINUS_DX, 0, Evidence((1,), infinite_tail=True))
@@ -361,7 +367,7 @@ def test_a_diagonal_equal_to_an_outgoing_set_is_a_theorem_violation():
 
 
 def test_inclusion_chain_on_c3():
-    report = inclusion_chain_check(C3, 6, [UPSet.from_finite([0]), EVENS])
+    report = GraphAnalysis(C3).inclusion_chain_check(6, [UPSet.from_finite([0]), EVENS])
     assert report.ok
     assert report.n_max == 6
     assert report.finite_identities == ("finite(0)",)
@@ -372,25 +378,43 @@ def test_chain_identity_with_zero_uses_plain_diagonal():
     # finite(0) makes D_S coincide with D itself; the check asserts that.
     for g in (C3, PATH3, LOOP1, K3_LOOPED):
         d = GraphAnalysis(g).diagonal_set(DiagonalSpec.d())
-        assert diagonal_S(g, UPSet.from_finite([0])) == d
-        inclusion_chain_check(g, 4, [UPSet.from_finite([0])])
+        assert GraphAnalysis(g).diagonal_set(DiagonalSpec.ds(UPSet.from_finite([0]))) == d
+        GraphAnalysis(g).inclusion_chain_check(4, [UPSet.from_finite([0])])
 
 
 def test_chain_on_loop_graph_with_evens():
-    assert diagonal_S(LOOP1, EVENS).to_list() == []
-    inclusion_chain_check(LOOP1, 8, [EVENS])
+    assert GraphAnalysis(LOOP1).diagonal_set(DiagonalSpec.ds(EVENS)).to_list() == []
+    GraphAnalysis(LOOP1).inclusion_chain_check(8, [EVENS])
+
+
+@pytest.mark.parametrize(
+    "view, view_args, method, method_args",
+    [
+        ("diagonal_n", (2,), "diagonal_set", (DiagonalSpec.dn(2),)),
+        ("diagonal_inf", (), "diagonal_set", (DiagonalSpec.dinf(),)),
+        ("diagonal_S", (EVENS,), "diagonal_set", (DiagonalSpec.ds(EVENS),)),
+        ("verify_battery", (default_spec_battery(),), "verify_battery", (default_spec_battery(),)),
+        ("inclusion_chain_check", (8, [EVENS]), "inclusion_chain_check", (8, [EVENS])),
+    ],
+)
+def test_free_views_equal_their_graph_analysis_counterparts(view, view_args, method, method_args):
+    """The free views stay for callers outside the package that look them up by name."""
+    for g in (C3, PATH3, LOOP1, K3_LOOPED, gen_random(12, 0.3, 7, "allow")):
+        expected = getattr(GraphAnalysis(g), method)(*method_args)
+        assert getattr(diagonals, view)(g, *view_args) == expected
 
 
 def test_diagonal_n_is_not_monotone_in_n():
     # D_1 = V and D_2 = empty on the 3-cycle: the per-n chain does not nest.
-    assert not diagonal_n(C3, 1).issubset(diagonal_n(C3, 2))
+    d2 = GraphAnalysis(C3).diagonal_set(DiagonalSpec.dn(2))
+    assert not GraphAnalysis(C3).diagonal_set(DiagonalSpec.dn(1)).issubset(d2)
 
 
 def test_chain_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        inclusion_chain_check(C3, 0)
+        GraphAnalysis(C3).inclusion_chain_check(0)
     with pytest.raises(ValueError):
-        inclusion_chain_check(C3, 3, [UPSet.empty()])
+        GraphAnalysis(C3).inclusion_chain_check(3, [UPSet.empty()])
 
 
 def test_distinct_out_count_examples():

@@ -103,11 +103,11 @@ def test_normalize_keeps_disagreeing_prefix():
 
 
 def test_min_element():
-    assert UPSet.empty().min_element() is None
-    assert EVENS.min_element() == 0
-    assert ODDS.min_element() == 1
-    assert MIXED.min_element() == 2
-    assert UPSet(4, 3, frozenset({1})).min_element() == 4
+    assert UPSet.empty().min_common(UPSet.naturals()) is None
+    assert EVENS.min_common(UPSet.naturals()) == 0
+    assert ODDS.min_common(UPSet.naturals()) == 1
+    assert MIXED.min_common(UPSet.naturals()) == 2
+    assert UPSet(4, 3, frozenset({1})).min_common(UPSet.naturals()) == 4
 
 
 def test_members_upto():
@@ -241,4 +241,4 @@ def test_min_common_matches_enumeration(a_parts, b_parts):
     expected = next((m for m in range(horizon) if a.member(m) and b.member(m)), None)
     assert a.min_common(b) == expected
     assert b.min_common(a) == expected
-    assert a.intersect(b).min_element() == expected
+    assert a.intersect(b).min_common(UPSet.naturals()) == expected

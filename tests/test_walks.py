@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagsets import walks
+from diagsets import diagonals, walks
 from diagsets.bruteforce import closed_walk_lengths_bf, walk_exists_bf
 from diagsets.diagonals import GraphAnalysis
 from diagsets.graph import Graph, VertexSet, bits_of, make_graph
@@ -11,14 +11,12 @@ from diagsets.upsets import UPSet
 from diagsets.walks import (
     FrontierOrbit,
     TraceCapError,
-    closed_walk_spectrum,
     frontier_step,
     long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
     power_trace,
     reach_from,
-    scc_masks,
     spectra_from_trace,
     strongly_connected_components,
     transpose_rows,
@@ -89,13 +87,13 @@ def test_mat_pow_rejects_nonpositive_exponent():
 
 
 def test_has_closed_walk_on_c3():
-    assert closed_walk_spectrum(C3, 0).member(3)
-    assert not closed_walk_spectrum(C3, 0).member(2)
+    assert GraphAnalysis(C3).spectrum(0).member(3)
+    assert not GraphAnalysis(C3).spectrum(0).member(2)
 
 
 def test_loop_vertex_closes_walks_of_every_length():
     for length in range(1, 13):
-        assert closed_walk_spectrum(LOOP1, 0).member(length)
+        assert GraphAnalysis(LOOP1).spectrum(0).member(length)
 
 
 def test_power_trace_c3():
@@ -140,7 +138,7 @@ def test_matrix_entries_are_walk_existence(g, length):
 
 
 def test_spectrum_of_c3_vertex():
-    spectrum = closed_walk_spectrum(C3, 0)
+    spectrum = GraphAnalysis(C3).spectrum(0)
     assert spectrum == UPSet(1, 3, frozenset({0}))
     assert spectrum.literal() == "up(t=1,d=3,r=0)"
     truth = closed_walk_lengths_bf(C3, 0, 40)
@@ -152,7 +150,7 @@ def test_spectrum_of_two_meshed_cycles():
     # Cycles of lengths 2 and 3 through vertex 0; their sums cover all
     # lengths from 2 up.
     g = make_graph(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0)])
-    spectrum = closed_walk_spectrum(g, 0)
+    spectrum = GraphAnalysis(g).spectrum(0)
     assert spectrum == UPSet(2, 1, frozenset({0}))
     truth = closed_walk_lengths_bf(g, 0, 40)
     for length in range(41):
@@ -161,7 +159,7 @@ def test_spectrum_of_two_meshed_cycles():
 
 def test_spectrum_of_edgeless_vertex_is_empty():
     g = make_graph(3, [])
-    assert closed_walk_spectrum(g, 1).is_empty()
+    assert GraphAnalysis(g).spectrum(1).is_empty()
 
 
 def test_one_vertex_spectrum_runs_only_its_own_orbit(monkeypatch):
@@ -169,13 +167,13 @@ def test_one_vertex_spectrum_runs_only_its_own_orbit(monkeypatch):
     expected = GraphAnalysis(g).spectra[5]
     built = []
 
-    class CountedOrbit(walks.FrontierOrbit):
+    class CountedOrbit(diagonals.FrontierOrbit):
         def __init__(self, start, step):
             built.append(start)
             super().__init__(start, step)
 
-    monkeypatch.setattr(walks, "FrontierOrbit", CountedOrbit)
-    assert closed_walk_spectrum(g, 5) == expected
+    monkeypatch.setattr(diagonals, "FrontierOrbit", CountedOrbit)
+    assert GraphAnalysis(g).spectrum(5) == expected
     assert built == [1 << 5]
 
 
@@ -199,7 +197,7 @@ def test_frontier_spectra_equal_trace_spectra(g):
 def test_one_vertex_spectrum_equals_trace_spectrum(g):
     spectra = spectra_from_trace(power_trace(g))
     for v in range(g.n):
-        assert closed_walk_spectrum(g, v) == spectra[v]
+        assert GraphAnalysis(g).spectrum(v) == spectra[v]
 
 
 @given(graphs(max_order=6), st.integers(0, 60))
@@ -270,7 +268,7 @@ def test_scc_masks_are_mutual_reachability(g):
         return seen
 
     reach = [reachable(u) for u in range(g.n)]
-    for v, mask in enumerate(scc_masks(g, transpose_rows(g))):
+    for v, mask in enumerate(GraphAnalysis(g).masks):
         # v is on a closed walk iff some successor of v reaches back to v.
         cyclic = any(g.has_edge(v, w) and v in reach[w] for w in range(g.n))
         comp = {u for u in reach[v] if v in reach[u]} if cyclic else set()
@@ -287,7 +285,7 @@ def test_scc_masks_on_a_long_path_into_a_cycle(reverse):
     label = (lambda v: n - 1 - v) if reverse else (lambda v: v)
     g = make_graph(n, [(label(u), label(w)) for u, w in edges])
     cycle = sum(1 << label(v) for v in range(n - 3, n))
-    masks = scc_masks(g, transpose_rows(g))
+    masks = GraphAnalysis(g).masks
     assert masks == [cycle if cycle >> v & 1 else 0 for v in range(n)]
     assert len(strongly_connected_components(g, transpose_rows(g))) == n - 2
 
