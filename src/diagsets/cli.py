@@ -1,7 +1,7 @@
 """Command-line surface: analyze, verify, spectrum, gen.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource cap.
+3 resource cap (an id or order too large to represent, or memory running out).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from pathlib import Path
 from time import perf_counter
 
 from . import __version__
-from .bruteforce import OracleGuardError, exhaustive_sweep
+from .bruteforce import exhaustive_sweep
 from .diagonals import (
     CHAIN_N_MAX,
     GraphAnalysis,
@@ -20,10 +20,9 @@ from .diagonals import (
     TheoremViolationError,
     default_spec_battery,
 )
-from .graphio import EdgeListError, emit_edge_list, gen_random, parse_edge_list, scan_seed_comment
+from .graphio import emit_edge_list, gen_random, parse_edge_list, scan_seed_comment
 from .report import analyze_graph, report_json
 from .upsets import parse_upset
-from .walks import TraceCapError
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -88,6 +87,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.random:
         lo, hi = _parse_size_range(args.size)
         ps = _parse_p_list(args.p)
+        if args.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {args.seed}")
     failures = 0
     report = exhaustive_sweep(order_max=args.order_max)
     print(f"exhaustive sweep: orders 1..{args.order_max}, {report.graphs_checked} graphs")
@@ -187,13 +188,10 @@ def main(argv: list[str] | None = None) -> int:
     except (TheoremViolationError, InternalDisagreementError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (TraceCapError, OracleGuardError, MemoryError, OverflowError) as exc:
+    except (MemoryError, OverflowError) as exc:
         print(f"resource cap: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (EdgeListError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

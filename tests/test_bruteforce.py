@@ -17,6 +17,17 @@ C3 = make_graph(3, [(0, 1), (1, 2), (2, 0)])
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
 LOOP1 = make_graph(1, [(0, 0)])
 
+BATTERY_LABELS = (
+    ["D"] + [f"Dn({n})" for n in range(1, 7)] + ["Dinf"]
+    + ["DS(finite(0))", "DS(finite(1))", "DS(finite(0,2))"]
+)
+SWEEP_PROPERTIES = (
+    [f"theorem[{label}]" for label in BATTERY_LABELS]
+    + ["theorem[DS(up(t=0,d=2,r=0))]", "theorem[DS(up(t=0,d=2,r=1))]", "chain"]
+    + [f"oracle[{label}]" for label in BATTERY_LABELS]
+    + ["spectrum", "pigeonhole"]
+)
+
 
 def test_walk_exists_on_c3():
     assert walk_exists_bf(C3, 0, 0, 3)
@@ -87,7 +98,8 @@ def test_sweep_order_two():
     report = exhaustive_sweep(order_max=2)
     assert report.graphs_checked == 18
     assert report.per_order == {1: 2, 2: 16}
-    assert report.total_failures() == 0
+    assert [p.name for p in report.properties] == SWEEP_PROPERTIES
+    assert all(p.passes == 18 and p.failures == 0 for p in report.properties)
     assert all(p.first_counterexample is None for p in report.properties)
 
 

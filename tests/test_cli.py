@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from diagsets import cli
+from diagsets import bruteforce, cli
 from diagsets.bruteforce import OracleGuardError, PropertyResult, SweepReport
 from diagsets.diagonals import DiagonalSpec, Side, Witness, validate_witness
 from diagsets.graph import VertexSet
@@ -208,14 +208,22 @@ def test_s_with_a_period_past_a_million_exits_zero(tmp_path, capsys):
     assert report["chain"]["ok"]
 
 
-@pytest.mark.parametrize("error", [TraceCapError, OracleGuardError])
-def test_resource_caps_exit_three(monkeypatch, capsys, error):
-    def capped(**kwargs):
-        raise error("over the cap")
+def test_oracle_guard_and_trace_cap_are_recorded_as_sweep_failures(monkeypatch, capsys):
+    def guarded(g):
+        raise OracleGuardError("planted guard")
 
-    monkeypatch.setattr(cli, "exhaustive_sweep", capped)
-    assert cli.main(["verify", "--order-max", "1"]) == 3
-    assert capsys.readouterr().err.strip() == "resource cap: over the cap"
+    def capped(g):
+        raise TraceCapError("planted cap")
+
+    monkeypatch.setattr(bruteforce, "diagonal_inf_bf", guarded)
+    monkeypatch.setattr(bruteforce, "power_trace", capped)
+    report = bruteforce.exhaustive_sweep(1)
+    props = {p.name: p for p in report.properties}
+    for name, message in (("oracle[Dinf]", "planted guard"), ("spectrum", "planted cap")):
+        assert (props[name].passes, props[name].failures) == (0, 2)
+        assert message in props[name].first_counterexample
+    assert cli.main(["verify", "--order-max", "1"]) == 1
+    assert "VERIFY FAILED: 4 failure(s)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", ["0 99999999999999999999\n", "n 99999999999999999999\n"])
@@ -250,7 +258,9 @@ def test_gen_rejects_a_negative_seed_before_writing(capsys):
     assert captured.err == "error: seed must be nonnegative, got -7\n"
 
 
-@pytest.mark.parametrize("bad", [["--size", "9..3"], ["--p", "1.5"], ["--random", "-1"]])
+@pytest.mark.parametrize(
+    "bad", [["--size", "9..3"], ["--p", "1.5"], ["--random", "-1"], ["--seed", "-1"]]
+)
 def test_verify_random_arguments_are_checked_before_the_sweep(capsys, bad):
     assert cli.main(["verify", "--random", "2", *bad]) == 2
     captured = capsys.readouterr()
