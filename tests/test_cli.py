@@ -208,22 +208,26 @@ def test_s_with_a_period_past_a_million_exits_zero(tmp_path, capsys):
     assert report["chain"]["ok"]
 
 
-def test_oracle_guard_and_trace_cap_are_recorded_as_sweep_failures(monkeypatch, capsys):
-    def guarded(g):
-        raise OracleGuardError("planted guard")
-
+@pytest.mark.parametrize(
+    ("error", "target", "prop"),
+    [
+        (TraceCapError, "power_trace", "spectrum"),
+        (OracleGuardError, "diagonal_inf_bf", "oracle[Dinf]"),
+    ],
+    ids=["TraceCapError", "OracleGuardError"],
+)
+def test_resource_caps_exit_three(monkeypatch, capsys, error, target, prop):
+    # The name is kept from when cli.main mapped these two caps to exit 3. Only the
+    # sweep raises them, and it records each as a counterexample, so verify exits 1.
     def capped(g):
-        raise TraceCapError("planted cap")
+        raise error("planted cap")
 
-    monkeypatch.setattr(bruteforce, "diagonal_inf_bf", guarded)
-    monkeypatch.setattr(bruteforce, "power_trace", capped)
-    report = bruteforce.exhaustive_sweep(1)
-    props = {p.name: p for p in report.properties}
-    for name, message in (("oracle[Dinf]", "planted guard"), ("spectrum", "planted cap")):
-        assert (props[name].passes, props[name].failures) == (0, 2)
-        assert message in props[name].first_counterexample
+    monkeypatch.setattr(bruteforce, target, capped)
+    props = {p.name: p for p in bruteforce.exhaustive_sweep(1).properties}
+    assert (props[prop].passes, props[prop].failures) == (0, 2)
+    assert "planted cap" in props[prop].first_counterexample
     assert cli.main(["verify", "--order-max", "1"]) == 1
-    assert "VERIFY FAILED: 4 failure(s)" in capsys.readouterr().out
+    assert "VERIFY FAILED: 2 failure(s)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", ["0 99999999999999999999\n", "n 99999999999999999999\n"])
