@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -140,6 +141,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parse_args reads the parser without changing it: build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diagsets",

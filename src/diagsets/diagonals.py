@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, VertexSet, bits_of
 from .upsets import UPSet
@@ -119,6 +119,11 @@ class DiagonalSpec:
         """The S of D_S: {0} for D, {n} for Dn, S itself for DS, None for Dinf."""
         return UPSet.from_finite([self.n or 0]) if self.kind in ("D", "Dn") else self.s
 
+    @cached_property
+    def walk_lengths(self) -> UPSet | None:
+        """S+1, the closed-walk lengths that put a vertex outside D_S; None for Dinf."""
+        return None if self.lengths is None else self.lengths.shift(1)
+
     def label(self) -> str:
         if self.kind == "Dn":
             return f"Dn({self.n})"
@@ -205,16 +210,18 @@ class GraphAnalysis:
     shortest violating closed walk of every vertex, and the diagonal set of
     every spec.  The independent routes run once per analysis: Dinf by
     cycle reachability and by the zero rows of A^|V|, and in the chain check
-    D_n and D_S from the spectra and from the loops of powers of A.  A
-    vertex's backward layers give its spectrum (``spectrum`` reads one
-    vertex's alone) and its witness walks, and are dropped after each read;
-    those of the cyclic set serve Dinf tails.  Every closed-walk witness,
-    looped or not, takes its length from ``shortest_violations``.
+    D_n and D_S from the spectra and from the loops of powers of A.  The
+    battery runs vertex by vertex: one backward orbit of a vertex, stepped
+    once to its repeat, gives its spectrum, its shortest violations and its
+    witness walks for every spec, and is dropped before the next vertex, so
+    at most one vertex's orbit is alive.  The orbit of the cyclic set
+    serves Dinf tails.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self._powers: dict[int, Graph] = {1: g}
+        self._spectra: list[UPSet] | None = None
         self._shortest: dict[UPSet, list[int | None]] = {}
         self._sets: dict[DiagonalSpec, VertexSet] = {}
         self._back_steps: dict[int, Callable[[int], int]] = {}
@@ -245,12 +252,13 @@ class GraphAnalysis:
 
     def spectrum(self, v: int) -> UPSet:
         """{L >= 1 : a closed walk of length L passes through v}, off v's backward layers."""
-        self.g._check_vertex(v)  # a negative v would index another vertex's mask
-        return self.back_layers(1 << v, self.masks[v]).hits(v)
+        return self._vertex(v, ())[0]
 
-    @cached_property
+    @property
     def spectra(self) -> list[UPSet]:
-        return [self.spectrum(v) for v in range(self.g.n)]
+        if self._spectra is None:
+            self._spectra = [self.spectrum(v) for v in range(self.g.n)]
+        return self._spectra
 
     def power(self, exponent: int) -> Graph:
         """A^exponent: one product from a memoised A^(exponent-1), else by squaring."""
@@ -304,18 +312,35 @@ class GraphAnalysis:
         """Layers L_0 = cyclic, L_(k+1) = In(L_k): the vertices within k steps of a cycle."""
         return self.back_layers(self.cyclic.bits, self.canreach_cycle.bits)
 
+    def _vertex(self, v: int, specs: Sequence[DiagonalSpec]) -> tuple[UPSet, list, list]:
+        """v's spectrum, and per spec its shortest violation (None for Dinf) and witness.
+
+        One orbit of v's backward layers, stepped to its repeat for the spectrum, serves
+        every descent; with ``spectra`` known, a descent steps its own as far as it reads.
+        Dinf reads no spectrum: for it alone the spectrum is None unless ``spectra`` is known.
+        """
+        self.g._check_vertex(v)  # a negative v would index another vertex's mask
+        fresh = self._spectra is None and (not specs or any(s.walk_lengths for s in specs))
+        layers = self.back_layers(1 << v, self.masks[v]) if fresh else None
+        spectrum = layers.hits(v) if fresh else self._spectra and self._spectra[v]
+        shortest = [spec.walk_lengths and spectrum.min_common(spec.walk_lengths) for spec in specs]
+        witnesses = [self._witness(v, *pair, layers) for pair in zip(specs, shortest)]
+        return spectrum, shortest, witnesses
+
     def variant_witness(self, v: int, spec: DiagonalSpec) -> Witness:
         """Witness by the three-way case split; for D = D_S({0}) it is ``cantor_witness``."""
+        return self._vertex(v, (spec,))[2][0]
+
+    def _witness(self, v: int, spec: DiagonalSpec, length: int | None, layers) -> Witness:
+        """``variant_witness``, given v's shortest violation and its backward layers or None."""
         g = self.g
-        g._check_vertex(v)
         if g.has_edge(v, v):
-            # Looped: v itself, pumped around its loop as long as required.
+            # Looped: v itself, pumped around its loop min(S) + 1 times or forever.
             if spec.kind == "Dinf":
                 return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v,), infinite_tail=True))
-            length = self.shortest_violations(spec.lengths)[v]  # min(S) + 1
             evidence = Evidence((v,) * (length + 1)) if length + 1 <= EVIDENCE_CAP else None
             return Witness(v, Side.OUT_MINUS_DX, v, evidence)
-        if v in self.diagonal_set(spec):
+        if v in self.diagonal_set(spec) if spec.kind == "Dinf" else length is None:
             return Witness(v, Side.DX_MINUS_OUT, v, None)
         # Unlooped but outside the diagonal: rotate a violating walk from v.
         if spec.kind == "Dinf":
@@ -328,33 +353,37 @@ class GraphAnalysis:
                 d += 1
             tail = tuple(_descend(g, self.cycle_layers, w, d))
             return Witness(w, Side.OUT_MINUS_DX, v, Evidence(tail, infinite_tail=True))
-        # Outside D_S means a shortest violation exists: both read one list.
-        length = self.shortest_violations(spec.lengths)[v]
-        walk = _descend(g, self.back_layers(1 << v, self.masks[v]), v, length)
+        # Outside D_S: descend a shortest violating closed walk from v.
+        walk = _descend(g, layers or self.back_layers(1 << v, self.masks[v]), v, length)
         next(walk)  # v itself
         first = next(walk)
-        evidence = None
-        if length + 1 <= EVIDENCE_CAP:
-            evidence = Evidence((first, *walk, first))
+        evidence = Evidence((first, *walk, first)) if length + 1 <= EVIDENCE_CAP else None
         return Witness(first, Side.OUT_MINUS_DX, v, evidence)
 
     def verify_unequal(self, spec: DiagonalSpec) -> list[Witness]:
         """Assert the diagonal differs from every Out(v) and return validated witnesses."""
-        g = self.g
-        dx = self.diagonal_set(spec)
-        if dx.bits in g.rows:
-            raise TheoremViolationError(f"{spec.label()} equals Out({g.rows.index(dx.bits)})")
-        witnesses = []
-        for v in range(g.n):
-            w = self.variant_witness(v, spec)
-            validate_witness(g, spec, dx, w, self.cyclic)
-            witnesses.append(w)
-        return witnesses
+        return self.verify_battery((spec,))[0][2]
 
     def verify_battery(
         self, specs: Iterable[DiagonalSpec]
     ) -> list[tuple[DiagonalSpec, VertexSet, list[Witness]]]:
-        return [(spec, self.diagonal_set(spec), self.verify_unequal(spec)) for spec in specs]
+        """``verify_unequal`` per spec, with the witnesses built vertex by vertex first."""
+        specs = list(specs)
+        g = self.g
+        spectra, shortest, witnesses = zip(*(self._vertex(v, specs) for v in range(g.n)))
+        if self._spectra is None and None not in spectra:  # a Dinf-only battery builds none
+            self._spectra = list(spectra)
+        results = []
+        for spec, lengths, column in zip(specs, zip(*shortest), zip(*witnesses)):
+            if spec.lengths is not None:
+                self._shortest.setdefault(spec.lengths, list(lengths))
+            dx = self.diagonal_set(spec)
+            if dx.bits in g.rows:
+                raise TheoremViolationError(f"{spec.label()} equals Out({g.rows.index(dx.bits)})")
+            for w in column:
+                validate_witness(g, spec, dx, w, self.cyclic)
+            results.append((spec, dx, list(column)))
+        return results
 
     def inclusion_chain_check(self, n_max: int, s_samples: Iterable[UPSet] = ()) -> ChainReport:
         """Check Dinf <= Dn <= D for n in 1..n_max and the intersection identities.
@@ -504,7 +533,6 @@ class ChainReport:
             ],
             "ok": self.ok,
         }
-
 
 
 def distinct_out_count(g: Graph) -> tuple[int, int]:

@@ -276,11 +276,11 @@ def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:
 
 
 def transpose_rows(g: Graph) -> tuple[int, ...]:
-    rev = [0] * g.n
-    for u, row in enumerate(g.rows):
-        for w in bits_of(row):
-            rev[w] |= 1 << u
-    return tuple(rev)
+    """In(w) per vertex w: the columns of the rows, written out as binary digits."""
+    n = g.n
+    # Rows last first, leading digit first: column w is every n-th digit from n-1-w.
+    digits = "".join([format(row, f"0{n}b") for row in reversed(g.rows)])
+    return tuple([int(digits[j::n], 2) for j in range(n - 1, -1, -1)])
 
 
 def reach_from(rows: Sequence[int], start: int, within: int = -1) -> int:

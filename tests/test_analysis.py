@@ -38,13 +38,33 @@ def _count_calls(monkeypatch, calls, name):
         monkeypatch.setattr(module, name, counted)
 
 
+def _count_orbit_steps(monkeypatch, calls):
+    """Count ``orbit_step`` builds, and every call of the step functions they return."""
+    original = walks.orbit_step
+
+    def counted(*args):
+        calls["orbit_step"] += 1
+        step = original(*args)
+
+        def counted_step(frontier):
+            calls["orbit steps"] += 1
+            return step(frontier)
+
+        return counted_step
+
+    for module in (walks, diagonals):
+        monkeypatch.setattr(module, "orbit_step", counted)
+
+
 def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
-    # Cycles of lengths 2 and 3 joined by a path, plus a looped tail:
-    # every spec has members inside and outside its set.
-    g = make_graph(8, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 6)])
+    # Cycles of lengths 2 and 3 joined by a path, plus a looped tail that
+    # 7 reaches through 5: every spec has members inside and outside its set.
+    g = make_graph(
+        8, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 6), (7, 5)]
+    )
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "strongly_connected_components")
-    _count_calls(monkeypatch, calls, "orbit_step")
+    _count_orbit_steps(monkeypatch, calls)
     hits = walks.FrontierOrbit.hits
 
     def counted_hits(self, v):
@@ -65,7 +85,7 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     assert calls["FrontierOrbit.hits"] == g.n  # one spectrum per vertex
     # One step function per mask that layers step in: the SCCs {0, 1},
     # {2, 3, 4} and {6}, the empty mask of the acyclic vertices 5 and 7,
-    # and the can-reach-a-cycle set {0, ..., 6} of the Dinf tails.
+    # and the can-reach-a-cycle set {0, ..., 7} of the Dinf tails.
     assert calls["orbit_step"] == 5
     assert calls["transpose_rows"] == 1
     # A^2, ..., A^9 for the chain, one product each; the evens stop at
@@ -73,6 +93,29 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     # A^k twice, or by squaring, breaks this count.
     assert calls["mat_mul_bool"] == 8
     assert calls["mat_pow_bool"] == 0
+    # Each vertex's orbit is stepped once, for its spectrum, and every
+    # witness walk reads it without a step of its own.  The only other
+    # steps are the Dinf tails': 7's tail 5 -> 6 reads cycle_layers[1].
+    analyze_steps = calls["orbit steps"]
+    fresh = GraphAnalysis(g)
+    fresh.spectra
+    fresh.cycle_layers[1]
+    assert analyze_steps == calls["orbit steps"] - analyze_steps
+    assert report["specs"][3]["witnesses"][7]["evidence"] == {"infinite_tail": [5, 6]}  # Dinf
+
+
+def test_dinf_alone_builds_no_spectrum(monkeypatch):
+    # Dinf reads no closed-walk length, so its witnesses step no vertex's
+    # orbit: the only layers are the Dinf tails' cycle_layers.
+    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 2), (4, 4)])
+    calls: Counter = Counter()
+    _count_orbit_steps(monkeypatch, calls)
+    analysis = GraphAnalysis(g)
+    witnesses = analysis.verify_unequal(DiagonalSpec.dinf())
+    assert witnesses[0].evidence.vertices == (1, 2)  # 0's tail descends cycle_layers[1]
+    assert calls == {"orbit_step": 1, "orbit steps": 1}
+    assert analysis.variant_witness(0, DiagonalSpec.dinf()) == witnesses[0]
+    assert calls == {"orbit_step": 1, "orbit steps": 1}
 
 
 def test_chain_check_reads_each_power_off_the_previous_one(monkeypatch):
@@ -142,6 +185,17 @@ def test_ds_set_and_witness_lengths_read_the_shortest_violations(g):
                 continue
             assert w.side is Side.OUT_MINUS_DX
             assert len(w.evidence.vertices) - 1 == shortest[v]
+
+
+@given(graphs(max_order=12))
+@settings(max_examples=40)
+def test_vertex_major_battery_equals_one_spec_at_a_time(g):
+    specs = [*default_spec_battery(), DiagonalSpec.dn(10**9 + 7)]
+    single = []
+    for spec in specs:
+        analysis = GraphAnalysis(g)  # fresh: spectra first, then lazily read layers
+        single.append((spec, analysis.diagonal_set(spec), analysis.verify_unequal(spec)))
+    assert GraphAnalysis(g).verify_battery(specs) == single
 
 
 def test_power_memo_matches_the_trace():

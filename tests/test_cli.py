@@ -35,6 +35,17 @@ def test_analyze_c3_report_sets(tmp_path, capsys):
     assert report["seed"] is None
 
 
+def test_one_parser_serves_every_call_without_carrying_arguments_over(tmp_path, capsys):
+    path = _write(tmp_path, "c3.edges", C3_TEXT)
+    assert cli.main(["analyze", "--input", path, "--n", "2", "--s", "finite(0,2)"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert cli.main(["analyze", "--input", path]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert [e["spec"] for e in first["specs"]] == ["D", "Dn(2)", "Dinf", "DS(finite(0,2))"]
+    assert [e["spec"] for e in second["specs"]] == ["D", "Dinf"]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_analyze_report_witnesses_validate_on_reload(tmp_path, capsys):
     path = _write(tmp_path, "c3.edges", C3_TEXT)
     rc = cli.main(["analyze", "--input", path, "--n", "2", "--s", "finite(0,2)", "--spectra"])

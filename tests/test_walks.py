@@ -255,6 +255,15 @@ def test_scc_partition_covers_all_vertices():
     assert len(strongly_connected_components(PATH3, transpose_rows(PATH3))) == 3
 
 
+@given(graphs(max_order=80))
+def test_transpose_rows_equals_the_per_edge_loop(g):
+    rev = [0] * g.n
+    for u, row in enumerate(g.rows):
+        for w in bits_of(row):
+            rev[w] |= 1 << u
+    assert transpose_rows(g) == tuple(rev)
+
+
 @given(graphs(max_order=8))
 def test_scc_masks_are_mutual_reachability(g):
     def reachable(u):
