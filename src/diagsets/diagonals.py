@@ -120,8 +120,7 @@ class DiagonalSpec:
         return UPSet.from_finite([self.n or 0]) if self.kind in ("D", "Dn") else self.s
 
     @cached_property
-    def walk_lengths(self) -> UPSet | None:
-        """S+1, the closed-walk lengths that put a vertex outside D_S; None for Dinf."""
+    def walk_lengths(self) -> UPSet | None:  # S+1, the lengths of violating closed walks
         return None if self.lengths is None else self.lengths.shift(1)
 
     def label(self) -> str:
@@ -211,17 +210,15 @@ class GraphAnalysis:
     every spec.  The independent routes run once per analysis: Dinf by
     cycle reachability and by the zero rows of A^|V|, and in the chain check
     D_n and D_S from the spectra and from the loops of powers of A.  The
-    battery runs vertex by vertex: one backward orbit of a vertex, stepped
-    once to its repeat, gives its spectrum, its shortest violations and its
-    witness walks for every spec, and is dropped before the next vertex, so
-    at most one vertex's orbit is alive.  The orbit of the cyclic set
-    serves Dinf tails.
+    battery runs vertex by vertex: one backward orbit of a vertex gives its
+    spectrum and its witness walks for every spec and is dropped before the
+    next vertex.  The orbit of the cyclic set serves Dinf tails.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self._powers: dict[int, Graph] = {1: g}
-        self._spectra: list[UPSet] | None = None
+        self._spectra: list[UPSet | None] = [None] * g.n
         self._shortest: dict[UPSet, list[int | None]] = {}
         self._sets: dict[DiagonalSpec, VertexSet] = {}
         self._back_steps: dict[int, Callable[[int], int]] = {}
@@ -256,7 +253,7 @@ class GraphAnalysis:
 
     @property
     def spectra(self) -> list[UPSet]:
-        if self._spectra is None:
+        if None in self._spectra:
             self._spectra = [self.spectrum(v) for v in range(self.g.n)]
         return self._spectra
 
@@ -269,12 +266,11 @@ class GraphAnalysis:
             )
         return self._powers[exponent]
 
-    def shortest_violations(self, s: UPSet) -> list[int | None]:
-        """Per vertex, the shortest closed walk with a length in S+1, or None."""
-        if s not in self._shortest:
-            shifted = s.shift(1)
-            self._shortest[s] = [sp.min_common(shifted) for sp in self.spectra]
-        return self._shortest[s]
+    def shortest_violations(self, spec: DiagonalSpec) -> list[int | None]:
+        """Per vertex, the shortest closed walk with a length in S+1, or None; S is spec's."""
+        if spec.lengths not in self._shortest:
+            self._shortest[spec.lengths] = [sp.min_common(spec.walk_lengths) for sp in self.spectra]
+        return self._shortest[spec.lengths]
 
     def diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         if spec not in self._sets:
@@ -284,7 +280,7 @@ class GraphAnalysis:
     def _diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         n = self.g.n
         if spec.kind != "Dinf":
-            shortest = self.shortest_violations(spec.lengths)
+            shortest = self.shortest_violations(spec)
             return VertexSet(n, sum(1 << v for v, m in enumerate(shortest) if m is None))
         scc_route = self.canreach_cycle.complement()
         matrix_route = VertexSet(n, long_walk_starts(self.g)).complement()
@@ -312,18 +308,19 @@ class GraphAnalysis:
         """Layers L_0 = cyclic, L_(k+1) = In(L_k): the vertices within k steps of a cycle."""
         return self.back_layers(self.cyclic.bits, self.canreach_cycle.bits)
 
-    def _vertex(self, v: int, specs: Sequence[DiagonalSpec]) -> tuple[UPSet, list, list]:
-        """v's spectrum, and per spec its shortest violation (None for Dinf) and witness.
-
-        One orbit of v's backward layers, stepped to its repeat for the spectrum, serves
-        every descent; with ``spectra`` known, a descent steps its own as far as it reads.
-        Dinf reads no spectrum: for it alone the spectrum is None unless ``spectra`` is known.
-        """
+    def _vertex(self, v: int, specs: Sequence[DiagonalSpec]) -> tuple[UPSet | None, list, list]:
+        """v's spectrum, and per spec its shortest violation, or None, and its witness."""
         self.g._check_vertex(v)  # a negative v would index another vertex's mask
-        fresh = self._spectra is None and (not specs or any(s.walk_lengths for s in specs))
-        layers = self.back_layers(1 << v, self.masks[v]) if fresh else None
-        spectrum = layers.hits(v) if fresh else self._spectra and self._spectra[v]
-        shortest = [spec.walk_lengths and spectrum.min_common(spec.walk_lengths) for spec in specs]
+        layers = self.back_layers(1 << v, self.masks[v])  # stored only as far as read
+        spectrum = self._spectra[v]
+        if spectrum is None and (not specs or any(spec.kind != "Dinf" for spec in specs)):
+            spectrum = self._spectra[v] = layers.hits(v)
+        shortest = []
+        for spec in specs:
+            if spec.kind == "Dinf":  # its violation is an infinite walk
+                shortest.append(None if v in self.diagonal_set(spec) else math.inf)
+            else:  # a closed walk with a length in S+1
+                shortest.append(spectrum.min_common(spec.walk_lengths))
         witnesses = [self._witness(v, *pair, layers) for pair in zip(specs, shortest)]
         return spectrum, shortest, witnesses
 
@@ -331,16 +328,18 @@ class GraphAnalysis:
         """Witness by the three-way case split; for D = D_S({0}) it is ``cantor_witness``."""
         return self._vertex(v, (spec,))[2][0]
 
-    def _witness(self, v: int, spec: DiagonalSpec, length: int | None, layers) -> Witness:
-        """``variant_witness``, given v's shortest violation and its backward layers or None."""
+    def _witness(
+        self, v: int, spec: DiagonalSpec, length: float | None, layers: FrontierOrbit
+    ) -> Witness:
+        """``variant_witness``, given v's shortest violation, or None, and v's backward layers."""
         g = self.g
-        if g.has_edge(v, v):
+        if g.rows[v] >> v & 1:
             # Looped: v itself, pumped around its loop min(S) + 1 times or forever.
             if spec.kind == "Dinf":
                 return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v,), infinite_tail=True))
             evidence = Evidence((v,) * (length + 1)) if length + 1 <= EVIDENCE_CAP else None
             return Witness(v, Side.OUT_MINUS_DX, v, evidence)
-        if v in self.diagonal_set(spec) if spec.kind == "Dinf" else length is None:
+        if length is None:  # no violation: v is in the diagonal
             return Witness(v, Side.DX_MINUS_OUT, v, None)
         # Unlooped but outside the diagonal: rotate a violating walk from v.
         if spec.kind == "Dinf":
@@ -353,8 +352,7 @@ class GraphAnalysis:
                 d += 1
             tail = tuple(_descend(g, self.cycle_layers, w, d))
             return Witness(w, Side.OUT_MINUS_DX, v, Evidence(tail, infinite_tail=True))
-        # Outside D_S: descend a shortest violating closed walk from v.
-        walk = _descend(g, layers or self.back_layers(1 << v, self.masks[v]), v, length)
+        walk = _descend(g, layers, v, length)  # a shortest violating closed walk
         next(walk)  # v itself
         first = next(walk)
         evidence = Evidence((first, *walk, first)) if length + 1 <= EVIDENCE_CAP else None
@@ -370,9 +368,7 @@ class GraphAnalysis:
         """``verify_unequal`` per spec, with the witnesses built vertex by vertex first."""
         specs = list(specs)
         g = self.g
-        spectra, shortest, witnesses = zip(*(self._vertex(v, specs) for v in range(g.n)))
-        if self._spectra is None and None not in spectra:  # a Dinf-only battery builds none
-            self._spectra = list(spectra)
+        _, shortest, witnesses = zip(*(self._vertex(v, specs) for v in range(g.n)))
         results = []
         for spec, lengths, column in zip(specs, zip(*shortest), zip(*witnesses)):
             if spec.lengths is not None:

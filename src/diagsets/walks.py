@@ -15,6 +15,7 @@ sequence A^1, A^2, ..., is kept only as an independent oracle for them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -276,11 +277,19 @@ def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:
 
 
 def transpose_rows(g: Graph) -> tuple[int, ...]:
-    """In(w) per vertex w: the columns of the rows, written out as binary digits."""
-    n = g.n
-    # Rows last first, leading digit first: column w is every n-th digit from n-1-w.
-    digits = "".join([format(row, f"0{n}b") for row in reversed(g.rows)])
-    return tuple([int(digits[j::n], 2) for j in range(n - 1, -1, -1)])
+    """In(w) per vertex w: columns read off blocks of 256 rows written out as binary digits."""
+    rev = [0] * g.n
+    for base in range(0, g.n, 256):
+        block = g.rows[base : base + 256]
+        held = functools.reduce(int.__or__, block)  # the columns the block holds
+        if held:
+            low = (held & -held).bit_length() - 1
+            width = held.bit_length() - low
+            # Rows last first, columns from low on: column w starts at low + width - 1 - w.
+            digits = "".join([format(row >> low, f"0{width}b") for row in reversed(block)])
+            for w in bits_of(held):
+                rev[w] |= int(digits[low + width - 1 - w :: width], 2) << base
+    return tuple(rev)
 
 
 def reach_from(rows: Sequence[int], start: int, within: int = -1) -> int:

@@ -106,16 +106,16 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
 
 def test_dinf_alone_builds_no_spectrum(monkeypatch):
     # Dinf reads no closed-walk length, so its witnesses step no vertex's
-    # orbit: the only layers are the Dinf tails' cycle_layers.
+    # orbit: the only step is the Dinf tails' cycle_layers[1].
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 2), (4, 4)])
     calls: Counter = Counter()
     _count_orbit_steps(monkeypatch, calls)
     analysis = GraphAnalysis(g)
     witnesses = analysis.verify_unequal(DiagonalSpec.dinf())
     assert witnesses[0].evidence.vertices == (1, 2)  # 0's tail descends cycle_layers[1]
-    assert calls == {"orbit_step": 1, "orbit steps": 1}
+    assert calls["orbit steps"] == 1
     assert analysis.variant_witness(0, DiagonalSpec.dinf()) == witnesses[0]
-    assert calls == {"orbit_step": 1, "orbit steps": 1}
+    assert calls["orbit steps"] == 1
 
 
 def test_chain_check_reads_each_power_off_the_previous_one(monkeypatch):
@@ -175,7 +175,7 @@ def test_ds_set_and_witness_lengths_read_the_shortest_violations(g):
     for spec in default_spec_battery():
         if spec.kind != "DS":
             continue
-        shortest = analysis.shortest_violations(spec.s)
+        shortest = analysis.shortest_violations(spec)
         assert analysis.diagonal_set(spec).to_list() == [
             v for v, m in enumerate(shortest) if m is None
         ]

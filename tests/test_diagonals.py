@@ -250,7 +250,7 @@ def test_closed_walk_witness_is_the_least_first_step_by_the_trace(g):
     specs = [DiagonalSpec.dn(n) for n in (*range(1, 9), 10**9 + 7)]
     specs += [spec for spec in default_spec_battery() if spec.kind == "DS"]
     for spec in specs:
-        shortest = analysis.shortest_violations(spec.lengths)
+        shortest = analysis.shortest_violations(spec)
         for v in range(g.n):
             w = analysis.variant_witness(v, spec)
             if g.has_edge(v, v) or w.side is not Side.OUT_MINUS_DX:

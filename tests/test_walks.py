@@ -255,13 +255,28 @@ def test_scc_partition_covers_all_vertices():
     assert len(strongly_connected_components(PATH3, transpose_rows(PATH3))) == 3
 
 
-@given(graphs(max_order=80))
-def test_transpose_rows_equals_the_per_edge_loop(g):
+def _transpose_by_edges(g):
     rev = [0] * g.n
     for u, row in enumerate(g.rows):
         for w in bits_of(row):
             rev[w] |= 1 << u
-    assert transpose_rows(g) == tuple(rev)
+    return tuple(rev)
+
+
+@given(graphs(max_order=80))
+def test_transpose_rows_equals_the_per_edge_loop(g):
+    assert transpose_rows(g) == _transpose_by_edges(g)
+
+
+def test_transpose_rows_over_several_blocks_of_rows():
+    # 600 rows make three blocks of 256: a path writes only its band, a
+    # block with no edges is skipped, and G(n, p) spans every column.
+    n = 600
+    path = make_graph(n, [(u, u + 1) for u in range(n - 1)])
+    assert transpose_rows(path) == (0, *(1 << u for u in range(n - 1)))
+    late = make_graph(n, [(u, n - 1 - u) for u in range(300, n)])
+    for g in (path, late, gen_random(n, 0.02, 1)):
+        assert transpose_rows(g) == _transpose_by_edges(g)
 
 
 @given(graphs(max_order=8))
