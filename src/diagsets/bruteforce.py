@@ -1,10 +1,11 @@
 """Brute-force reference implementations and exhaustive small-graph sweeps.
 
-The oracle functions evaluate the diagonal-set definitions literally, by
-enumerating walks vertex by vertex through ``Graph.has_edge`` only: no
-bitset algebra, no matrix products, no periodicity traces.  They are the
-ground truth the engine is compared against, and they are deliberately
-guarded so nobody mistakes them for a scalable path.
+The oracle functions evaluate the diagonal-set definitions literally: each
+extends walks one edge at a time, reading edges through ``Graph.has_edge``
+once per vertex pair: no bitset algebra, no matrix products, no
+periodicity traces.  They are the ground truth the engine is compared
+against, and they are deliberately guarded so nobody mistakes them for a
+scalable path.
 
 ``exhaustive_sweep`` runs every engine-vs-oracle comparison and every
 theorem over *all* digraphs up to a given order (2 + 16 + 512 = 530
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .diagonals import (
@@ -47,62 +49,49 @@ def _guard(g: Graph, walk_len: int | None = None) -> None:
         )
 
 
+def _walk_ends(g: Graph, v: int) -> Iterator[set[int]]:
+    """End vertices of v's walks of 0, 1, 2, ... edges, endlessly; each vertex pair read once."""
+    succ = [[y for y in range(g.n) if g.has_edge(x, y)] for x in range(g.n)]
+    ends = {v}
+    while True:
+        yield ends
+        ends = {y for x in ends for y in succ[x]}
+
+
 def walk_exists_bf(g: Graph, u: int, w: int, length: int) -> bool:
-    """Enumerate every length-`length` walk from u, looking for endpoint w."""
+    """Extend u's walks to `length` edges; true iff one ends at w."""
     _guard(g, length)
     g._check_vertex(u)
     g._check_vertex(w)
     if length < 0:
         raise ValueError("walk length must be nonnegative")
-
-    def rec(x: int, remaining: int) -> bool:
-        if remaining == 0:
-            return x == w
-        return any(rec(y, remaining - 1) for y in range(g.n) if g.has_edge(x, y))
-
-    return rec(u, length)
+    return w in next(islice(_walk_ends(g, u), length, None))
 
 
 def walk_from_exists_bf(g: Graph, v: int, length: int) -> bool:
-    """Enumerate walks from v; true iff one of exactly `length` edges exists."""
+    """Extend v's walks; true iff one of exactly `length` edges exists."""
     _guard(g, length)
     g._check_vertex(v)
     if length < 0:
         raise ValueError("walk length must be nonnegative")
-
-    def rec(x: int, remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        return any(rec(y, remaining - 1) for y in range(g.n) if g.has_edge(x, y))
-
-    return rec(v, length)
+    return bool(next(islice(_walk_ends(g, v), length, None)))
 
 
 def closed_walk_lengths_bf(g: Graph, v: int, max_len: int) -> set[int]:
-    """Lengths L in [1, max_len] of closed walks through v, by endpoint images."""
+    """Lengths L in [1, max_len] of closed walks through v, by endpoint sets."""
     _guard(g)
     g._check_vertex(v)
     if max_len > MAX_ORACLE_SPECTRUM:
         raise OracleGuardError(f"oracle spectrum limited to length <= {MAX_ORACLE_SPECTRUM}")
-    lengths: set[int] = set()
-    frontier = {v}
-    for length in range(1, max_len + 1):
-        frontier = {y for x in frontier for y in range(g.n) if g.has_edge(x, y)}
-        if not frontier:
-            break
-        if v in frontier:
-            lengths.add(length)
-    return lengths
+    longer = islice(_walk_ends(g, v), 1, None)
+    return {length for length, ends in zip(range(1, max_len + 1), longer) if v in ends}
 
 
 def diagonal_n_bf(g: Graph, n: int) -> VertexSet:
     """Literal evaluation: vertices with no length-(n+1) closed walk."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _guard(g, n + 1)
-    return VertexSet.from_indices(
-        g.n, (v for v in range(g.n) if not walk_exists_bf(g, v, v, n + 1))
-    )
+    return diagonal_S_bf(g, [n])
 
 
 def diagonal_inf_bf(g: Graph) -> VertexSet:
@@ -110,7 +99,7 @@ def diagonal_inf_bf(g: Graph) -> VertexSet:
 
     A finite graph admits an infinite walk from v iff it admits one of
     length exactly |V|; that reduction is itself re-verified here by
-    enumerating every length 1..|V|.
+    checking every length 1..|V|.
     """
     _guard(g, g.n)
     via_full = {v for v in range(g.n) if not walk_from_exists_bf(g, v, g.n)}

@@ -1,5 +1,6 @@
 import pytest
 
+from diagsets import graph
 from diagsets.bruteforce import (
     OracleGuardError,
     closed_walk_lengths_bf,
@@ -16,6 +17,7 @@ from diagsets.graph import make_graph
 C3 = make_graph(3, [(0, 1), (1, 2), (2, 0)])
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
 LOOP1 = make_graph(1, [(0, 0)])
+K3_LOOPED = make_graph(3, [(u, w) for u in range(3) for w in range(3)])
 
 BATTERY_LABELS = (
     ["D"] + [f"Dn({n})" for n in range(1, 7)] + ["Dinf"]
@@ -48,6 +50,13 @@ def test_guards_are_hard_errors():
     big = make_graph(9, [])
     with pytest.raises(OracleGuardError):
         walk_exists_bf(big, 0, 0, 1)
+    # The guard comes before the vertex checks.
+    with pytest.raises(OracleGuardError):
+        walk_exists_bf(big, 0, 99, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        walk_exists_bf(C3, 0, 0, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        walk_from_exists_bf(C3, 0, -1)
     with pytest.raises(OracleGuardError):
         walk_exists_bf(C3, 0, 0, 13)
     with pytest.raises(OracleGuardError):
@@ -78,6 +87,43 @@ def test_closed_walk_lengths():
     assert closed_walk_lengths_bf(C3, 0, 10) == {3, 6, 9}
     assert closed_walk_lengths_bf(PATH3, 0, 10) == set()
     assert closed_walk_lengths_bf(LOOP1, 0, 5) == {1, 2, 3, 4, 5}
+    assert closed_walk_lengths_bf(C3, 0, 0) == set()
+    assert closed_walk_lengths_bf(C3, 0, -3) == set()
+
+
+def _walk_exists_by_recursion(g, u, w, length):
+    """Literal enumeration of every walk of `length` edges from u; w=None accepts any end."""
+    if length == 0:
+        return w is None or u == w
+    return any(
+        _walk_exists_by_recursion(g, y, w, length - 1) for y in range(g.n) if g.has_edge(u, y)
+    )
+
+
+def test_walk_oracles_equal_literal_enumeration_on_every_graph_of_order_three():
+    for order in range(1, 4):
+        for g in enumerate_graphs(order):
+            for u in range(g.n):
+                for length in range(8):
+                    assert walk_from_exists_bf(g, u, length) == _walk_exists_by_recursion(
+                        g, u, None, length
+                    )
+                    for w in range(g.n):
+                        assert walk_exists_bf(g, u, w, length) == _walk_exists_by_recursion(
+                            g, u, w, length
+                        )
+                closed = {L for L in range(1, 13) if _walk_exists_by_recursion(g, u, u, L)}
+                assert closed_walk_lengths_bf(g, u, 12) == closed
+
+
+def test_walk_oracle_reads_each_vertex_pair_once(monkeypatch):
+    calls = []
+    has_edge = graph.Graph.has_edge
+    monkeypatch.setattr(
+        graph.Graph, "has_edge", lambda g, u, w: calls.append((u, w)) or has_edge(g, u, w)
+    )
+    assert walk_exists_bf(K3_LOOPED, 0, 0, 12)
+    assert len(calls) <= 9
 
 
 def test_enumerate_graphs_counts():

@@ -328,6 +328,14 @@ def test_validate_witness_rejects_wrong_claims():
     # 1 lies in Out(0), so it is not in D \ Out(0).
     with pytest.raises(TheoremViolationError):
         validate_witness(C3, DiagonalSpec.d(), d, Witness(1, Side.DX_MINUS_OUT, 0, None), cyclic)
+    # A witness outside the vertex range is wrong on either side; a bad `against` is bad input.
+    for u in (-1, C3.n):
+        for side in Side:
+            with pytest.raises(TheoremViolationError):
+                validate_witness(C3, DiagonalSpec.d(), d, Witness(u, side, 0, None), cyclic)
+    bad_against = Witness(0, Side.DX_MINUS_OUT, C3.n, None)
+    with pytest.raises(ValueError, match="outside"):
+        validate_witness(C3, DiagonalSpec.d(), d, bad_against, cyclic)
     # Evidence must be a real walk of the advertised length.
     ok = Witness(0, Side.DX_MINUS_OUT, 0, None)
     validate_witness(C3, DiagonalSpec.d(), d, ok, cyclic)
