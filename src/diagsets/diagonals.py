@@ -27,11 +27,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .graph import Graph, VertexSet, bits_of
 from .upsets import UPSet
 from .walks import (
+    CyclicClasses,
     FrontierOrbit,
+    forward_pass,
     long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
     orbit_step,
+    pass_beats_orbits,
     reach_from,
     strongly_connected_components,
     transpose_rows,
@@ -181,7 +184,38 @@ def cantor_witness(g: Graph, v: int) -> Witness:
     return Witness(v, Side.DX_MINUS_OUT, v, None)
 
 
-def _descend(g: Graph, layers: FrontierOrbit, start: int, length: int) -> Iterator[int]:
+class _BackLayers:
+    """v's backward layers B_k, the vertices with a length-k walk to v inside v's SCC.
+
+    From the start of the SCC's cyclic classes on, when its forward pass ran,
+    B_k is a class.  Below it, B_k comes from v's own orbit, made on first read.
+    """
+
+    __slots__ = ("_analysis", "_v", "_classes", "_orbit")
+
+    def __init__(self, analysis: GraphAnalysis, v: int):
+        self._analysis = analysis
+        self._v = v
+        self._classes = analysis._classes.get(analysis.masks[v])
+        self._orbit: FrontierOrbit | None = None
+
+    @property
+    def orbit(self) -> FrontierOrbit:
+        if self._orbit is None:
+            self._orbit = self._analysis.back_layers(1 << self._v, self._analysis.masks[self._v])
+        return self._orbit
+
+    def __getitem__(self, k: int) -> int:
+        classes = self._classes
+        if classes is not None and k >= classes.start:
+            return classes.layer(self._v, k)
+        orbit = self._orbit
+        return (self.orbit if orbit is None else orbit)[k]
+
+
+def _descend(
+    g: Graph, layers: _BackLayers | FrontierOrbit, start: int, length: int
+) -> Iterator[int]:
     """The least walk of the given length from start into layers[0], smallest step first.
 
     ``layers[k]`` holds the vertices with a length-k walk into layers[0].
@@ -209,10 +243,16 @@ class GraphAnalysis:
     shortest violating closed walk of every vertex, and the diagonal set of
     every spec.  The independent routes run once per analysis: Dinf by
     cycle reachability and by the zero rows of A^|V|, and in the chain check
-    D_n and D_S from the spectra and from the loops of powers of A.  The
-    battery runs vertex by vertex: one backward orbit of a vertex gives its
-    spectrum and its witness walks for every spec and is dropped before the
-    next vertex.  The orbit of the cyclic set serves Dinf tails.
+    D_n and D_S from the spectra and from the loops of powers of A.
+
+    Where ``pass_beats_orbits`` says so, one forward pass over an SCC gives
+    the spectra of all its vertices and its cyclic classes.  The battery
+    then runs vertex by vertex.  A vertex's backward layers give its witness
+    walks for every spec: a class of its SCC from the pass's start on, and
+    below it the vertex's own orbit, made only when read and dropped before
+    the next vertex.  Without a pass, that orbit is stepped to its repeat
+    for the vertex's spectrum first.  The orbit of the cyclic set serves
+    Dinf tails.
     """
 
     def __init__(self, g: Graph):
@@ -222,6 +262,7 @@ class GraphAnalysis:
         self._shortest: dict[UPSet, list[int | None]] = {}
         self._sets: dict[DiagonalSpec, VertexSet] = {}
         self._back_steps: dict[int, Callable[[int], int]] = {}
+        self._classes: dict[int, CyclicClasses] = {}
 
     @cached_property
     def masks(self) -> list[int]:
@@ -254,8 +295,19 @@ class GraphAnalysis:
     @property
     def spectra(self) -> list[UPSet]:
         if None in self._spectra:
+            self._forward_passes()
             self._spectra = [self.spectrum(v) for v in range(self.g.n)]
         return self._spectra
+
+    def _forward_passes(self) -> None:
+        """Every spectrum of each SCC where one forward pass costs less than an orbit per vertex."""
+        rows, spectra = self.g.rows, self._spectra
+        for mask in set(self.masks) - {0}:
+            v = mask.bit_length() - 1  # one vertex of the SCC
+            if spectra[v] is None and pass_beats_orbits(rows, mask):
+                found, self._classes[mask] = forward_pass(rows, mask)
+                for u, spectrum in found.items():
+                    spectra[u] = spectrum
 
     def power(self, exponent: int) -> Graph:
         """A^exponent: one product from a memoised A^(exponent-1), else by squaring."""
@@ -311,10 +363,10 @@ class GraphAnalysis:
     def _vertex(self, v: int, specs: Sequence[DiagonalSpec]) -> tuple[UPSet | None, list, list]:
         """v's spectrum, and per spec its shortest violation, or None, and its witness."""
         self.g._check_vertex(v)  # a negative v would index another vertex's mask
-        layers = self.back_layers(1 << v, self.masks[v])  # stored only as far as read
+        layers = _BackLayers(self, v)
         spectrum = self._spectra[v]
         if spectrum is None and (not specs or any(spec.kind != "Dinf" for spec in specs)):
-            spectrum = self._spectra[v] = layers.hits(v)
+            spectrum = self._spectra[v] = layers.orbit.hits(v)
         shortest = []
         for spec in specs:
             if spec.kind == "Dinf":  # its violation is an infinite walk
@@ -329,7 +381,7 @@ class GraphAnalysis:
         return self._vertex(v, (spec,))[2][0]
 
     def _witness(
-        self, v: int, spec: DiagonalSpec, length: float | None, layers: FrontierOrbit
+        self, v: int, spec: DiagonalSpec, length: float | None, layers: _BackLayers
     ) -> Witness:
         """``variant_witness``, given v's shortest violation, or None, and v's backward layers."""
         g = self.g
@@ -368,6 +420,8 @@ class GraphAnalysis:
         """``verify_unequal`` per spec, with the witnesses built vertex by vertex first."""
         specs = list(specs)
         g = self.g
+        if None in self._spectra and any(spec.kind != "Dinf" for spec in specs):
+            self._forward_passes()
         _, shortest, witnesses = zip(*(self._vertex(v, specs) for v in range(g.n)))
         results = []
         for spec, lengths, column in zip(specs, zip(*shortest), zip(*witnesses)):
@@ -473,8 +527,11 @@ def validate_witness(
     verts = ev.vertices
     if not verts or verts[0] != u:
         raise TheoremViolationError(f"{spec.label()}: evidence does not start at witness {u}")
+    if min(verts) < 0 or max(verts) >= g.n:
+        raise TheoremViolationError(f"{spec.label()}: evidence leaves the vertex range [0, {g.n})")
+    rows = g.rows
     for a, b in zip(verts, verts[1:]):
-        if not g.has_edge(a, b):
+        if not rows[a] >> b & 1:
             raise TheoremViolationError(f"{spec.label()}: evidence step {a}->{b} is not an edge")
     if ev.infinite_tail:
         if spec.kind != "Dinf":

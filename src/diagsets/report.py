@@ -6,7 +6,8 @@ Two runs over the same input produce byte-identical JSON except for the
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii as _string
 from time import perf_counter
 from typing import Sequence
 
@@ -112,5 +113,53 @@ def analyze_graph(
     return report
 
 
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode(value: object, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at indent ``pad``."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:  # vertex lists, the bulk of a report
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_encode(item, inner) for item in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([_string(k) + ": " + _encode(v, inner) for k, v in value.items()])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The report as ``json.dumps(report, indent=2)`` plus a newline, byte for byte.
+
+    The json module falls back to its pure-Python encoder whenever it
+    indents; this writer joins each container's items once instead.  Keys
+    must be strings, as every report key is.
+    """
+    return _encode(report, "") + "\n"

@@ -73,14 +73,16 @@ class UPSet:
             raise ValueError("period must be positive")
         residues = frozenset(self.residues)
         exceptional = frozenset(self.exceptional)
-        if any(not 0 <= r < d for r in residues):
+        if residues and not 0 <= min(residues) <= max(residues) < d:
             raise ValueError(f"residues must lie in [0, {d})")
-        if any(not 0 <= f < t for f in exceptional):
+        if exceptional and not 0 <= min(exceptional) <= max(exceptional) < t:
             raise ValueError(f"exceptional values must lie in [0, {t})")
         d, residues = _minimize_period(d, residues)
         # The threshold drops to one past the last disagreement below t: a
         # member of F off the residues, or the last miss of F in a residue class.
-        last = max((f for f in exceptional if f % d not in residues), default=-1)
+        last = -1
+        if len(residues) < d:  # else no member of F is off the residues
+            last = max((f for f in exceptional if f % d not in residues), default=-1)
         for r in residues:
             m = t - 1 - (t - 1 - r) % d
             while m > last and m in exceptional:
@@ -90,7 +92,7 @@ class UPSet:
         object.__setattr__(self, "threshold", t)
         object.__setattr__(self, "period", d)
         object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "exceptional", frozenset(f for f in exceptional if f < t))
+        object.__setattr__(self, "exceptional", frozenset(filter(t.__gt__, exceptional)))
 
     @classmethod
     def from_finite(cls, values: Iterable[int]) -> UPSet:

@@ -10,10 +10,11 @@ the power-trace oracle wherever that oracle is tractable.
 
 import json
 from functools import partial
+from unittest import mock
 
 import pytest
 
-from diagsets import cli
+from diagsets import cli, diagonals
 from diagsets.diagonals import (
     DiagonalSpec,
     GraphAnalysis,
@@ -101,6 +102,20 @@ TRACTABLE = sorted(set(CORPUS) - {"cycles-2-3-5-7-11-13", "wielandt-64"})
 def test_spectra_match_closed_forms(name):
     g, expected = CORPUS[name]()
     assert GraphAnalysis(g).spectra == expected
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_forward_pass_and_orbits_give_the_same_spectra_and_long_witnesses(name):
+    # Each route forced on every SCC, whatever the cost rule picks.
+    g, expected = CORPUS[name]()
+    specs = [DiagonalSpec.dn(BIG_N), DiagonalSpec.dn(10**18)]
+    routes = []
+    for use_pass in (True, False):
+        with mock.patch.object(diagonals, "pass_beats_orbits", lambda rows, comp: use_pass):
+            analysis = GraphAnalysis(g)
+            routes.append((analysis.spectra, analysis.verify_battery(specs)))
+    assert routes[0] == routes[1]
+    assert routes[0][0] == expected
 
 
 @pytest.mark.parametrize("name", TRACTABLE)

@@ -116,6 +116,29 @@ def test_dinf_alone_builds_no_spectrum(monkeypatch):
     assert calls["orbit steps"] == 1
     assert analysis.variant_witness(0, DiagonalSpec.dinf()) == witnesses[0]
     assert calls["orbit steps"] == 1
+    assert calls["orbit_step"] == 1  # only cycle_layers made a step function
+
+
+def test_forward_pass_route_reads_orbits_only_below_its_start(monkeypatch):
+    # Wielandt-16: one SCC of 16 vertices and 17 edges, where the cost rule
+    # picks one forward pass over 16 orbits.  Its classes take over from
+    # walk length 226 = 15^2 + 1 on.
+    g = make_graph(16, [(i, i + 1) for i in range(15)] + [(15, 0), (15, 1)])
+    calls: Counter = Counter()
+    _count_orbit_steps(monkeypatch, calls)
+    _count_calls(monkeypatch, calls, "forward_pass")
+    analysis = GraphAnalysis(g)
+    huge = analysis.verify_unequal(DiagonalSpec.dn(10**9 + 7))
+    assert calls["forward_pass"] == 1
+    # The spectra come from the pass and each first step from a class, so
+    # no vertex's orbit is made.
+    assert calls["orbit_step"] == 0
+    assert [w.vertex for w in huge] == [*range(1, 16), 0]  # the least successor: 0 for v = 15
+    # The shortest odd closed walks, of length 15 (31 through vertex 0),
+    # descend the vertices' own orbits, each only as far as it reads.
+    analysis.verify_unequal(DiagonalSpec.ds(UPSet(0, 2, frozenset({0}))))
+    assert calls["forward_pass"] == 1
+    assert calls["orbit steps"] == 15 * 14 + 30
 
 
 def test_chain_check_reads_each_power_off_the_previous_one(monkeypatch):

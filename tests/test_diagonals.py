@@ -355,6 +355,16 @@ def test_validate_witness_rejects_wrong_claims():
             Witness(1, Side.OUT_MINUS_DX, 0, Evidence((1, 2, 1))),  # wrong length and 2->1 no edge
             cyclic,
         )
+    # Evidence through a vertex outside [0, n) is a false claim, not bad input.
+    for bad in ((1, 7, 1), (1, -1, 1), (1, 2, 0, 1, 3)):
+        with pytest.raises(TheoremViolationError, match="vertex range"):
+            validate_witness(
+                C3,
+                DiagonalSpec.dn(2),
+                GraphAnalysis(C3).diagonal_set(DiagonalSpec.dn(2)),
+                Witness(1, Side.OUT_MINUS_DX, 0, Evidence(bad)),
+                cyclic,
+            )
     # A Dinf tail must end on a cycle: here only 2 is on one.
     g = make_graph(3, [(0, 1), (1, 2), (2, 2)])
     dinf = GraphAnalysis(g).diagonal_set(DiagonalSpec.dinf())

@@ -1,20 +1,24 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagsets import diagonals, walks
 from diagsets.bruteforce import closed_walk_lengths_bf, walk_exists_bf
-from diagsets.diagonals import GraphAnalysis
+from diagsets.diagonals import DiagonalSpec, GraphAnalysis, default_spec_battery
 from diagsets.graph import Graph, VertexSet, bits_of, make_graph
 from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
 from diagsets.walks import (
     FrontierOrbit,
     TraceCapError,
+    forward_pass,
     frontier_step,
     long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
+    orbit_step,
     power_trace,
     reach_from,
     spectra_from_trace,
@@ -403,3 +407,36 @@ def test_long_walk_starts_on_long_paths():
     assert long_walk_starts(out_of) == _nonzero_rows(out_of) == 0b11 << 101
     bare = make_graph(103, path + [(100, 101), (101, 102)])
     assert long_walk_starts(bare) == _nonzero_rows(bare) == 0
+
+
+def _by_route(g, use_pass, specs):
+    """Spectra and battery of g with every SCC's spectra forced through one route."""
+    with mock.patch.object(diagonals, "pass_beats_orbits", lambda rows, comp: use_pass):
+        analysis = GraphAnalysis(g)
+        return analysis.spectra, analysis.verify_battery(specs)
+
+
+LONG_SPECS = [*default_spec_battery(), DiagonalSpec.dn(10**9 + 7), DiagonalSpec.dn(10**18)]
+
+
+@given(graphs(max_order=8))
+def test_forward_pass_and_orbits_agree_on_spectra_and_witnesses(g):
+    by_pass = _by_route(g, True, LONG_SPECS)
+    assert by_pass == _by_route(g, False, LONG_SPECS)
+    assert by_pass[0] == spectra_from_trace(power_trace(g))
+
+
+@given(graphs(max_order=8))
+def test_class_layers_equal_orbit_layers_past_the_start(g):
+    # A Hamiltonian cycle 0 -> 1 -> ... -> 0 makes g strongly connected.
+    n = g.n
+    g = Graph(n, tuple(row | 1 << (u + 1) % n for u, row in enumerate(g.rows)))
+    full = (1 << n) - 1
+    _, classes = forward_pass(g.rows, full)
+    p = len(classes.classes)
+    assert sum(classes.classes) == full  # the classes partition the SCC
+    step = orbit_step(transpose_rows(g), full)
+    for v in range(n):
+        orbit = FrontierOrbit(1 << v, step)
+        for k in range(classes.start, classes.start + 3 * p + 1):
+            assert classes.layer(v, k) == orbit[k]
