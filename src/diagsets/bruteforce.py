@@ -49,9 +49,13 @@ def _guard(g: Graph, walk_len: int | None = None) -> None:
         )
 
 
-def _walk_ends(g: Graph, v: int) -> Iterator[set[int]]:
-    """End vertices of v's walks of 0, 1, 2, ... edges, endlessly; each vertex pair read once."""
-    succ = [[y for y in range(g.n) if g.has_edge(x, y)] for x in range(g.n)]
+def _successors(g: Graph) -> list[list[int]]:
+    """Per vertex, its successors: each vertex pair read once, through ``has_edge``."""
+    return [[y for y in range(g.n) if g.has_edge(x, y)] for x in range(g.n)]
+
+
+def _walk_ends(succ: list[list[int]], v: int) -> Iterator[set[int]]:
+    """End vertices of v's walks of 0, 1, 2, ... edges, endlessly."""
     ends = {v}
     while True:
         yield ends
@@ -65,7 +69,7 @@ def walk_exists_bf(g: Graph, u: int, w: int, length: int) -> bool:
     g._check_vertex(w)
     if length < 0:
         raise ValueError("walk length must be nonnegative")
-    return w in next(islice(_walk_ends(g, u), length, None))
+    return w in next(islice(_walk_ends(_successors(g), u), length, None))
 
 
 def walk_from_exists_bf(g: Graph, v: int, length: int) -> bool:
@@ -74,7 +78,7 @@ def walk_from_exists_bf(g: Graph, v: int, length: int) -> bool:
     g._check_vertex(v)
     if length < 0:
         raise ValueError("walk length must be nonnegative")
-    return bool(next(islice(_walk_ends(g, v), length, None)))
+    return bool(next(islice(_walk_ends(_successors(g), v), length, None)))
 
 
 def closed_walk_lengths_bf(g: Graph, v: int, max_len: int) -> set[int]:
@@ -83,7 +87,7 @@ def closed_walk_lengths_bf(g: Graph, v: int, max_len: int) -> set[int]:
     g._check_vertex(v)
     if max_len > MAX_ORACLE_SPECTRUM:
         raise OracleGuardError(f"oracle spectrum limited to length <= {MAX_ORACLE_SPECTRUM}")
-    longer = islice(_walk_ends(g, v), 1, None)
+    longer = islice(_walk_ends(_successors(g), v), 1, None)
     return {length for length, ends in zip(range(1, max_len + 1), longer) if v in ends}
 
 
@@ -102,12 +106,11 @@ def diagonal_inf_bf(g: Graph) -> VertexSet:
     checking every length 1..|V|.
     """
     _guard(g, g.n)
-    via_full = {v for v in range(g.n) if not walk_from_exists_bf(g, v, g.n)}
-    via_all = {
-        v
-        for v in range(g.n)
-        if not all(walk_from_exists_bf(g, v, k) for k in range(1, g.n + 1))
-    }
+    succ = _successors(g)
+    # Per vertex, the end sets of its walks of 0..|V| edges.
+    ends = [list(islice(_walk_ends(succ, v), g.n + 1)) for v in range(g.n)]
+    via_full = {v for v in range(g.n) if not ends[v][g.n]}
+    via_all = {v for v in range(g.n) if not all(ends[v][1:])}
     if via_full != via_all:
         raise RuntimeError("length-|V| reduction failed its enumeration re-check")
     return VertexSet.from_indices(g.n, via_full)
@@ -121,11 +124,13 @@ def diagonal_S_bf(g: Graph, s_values: Iterable[int]) -> VertexSet:
     if any(v < 0 for v in values):
         raise ValueError("S values must be nonnegative")
     _guard(g, max(values) + 1)
+    succ = _successors(g)
 
     def excluded(v: int) -> bool:
         if 0 in values and g.has_edge(v, v):
             return True
-        return any(walk_exists_bf(g, v, v, n + 1) for n in values if n > 0)
+        ends = list(islice(_walk_ends(succ, v), max(values) + 2))  # walks of 0..max(S)+1 edges
+        return any(v in ends[n + 1] for n in values if n > 0)
 
     return VertexSet.from_indices(g.n, (v for v in range(g.n) if not excluded(v)))
 

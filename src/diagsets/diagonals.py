@@ -29,13 +29,13 @@ from .upsets import UPSet
 from .walks import (
     CyclicClasses,
     FrontierOrbit,
+    bfs_levels,
     forward_pass,
     long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
     orbit_step,
     pass_beats_orbits,
-    reach_from,
     strongly_connected_components,
     transpose_rows,
 )
@@ -187,8 +187,9 @@ def cantor_witness(g: Graph, v: int) -> Witness:
 class _BackLayers:
     """v's backward layers B_k, the vertices with a length-k walk to v inside v's SCC.
 
-    From the start of the SCC's cyclic classes on, when its forward pass ran,
-    B_k is a class.  Below it, B_k comes from v's own orbit, made on first read.
+    B_0 = {v} and B_(k+1) = In(B_k) & C for v's SCC C.  From the start of C's
+    cyclic classes on, when its forward pass ran, B_k is a class.  Below it,
+    B_k comes from v's own orbit, made on first read with C's step function.
     """
 
     __slots__ = ("_analysis", "_v", "_classes", "_orbit")
@@ -202,7 +203,10 @@ class _BackLayers:
     @property
     def orbit(self) -> FrontierOrbit:
         if self._orbit is None:
-            self._orbit = self._analysis.back_layers(1 << self._v, self._analysis.masks[self._v])
+            analysis, mask = self._analysis, self._analysis.masks[self._v]
+            if mask not in analysis._back_steps:
+                analysis._back_steps[mask] = orbit_step(analysis.transposed_rows, mask)
+            self._orbit = FrontierOrbit(1 << self._v, analysis._back_steps[mask])
         return self._orbit
 
     def __getitem__(self, k: int) -> int:
@@ -214,7 +218,7 @@ class _BackLayers:
 
 
 def _descend(
-    g: Graph, layers: _BackLayers | FrontierOrbit, start: int, length: int
+    g: Graph, layers: _BackLayers | Sequence[int], start: int, length: int
 ) -> Iterator[int]:
     """The least walk of the given length from start into layers[0], smallest step first.
 
@@ -238,31 +242,27 @@ class GraphAnalysis:
     """The per-graph facts behind every diagonal set and witness, each computed once.
 
     Each fact is computed on first read and kept: the transposed rows, the
-    SCC masks (one Kosaraju pass over them), the cyclic and can-reach-a-cycle
-    sets, the closed-walk spectra, the powers A^k by exponent, per S the
-    shortest violating closed walk of every vertex, and the diagonal set of
-    every spec.  The independent routes run once per analysis: Dinf by
-    cycle reachability and by the zero rows of A^|V|, and in the chain check
-    D_n and D_S from the spectra and from the loops of powers of A.
+    SCC masks (one Kosaraju pass over them), the cyclic set and the levels
+    of one breadth-first search back from it, each SCC's route, the
+    spectra, the powers A^k by exponent, and the diagonal set of every
+    length set S (None for Dinf).  The independent routes run once per
+    analysis: Dinf by the levels and by the zero rows of A^|V|, and in the
+    chain check D_n and D_S from the spectra and from the loops of powers.
 
-    Where ``pass_beats_orbits`` says so, one forward pass over an SCC gives
-    the spectra of all its vertices and its cyclic classes.  The battery
-    then runs vertex by vertex.  A vertex's backward layers give its witness
-    walks for every spec: a class of its SCC from the pass's start on, and
-    below it the vertex's own orbit, made only when read and dropped before
-    the next vertex.  Without a pass, that orbit is stepped to its repeat
-    for the vertex's spectrum first.  The orbit of the cyclic set serves
-    Dinf tails.
+    The first vertex of an SCC that needs a spectrum decides the route:
+    one forward pass for all its spectra and cyclic classes where
+    ``pass_beats_orbits`` says so, else one backward orbit per vertex.  The
+    battery runs vertex by vertex, and a vertex's backward layers give its
+    witness walks for every spec.  Dinf tails descend the levels.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self._powers: dict[int, Graph] = {1: g}
         self._spectra: list[UPSet | None] = [None] * g.n
-        self._shortest: dict[UPSet, list[int | None]] = {}
-        self._sets: dict[DiagonalSpec, VertexSet] = {}
+        self._sets: dict[UPSet | None, VertexSet] = {}
         self._back_steps: dict[int, Callable[[int], int]] = {}
-        self._classes: dict[int, CyclicClasses] = {}
+        self._classes: dict[int, CyclicClasses | None] = {}
 
     @cached_property
     def masks(self) -> list[int]:
@@ -285,8 +285,13 @@ class GraphAnalysis:
         return VertexSet(self.g.n, sum(set(self.masks)))  # distinct SCCs are disjoint
 
     @cached_property
+    def cycle_levels(self) -> list[int]:
+        """Level d: the vertices whose shortest walk into a cycle has d edges."""
+        return list(bfs_levels(self.transposed_rows, self.cyclic.bits))
+
+    @cached_property
     def canreach_cycle(self) -> VertexSet:
-        return VertexSet(self.g.n, reach_from(self.transposed_rows, self.cyclic.bits))
+        return VertexSet(self.g.n, sum(self.cycle_levels))
 
     def spectrum(self, v: int) -> UPSet:
         """{L >= 1 : a closed walk of length L passes through v}, off v's backward layers."""
@@ -295,19 +300,17 @@ class GraphAnalysis:
     @property
     def spectra(self) -> list[UPSet]:
         if None in self._spectra:
-            self._forward_passes()
             self._spectra = [self.spectrum(v) for v in range(self.g.n)]
         return self._spectra
 
-    def _forward_passes(self) -> None:
-        """Every spectrum of each SCC where one forward pass costs less than an orbit per vertex."""
-        rows, spectra = self.g.rows, self._spectra
-        for mask in set(self.masks) - {0}:
-            v = mask.bit_length() - 1  # one vertex of the SCC
-            if spectra[v] is None and pass_beats_orbits(rows, mask):
-                found, self._classes[mask] = forward_pass(rows, mask)
+    def _route(self, mask: int) -> None:
+        """Once per SCC: its classes and spectra from a forward pass, or None for orbits."""
+        if mask not in self._classes:
+            self._classes[mask] = None
+            if mask and pass_beats_orbits(self.g.rows, mask):  # 0 holds the acyclic vertices
+                found, self._classes[mask] = forward_pass(self.g.rows, mask)
                 for u, spectrum in found.items():
-                    spectra[u] = spectrum
+                    self._spectra[u] = spectrum
 
     def power(self, exponent: int) -> Graph:
         """A^exponent: one product from a memoised A^(exponent-1), else by squaring."""
@@ -318,24 +321,21 @@ class GraphAnalysis:
             )
         return self._powers[exponent]
 
-    def shortest_violations(self, spec: DiagonalSpec) -> list[int | None]:
-        """Per vertex, the shortest closed walk with a length in S+1, or None; S is spec's."""
-        if spec.lengths not in self._shortest:
-            self._shortest[spec.lengths] = [sp.min_common(spec.walk_lengths) for sp in self.spectra]
-        return self._shortest[spec.lengths]
-
     def diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
-        if spec not in self._sets:
-            self._sets[spec] = self._diagonal_set(spec)
-        return self._sets[spec]
+        """The diagonal set of spec, kept per length set S: D and DS({0}) share one."""
+        if spec.lengths not in self._sets:
+            self._sets[spec.lengths] = self._diagonal_set(spec)
+        return self._sets[spec.lengths]
 
     def _diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         n = self.g.n
         if spec.kind != "Dinf":
-            shortest = self.shortest_violations(spec)
-            return VertexSet(n, sum(1 << v for v, m in enumerate(shortest) if m is None))
+            walks = spec.walk_lengths
+            return VertexSet(
+                n, sum(1 << v for v, sp in enumerate(self.spectra) if sp.min_common(walks) is None)
+            )
         scc_route = self.canreach_cycle.complement()
-        matrix_route = VertexSet(n, long_walk_starts(self.g)).complement()
+        matrix_route = VertexSet(n, long_walk_starts(self.g, self.transposed_rows)).complement()
         if scc_route != matrix_route:
             raise InternalDisagreementError(
                 f"infinite-walk routes disagree: scc={scc_route.to_list()} "
@@ -343,29 +343,17 @@ class GraphAnalysis:
             )
         return scc_route
 
-    def back_layers(self, start: int, mask: int) -> FrontierOrbit:
-        """Layers x_0 = start, x_(k+1) = In(x_k) & mask, with one backward step per mask.
-
-        With start {v} and mask v's SCC, x_k holds the vertices with a
-        length-k walk to v, as a closed walk through v never leaves its SCC;
-        v's spectrum is {k >= 1 : v in x_k}.  Each call starts afresh, so the
-        layers live only as long as their reader.
-        """
-        if mask not in self._back_steps:
-            self._back_steps[mask] = orbit_step(self.transposed_rows, mask)
-        return FrontierOrbit(start, self._back_steps[mask])
-
-    @cached_property
-    def cycle_layers(self) -> FrontierOrbit:
-        """Layers L_0 = cyclic, L_(k+1) = In(L_k): the vertices within k steps of a cycle."""
-        return self.back_layers(self.cyclic.bits, self.canreach_cycle.bits)
-
     def _vertex(self, v: int, specs: Sequence[DiagonalSpec]) -> tuple[UPSet | None, list, list]:
         """v's spectrum, and per spec its shortest violation, or None, and its witness."""
         self.g._check_vertex(v)  # a negative v would index another vertex's mask
-        layers = _BackLayers(self, v)
+        needed = self._spectra[v] is None and (
+            not specs or any(spec.kind != "Dinf" for spec in specs)
+        )
+        if needed:
+            self._route(self.masks[v])
+        layers = _BackLayers(self, v)  # after the route: it reads the SCC's classes
         spectrum = self._spectra[v]
-        if spectrum is None and (not specs or any(spec.kind != "Dinf" for spec in specs)):
+        if needed and spectrum is None:
             spectrum = self._spectra[v] = layers.orbit.hits(v)
         shortest = []
         for spec in specs:
@@ -399,10 +387,10 @@ class GraphAnalysis:
             if not firsts:
                 raise InternalDisagreementError(f"vertex {v} left D_inf without a path to a cycle")
             w = (firsts & -firsts).bit_length() - 1
-            d = 0  # w's distance to a cycle
-            while not self.cycle_layers[d] >> w & 1:
-                d += 1
-            tail = tuple(_descend(g, self.cycle_layers, w, d))
+            levels = self.cycle_levels
+            d = next(d for d, level in enumerate(levels) if level >> w & 1)
+            # Level d's vertices have no successor nearer than level d - 1.
+            tail = tuple(_descend(g, levels, w, d))
             return Witness(w, Side.OUT_MINUS_DX, v, Evidence(tail, infinite_tail=True))
         walk = _descend(g, layers, v, length)  # a shortest violating closed walk
         next(walk)  # v itself
@@ -420,14 +408,11 @@ class GraphAnalysis:
         """``verify_unequal`` per spec, with the witnesses built vertex by vertex first."""
         specs = list(specs)
         g = self.g
-        if None in self._spectra and any(spec.kind != "Dinf" for spec in specs):
-            self._forward_passes()
         _, shortest, witnesses = zip(*(self._vertex(v, specs) for v in range(g.n)))
         results = []
         for spec, lengths, column in zip(specs, zip(*shortest), zip(*witnesses)):
-            if spec.lengths is not None:
-                self._shortest.setdefault(spec.lengths, list(lengths))
-            dx = self.diagonal_set(spec)
+            unviolated = sum(1 << v for v, m in enumerate(lengths) if m is None)
+            dx = self._sets.setdefault(spec.lengths, VertexSet(g.n, unviolated))
             if dx.bits in g.rows:
                 raise TheoremViolationError(f"{spec.label()} equals Out({g.rows.index(dx.bits)})")
             for w in column:

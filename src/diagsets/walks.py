@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graph import Graph, bits_of
 from .upsets import UPSet
@@ -141,24 +141,30 @@ def mat_pow_bool(a: Graph, exponent: int) -> Graph:
     return result
 
 
-def long_walk_starts(g: Graph) -> int:
+def long_walk_starts(g: Graph, rev: Sequence[int]) -> int:
     """The nonzero rows of A^|V|, as a mask: the vertices with a length-|V| walk.
 
     This is A^k times the all-ones vector, read as sets: L_0 = V and
     L_(k+1) = {v : Out(v) meets L_k}, so L_k holds the nonzero rows of A^k.
     The chain L_0 >= L_1 >= ... shrinks, so it repeats within |V| steps and
-    stays put from then on.  Only the rows are read: no SCCs, no spectra.
+    stays put from then on.  A vertex leaving L_(k+1) has a successor that
+    just left L_k, so a round re-tests only those vertices' live predecessors,
+    read off ``rev = transpose_rows(g)``: Kahn's (1962) sink removal, in
+    batches.  Only the rows are read: no SCCs, no spectra.
     """
     rows = g.rows
     live = (1 << g.n) - 1
-    while True:
-        dead = 0
-        for v in bits_of(live):
-            if not rows[v] & live:
-                dead |= 1 << v
-        if not dead:
-            return live
+    dead = sum(1 << v for v, row in enumerate(rows) if not row)
+    while dead:
         live ^= dead
+        suspects = 0
+        for v in bits_of(dead):
+            suspects |= rev[v]
+        dead = 0
+        for u in bits_of(suspects & live):
+            if not rows[u] & live:
+                dead |= 1 << u
+    return live
 
 
 class TraceCapError(RuntimeError):
@@ -383,7 +389,7 @@ def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:
     unassigned = (1 << g.n) - 1
     for v in reversed(finished):
         if unassigned >> v & 1:
-            components.append(reach_from(rev, 1 << v, within=unassigned))
+            components.append(sum(bfs_levels(rev, 1 << v, within=unassigned)))
             unassigned ^= components[-1]
     return components
 
@@ -404,11 +410,11 @@ def transpose_rows(g: Graph) -> tuple[int, ...]:
     return tuple(rev)
 
 
-def reach_from(rows: Sequence[int], start: int, within: int = -1) -> int:
-    """The mask ``start`` and all it reaches along ``rows`` within the mask ``within``."""
+def bfs_levels(rows: Sequence[int], start: int, within: int = -1) -> Iterator[int]:
+    """Level d: the vertices d steps from the mask ``start`` along ``rows``, within ``within``."""
     step = frontier_step(rows, within, False)
-    reached = frontier = start
-    while frontier:
-        frontier = step(frontier) & ~reached
-        reached |= frontier
-    return reached
+    reached = level = start
+    while level:
+        yield level
+        level = step(level) & ~reached
+        reached |= level

@@ -1,6 +1,8 @@
 """GraphAnalysis: one per-graph cache that every entry point reads."""
 
-from collections import Counter
+import functools
+import operator
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from diagsets.graph import make_graph
 from diagsets.graphio import gen_random
 from diagsets.report import analyze_graph
 from diagsets.upsets import UPSet
-from diagsets.walks import power_trace
+from diagsets.walks import power_trace, spectra_from_trace
 
 from strategies import graphs
 
@@ -56,6 +58,19 @@ def _count_orbit_steps(monkeypatch, calls):
         monkeypatch.setattr(module, "orbit_step", counted)
 
 
+def _count_orbit_starts(monkeypatch):
+    """The start of every backward orbit the analysis makes, in order."""
+    starts = []
+
+    class CountedOrbit(walks.FrontierOrbit):
+        def __init__(self, start, step):
+            starts.append(start)
+            super().__init__(start, step)
+
+    monkeypatch.setattr(diagonals, "FrontierOrbit", CountedOrbit)
+    return starts
+
+
 def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     # Cycles of lengths 2 and 3 joined by a path, plus a looped tail that
     # 7 reaches through 5: every spec has members inside and outside its set.
@@ -64,7 +79,9 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     )
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "strongly_connected_components")
+    _count_calls(monkeypatch, calls, "pass_beats_orbits")
     _count_orbit_steps(monkeypatch, calls)
+    starts = _count_orbit_starts(monkeypatch)
     hits = walks.FrontierOrbit.hits
 
     def counted_hits(self, v):
@@ -82,11 +99,12 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
 
     assert report["chain"]["ok"]
     assert calls["strongly_connected_components"] == 1
+    assert calls["pass_beats_orbits"] == 3  # once per SCC: {0, 1}, {2, 3, 4} and {6}
     assert calls["FrontierOrbit.hits"] == g.n  # one spectrum per vertex
+    assert sorted(starts) == [1 << v for v in range(g.n)]  # one backward orbit per vertex
     # One step function per mask that layers step in: the SCCs {0, 1},
-    # {2, 3, 4} and {6}, the empty mask of the acyclic vertices 5 and 7,
-    # and the can-reach-a-cycle set {0, ..., 7} of the Dinf tails.
-    assert calls["orbit_step"] == 5
+    # {2, 3, 4} and {6}, and the empty mask of the acyclic vertices 5 and 7.
+    assert calls["orbit_step"] == 4
     assert calls["transpose_rows"] == 1
     # A^2, ..., A^9 for the chain, one product each; the evens stop at
     # bound 7, so every power they read is one of those.  Building any
@@ -94,29 +112,31 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     assert calls["mat_mul_bool"] == 8
     assert calls["mat_pow_bool"] == 0
     # Each vertex's orbit is stepped once, for its spectrum, and every
-    # witness walk reads it without a step of its own.  The only other
-    # steps are the Dinf tails': 7's tail 5 -> 6 reads cycle_layers[1].
+    # witness walk reads it without a step of its own.  The Dinf tails
+    # descend the cycle levels: 7's tail 5 -> 6 goes from level 1 to 0.
     analyze_steps = calls["orbit steps"]
-    fresh = GraphAnalysis(g)
-    fresh.spectra
-    fresh.cycle_layers[1]
+    GraphAnalysis(g).spectra
     assert analyze_steps == calls["orbit steps"] - analyze_steps
     assert report["specs"][3]["witnesses"][7]["evidence"] == {"infinite_tail": [5, 6]}  # Dinf
 
 
 def test_dinf_alone_builds_no_spectrum(monkeypatch):
-    # Dinf reads no closed-walk length, so its witnesses step no vertex's
-    # orbit: the only step is the Dinf tails' cycle_layers[1].
+    # Dinf reads no closed-walk length, so it decides no SCC's route and
+    # steps no orbit: its tails descend the levels of one breadth-first
+    # search back from the cycles.
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 2), (4, 4)])
     calls: Counter = Counter()
     _count_orbit_steps(monkeypatch, calls)
+    _count_calls(monkeypatch, calls, "pass_beats_orbits")
+    _count_calls(monkeypatch, calls, "bfs_levels")
     analysis = GraphAnalysis(g)
     witnesses = analysis.verify_unequal(DiagonalSpec.dinf())
-    assert witnesses[0].evidence.vertices == (1, 2)  # 0's tail descends cycle_layers[1]
-    assert calls["orbit steps"] == 1
+    assert witnesses[0].evidence.vertices == (1, 2)  # 0's tail goes from level 1 to level 0
+    assert analysis.cycle_levels == [0b11100, 0b00010, 0b00001]
     assert analysis.variant_witness(0, DiagonalSpec.dinf()) == witnesses[0]
-    assert calls["orbit steps"] == 1
-    assert calls["orbit_step"] == 1  # only cycle_layers made a step function
+    # Kosaraju's second pass sums levels once per SCC ({0}, {1}, {2, 3}
+    # and {4}), and the cycles' levels are searched once.
+    assert calls == {"bfs_levels": 5}
 
 
 def test_forward_pass_route_reads_orbits_only_below_its_start(monkeypatch):
@@ -178,7 +198,7 @@ def test_dn_at_a_huge_n_makes_no_matrix_product(monkeypatch):
 
 def test_dinf_catches_routes_that_disagree(monkeypatch):
     g = make_graph(3, [(0, 1), (1, 2), (2, 2)])  # every vertex starts an infinite walk
-    monkeypatch.setattr(diagonals, "long_walk_starts", lambda g: 0b011)
+    monkeypatch.setattr(diagonals, "long_walk_starts", lambda g, rev: 0b011)
     with pytest.raises(InternalDisagreementError, match="infinite-walk routes disagree"):
         GraphAnalysis(g).diagonal_set(DiagonalSpec.dinf())
 
@@ -198,7 +218,7 @@ def test_ds_set_and_witness_lengths_read_the_shortest_violations(g):
     for spec in default_spec_battery():
         if spec.kind != "DS":
             continue
-        shortest = analysis.shortest_violations(spec)
+        shortest = [sp.min_common(spec.walk_lengths) for sp in analysis.spectra]
         assert analysis.diagonal_set(spec).to_list() == [
             v for v, m in enumerate(shortest) if m is None
         ]
@@ -230,3 +250,68 @@ def test_power_memo_matches_the_trace():
         assert analysis.power(k) is analysis.power(k)
     spec = DiagonalSpec.dn(6)
     assert analysis.diagonal_set(spec) == trace.power(7).loops().complement()
+
+
+# A 20-cycle with the chord 19 -> 1: one SCC of 20 vertices and 21 edges,
+# which the cost rule gives to one forward pass.
+CHORDED_CYCLE = make_graph(20, [(i, (i + 1) % 20) for i in range(20)] + [(19, 1)])
+
+
+@pytest.mark.parametrize("first", ["spectrum", "spectra", "verify_battery"])
+def test_an_sccs_route_is_decided_once_whatever_is_called_first(monkeypatch, first):
+    g = CHORDED_CYCLE
+    assert walks.pass_beats_orbits(g.rows, (1 << g.n) - 1)
+    expected = spectra_from_trace(power_trace(g))
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls, "forward_pass")
+    _count_calls(monkeypatch, calls, "pass_beats_orbits")
+    _count_orbit_steps(monkeypatch, calls)
+    analysis = GraphAnalysis(g)
+    entry_points = {
+        "spectrum": lambda: analysis.spectrum(7),
+        "spectra": lambda: analysis.spectra,
+        "verify_battery": lambda: analysis.verify_battery(default_spec_battery()),
+    }
+    entry_points[first]()
+    assert calls["forward_pass"] == calls["pass_beats_orbits"] == 1
+    if first != "verify_battery":  # whose descents read orbits below the pass's start
+        assert calls["orbit_step"] == 0  # no spectrum came from an orbit
+    for call in entry_points.values():
+        call()
+    assert [analysis.spectrum(v) for v in range(g.n)] == analysis.spectra == expected
+    assert calls["forward_pass"] == calls["pass_beats_orbits"] == 1
+
+
+def test_d_and_ds_of_zero_share_one_set():
+    analysis = GraphAnalysis(CHORDED_CYCLE)
+    d = analysis.diagonal_set(DiagonalSpec.d())
+    assert analysis.diagonal_set(DiagonalSpec.ds(UPSet.from_finite([0]))) is d
+    n3 = analysis.verify_battery([DiagonalSpec.dn(3)])[0][1]
+    assert analysis.diagonal_set(DiagonalSpec.ds(UPSet.from_finite([3]))) is n3
+
+
+def _distances_to_a_cycle(g, cyclic):
+    """Per vertex, the edges of its shortest walk into ``cyclic``, by a plain BFS."""
+    dist = {v: 0 for v in cyclic}
+    queue = deque(cyclic)
+    while queue:
+        w = queue.popleft()
+        for u in range(g.n):
+            if g.has_edge(u, w) and u not in dist:
+                dist[u] = dist[w] + 1
+                queue.append(u)
+    return dist
+
+
+@given(graphs(max_order=10))
+@settings(max_examples=80)
+def test_cycle_levels_are_a_plain_breadth_first_search(g):
+    analysis = GraphAnalysis(g)
+    levels = analysis.cycle_levels
+    assert sum(levels) == functools.reduce(operator.or_, levels, 0)  # disjoint
+    assert sum(levels) == analysis.canreach_cycle.bits
+    assert all(levels)
+    cyclic = [v for v, sp in enumerate(analysis.spectra) if not sp.is_empty()]
+    dist = _distances_to_a_cycle(g, cyclic)
+    for d, level in enumerate(levels):
+        assert level == sum(1 << v for v, dv in dist.items() if dv == d)

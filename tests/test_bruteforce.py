@@ -116,14 +116,34 @@ def test_walk_oracles_equal_literal_enumeration_on_every_graph_of_order_three():
                 assert closed_walk_lengths_bf(g, u, 12) == closed
 
 
-def test_walk_oracle_reads_each_vertex_pair_once(monkeypatch):
+def _count_has_edge(monkeypatch):
     calls = []
     has_edge = graph.Graph.has_edge
     monkeypatch.setattr(
         graph.Graph, "has_edge", lambda g, u, w: calls.append((u, w)) or has_edge(g, u, w)
     )
+    return calls
+
+
+def test_walk_oracle_reads_each_vertex_pair_once(monkeypatch):
+    calls = _count_has_edge(monkeypatch)
     assert walk_exists_bf(K3_LOOPED, 0, 0, 12)
     assert len(calls) <= 9
+    # Every n of S, and every length 1..|V| of Dinf, is served by one read
+    # of the 9 vertex pairs; S's 0-clause reads each loop once more.
+    calls.clear()
+    assert diagonal_S_bf(K3_LOOPED, [0, 1, 5]).to_list() == []
+    assert len(calls) == 9 + 3
+    calls.clear()
+    assert diagonal_inf_bf(K3_LOOPED).to_list() == []
+    assert len(calls) == 9
+
+
+def test_sweep_oracles_read_the_graph_once_per_call(monkeypatch):
+    calls = _count_has_edge(monkeypatch)
+    assert exhaustive_sweep(order_max=3).ok()
+    # One read per (vertex, n) took 175,056 calls over the order-3 sweep.
+    assert len(calls) <= 175_056 // 2
 
 
 def test_enumerate_graphs_counts():

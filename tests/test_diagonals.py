@@ -250,7 +250,7 @@ def test_closed_walk_witness_is_the_least_first_step_by_the_trace(g):
     specs = [DiagonalSpec.dn(n) for n in (*range(1, 9), 10**9 + 7)]
     specs += [spec for spec in default_spec_battery() if spec.kind == "DS"]
     for spec in specs:
-        shortest = analysis.shortest_violations(spec)
+        shortest = [sp.min_common(spec.walk_lengths) for sp in analysis.spectra]
         for v in range(g.n):
             w = analysis.variant_witness(v, spec)
             if g.has_edge(v, v) or w.side is not Side.OUT_MINUS_DX:
@@ -379,7 +379,7 @@ def test_validate_witness_rejects_wrong_claims():
 def test_a_diagonal_equal_to_an_outgoing_set_is_a_theorem_violation():
     analysis = GraphAnalysis(C3)
     spec = DiagonalSpec.d()
-    analysis._sets[spec] = C3.out_set(0)  # planted: the theorem rules it out
+    analysis._sets[spec.lengths] = C3.out_set(0)  # planted: the theorem rules it out
     with pytest.raises(TheoremViolationError, match=r"equals Out\(0\)"):
         analysis.verify_unequal(spec)
 

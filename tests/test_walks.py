@@ -1,3 +1,4 @@
+import random
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from diagsets.upsets import UPSet
 from diagsets.walks import (
     FrontierOrbit,
     TraceCapError,
+    bfs_levels,
     forward_pass,
     frontier_step,
     long_walk_starts,
@@ -20,7 +22,6 @@ from diagsets.walks import (
     mat_pow_bool,
     orbit_step,
     power_trace,
-    reach_from,
     spectra_from_trace,
     strongly_connected_components,
     transpose_rows,
@@ -167,7 +168,9 @@ def test_spectrum_of_edgeless_vertex_is_empty():
 
 
 def test_one_vertex_spectrum_runs_only_its_own_orbit(monkeypatch):
-    g = gen_random(16, 0.2, 1, "allow")
+    # Dense enough that 5's SCC takes the orbit route, one orbit per vertex.
+    g = gen_random(16, 0.5, 1, "allow")
+    assert not walks.pass_beats_orbits(g.rows, GraphAnalysis(g).masks[5])
     expected = GraphAnalysis(g).spectra[5]
     built = []
 
@@ -320,7 +323,7 @@ def test_scc_masks_on_a_long_path_into_a_cycle(reverse):
 
 def test_reach_backward_examples():
     def reach_backward(g, targets):
-        return VertexSet(g.n, reach_from(transpose_rows(g), targets.bits))
+        return VertexSet(g.n, sum(bfs_levels(transpose_rows(g), targets.bits)))
 
     g = make_graph(2, [(0, 1)])
     assert reach_backward(g, VertexSet.from_indices(2, [1])).to_list() == [0, 1]
@@ -389,10 +392,28 @@ _sparse_graphs = st.builds(
 )
 
 
+def _starts(g):
+    return long_walk_starts(g, transpose_rows(g))
+
+
+def _starts_round_by_round(g):
+    """The reference loop: each round re-tests every live vertex against L_k."""
+    rows = g.rows
+    live = (1 << g.n) - 1
+    while True:
+        dead = 0
+        for v in bits_of(live):
+            if not rows[v] & live:
+                dead |= 1 << v
+        if not dead:
+            return live
+        live ^= dead
+
+
 @given(graphs(max_order=10) | _sparse_graphs)
 @settings(max_examples=120)
 def test_long_walk_starts_are_the_nonzero_rows_of_the_order_power(g):
-    assert long_walk_starts(g) == _nonzero_rows(g)
+    assert _starts(g) == _nonzero_rows(g) == _starts_round_by_round(g)
 
 
 def test_long_walk_starts_on_long_paths():
@@ -400,13 +421,29 @@ def test_long_walk_starts_on_long_paths():
     path = [(i, i + 1) for i in range(100)]
     # A path of length 100 into a 3-cycle: every vertex starts an infinite walk.
     into = make_graph(103, path + cycle)
-    assert long_walk_starts(into) == _nonzero_rows(into) == (1 << 103) - 1
+    assert _starts(into) == _nonzero_rows(into) == (1 << 103) - 1
     # The same path out of a 2-cycle, ending in a sink: each step drops one
     # path vertex, so the chain L_0 > L_1 > ... is as long as it gets.
     out_of = make_graph(103, path + [(101, 102), (102, 101), (101, 0)])
-    assert long_walk_starts(out_of) == _nonzero_rows(out_of) == 0b11 << 101
+    assert _starts(out_of) == _nonzero_rows(out_of) == 0b11 << 101
     bare = make_graph(103, path + [(100, 101), (101, 102)])
-    assert long_walk_starts(bare) == _nonzero_rows(bare) == 0
+    assert _starts(bare) == _nonzero_rows(bare) == 0
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_long_walk_starts_peel_equals_the_round_by_round_loop_at_order_2000(reverse):
+    n = 2000
+    label = (lambda v: n - 1 - v) if reverse else (lambda v: v)
+    path = make_graph(n, [(label(i), label(i + 1)) for i in range(n - 1)])
+    assert _starts(path) == _starts_round_by_round(path) == 0
+    # About one out-edge per vertex: sinks, long chains into them, and cycles.
+    rng = random.Random(3 + reverse)
+    sparse = make_graph(
+        n, [(u, rng.randrange(n)) for u in range(n) for _ in range(rng.choice((0, 1, 1, 2)))]
+    )
+    starts = _starts(sparse)
+    assert starts == _starts_round_by_round(sparse)
+    assert 0 < starts.bit_count() < n
 
 
 def _by_route(g, use_pass, specs):
