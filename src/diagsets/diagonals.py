@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, VertexSet, bits_of
@@ -43,6 +43,9 @@ from .walks import (
 # Longest walk evidence materialized, in vertices.  Witnesses for larger
 # walk lengths keep their membership claims but omit the explicit walk.
 EVIDENCE_CAP = 10_000
+
+# The spectrum of every vertex that no closed walk passes through.
+_NO_CLOSED_WALK = UPSet.empty()
 
 
 class TheoremViolationError(RuntimeError):
@@ -101,15 +104,20 @@ class DiagonalSpec:
         elif self.s is not None:
             raise ValueError(f"{self.kind} takes no S parameter")
 
+    # D, each Dn and Dinf are built once per process, so every analysis
+    # reads one copy of their cached length sets.  typed: Dn(True) is not Dn(1).
     @classmethod
+    @lru_cache(maxsize=None)
     def d(cls) -> DiagonalSpec:
         return cls("D")
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def dn(cls, n: int) -> DiagonalSpec:
         return cls("Dn", n=n)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def dinf(cls) -> DiagonalSpec:
         return cls("Dinf")
 
@@ -251,9 +259,12 @@ class GraphAnalysis:
 
     The first vertex of an SCC that needs a spectrum decides the route:
     one forward pass for all its spectra and cyclic classes where
-    ``pass_beats_orbits`` says so, else one backward orbit per vertex.  The
-    battery runs vertex by vertex, and a vertex's backward layers give its
-    witness walks for every spec.  Dinf tails descend the levels.
+    ``pass_beats_orbits`` says so, else one backward orbit per vertex; a
+    vertex on no closed walk has the empty spectrum and no orbit.  The
+    battery runs vertex by vertex and once per distinct length set S.  A
+    vertex's backward layers give its witness walks, one per distinct
+    shortest violation, which every spec with that violation shares.
+    Dinf tails descend the levels.
     """
 
     def __init__(self, g: Graph):
@@ -344,13 +355,20 @@ class GraphAnalysis:
         return scc_route
 
     def _vertex(self, v: int, specs: Sequence[DiagonalSpec]) -> tuple[UPSet | None, list, list]:
-        """v's spectrum, and per spec its shortest violation, or None, and its witness."""
+        """v's spectrum, and per spec its shortest violation, or None, and its witness.
+
+        Specs with one shortest violation at v share one witness object.
+        """
         self.g._check_vertex(v)  # a negative v would index another vertex's mask
         needed = self._spectra[v] is None and (
             not specs or any(spec.kind != "Dinf" for spec in specs)
         )
         if needed:
-            self._route(self.masks[v])
+            mask = self.masks[v]
+            if mask:
+                self._route(mask)
+            else:
+                self._spectra[v] = _NO_CLOSED_WALK
         layers = _BackLayers(self, v)  # after the route: it reads the SCC's classes
         spectrum = self._spectra[v]
         if needed and spectrum is None:
@@ -361,28 +379,30 @@ class GraphAnalysis:
                 shortest.append(None if v in self.diagonal_set(spec) else math.inf)
             else:  # a closed walk with a length in S+1
                 shortest.append(spectrum.min_common(spec.walk_lengths))
-        witnesses = [self._witness(v, *pair, layers) for pair in zip(specs, shortest)]
-        return spectrum, shortest, witnesses
+        made = {m: self._witness(v, m, layers) for m in dict.fromkeys(shortest)}
+        return spectrum, shortest, [made[m] for m in shortest]
 
     def variant_witness(self, v: int, spec: DiagonalSpec) -> Witness:
         """Witness by the three-way case split; for D = D_S({0}) it is ``cantor_witness``."""
         return self._vertex(v, (spec,))[2][0]
 
-    def _witness(
-        self, v: int, spec: DiagonalSpec, length: float | None, layers: _BackLayers
-    ) -> Witness:
-        """``variant_witness``, given v's shortest violation, or None, and v's backward layers."""
+    def _witness(self, v: int, length: float | None, layers: _BackLayers) -> Witness:
+        """v's witness, given its shortest violation and its backward layers.
+
+        ``length`` is None when v is in the diagonal, ``math.inf`` for an
+        infinite walk (a Dinf violation), else a closed-walk length.
+        """
         g = self.g
         if g.rows[v] >> v & 1:
             # Looped: v itself, pumped around its loop min(S) + 1 times or forever.
-            if spec.kind == "Dinf":
+            if length == math.inf:
                 return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v,), infinite_tail=True))
             evidence = Evidence((v,) * (length + 1)) if length + 1 <= EVIDENCE_CAP else None
             return Witness(v, Side.OUT_MINUS_DX, v, evidence)
         if length is None:  # no violation: v is in the diagonal
             return Witness(v, Side.DX_MINUS_OUT, v, None)
         # Unlooped but outside the diagonal: rotate a violating walk from v.
-        if spec.kind == "Dinf":
+        if length == math.inf:
             firsts = g.rows[v] & self.canreach_cycle.bits
             if not firsts:
                 raise InternalDisagreementError(f"vertex {v} left D_inf without a path to a cycle")
@@ -405,14 +425,28 @@ class GraphAnalysis:
     def verify_battery(
         self, specs: Iterable[DiagonalSpec]
     ) -> list[tuple[DiagonalSpec, VertexSet, list[Witness]]]:
-        """``verify_unequal`` per spec, with the witnesses built vertex by vertex first."""
+        """``verify_unequal`` per spec, with the witnesses built vertex by vertex first.
+
+        Each vertex is read once per distinct length set S (None for Dinf),
+        not per spec: specs that share S, such as D and DS({0}), share its
+        shortest violations, its set and its witnesses.  Each spec still
+        validates every witness against its own set.
+        """
         specs = list(specs)
         g = self.g
-        _, shortest, witnesses = zip(*(self._vertex(v, specs) for v in range(g.n)))
-        results = []
-        for spec, lengths, column in zip(specs, zip(*shortest), zip(*witnesses)):
+        firsts: dict[UPSet | None, DiagonalSpec] = {}  # one spec per length set
+        for spec in specs:
+            firsts.setdefault(spec.lengths, spec)
+        keys = list(firsts.values())
+        _, shortest, witnesses = zip(*(self._vertex(v, keys) for v in range(g.n)))
+        columns = {}
+        for spec, lengths, column in zip(keys, zip(*shortest), zip(*witnesses)):
             unviolated = sum(1 << v for v, m in enumerate(lengths) if m is None)
             dx = self._sets.setdefault(spec.lengths, VertexSet(g.n, unviolated))
+            columns[spec.lengths] = dx, column
+        results = []
+        for spec in specs:
+            dx, column = columns[spec.lengths]
             if dx.bits in g.rows:
                 raise TheoremViolationError(f"{spec.label()} equals Out({g.rows.index(dx.bits)})")
             for w in column:

@@ -1,6 +1,7 @@
 """GraphAnalysis: one per-graph cache that every entry point reads."""
 
 import functools
+import math
 import operator
 from collections import Counter, deque
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from diagsets import diagonals, walks
 from diagsets.diagonals import (
     DiagonalSpec,
+    Evidence,
     GraphAnalysis,
     InternalDisagreementError,
     Side,
+    Witness,
     default_spec_battery,
 )
 from diagsets.graph import make_graph
@@ -24,6 +27,16 @@ from diagsets.walks import power_trace, spectra_from_trace
 from strategies import graphs
 
 EVENS = UPSet(0, 2, frozenset({0}))
+
+# Cycles of lengths 2 and 3 joined by a path, plus a looped tail that 7
+# reaches through 5: every spec has members inside and outside its set.
+TWO_CYCLES = make_graph(
+    8, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 6), (7, 5)]
+)
+
+# A 20-cycle with the chord 19 -> 1: one SCC of 20 vertices and 21 edges,
+# which the cost rule gives to one forward pass.
+CHORDED_CYCLE = make_graph(20, [(i, (i + 1) % 20) for i in range(20)] + [(19, 1)])
 
 
 def _count_calls(monkeypatch, calls, name):
@@ -72,11 +85,7 @@ def _count_orbit_starts(monkeypatch):
 
 
 def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
-    # Cycles of lengths 2 and 3 joined by a path, plus a looped tail that
-    # 7 reaches through 5: every spec has members inside and outside its set.
-    g = make_graph(
-        8, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5), (5, 6), (6, 6), (7, 5)]
-    )
+    g = TWO_CYCLES
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "strongly_connected_components")
     _count_calls(monkeypatch, calls, "pass_beats_orbits")
@@ -100,11 +109,13 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     assert report["chain"]["ok"]
     assert calls["strongly_connected_components"] == 1
     assert calls["pass_beats_orbits"] == 3  # once per SCC: {0, 1}, {2, 3, 4} and {6}
-    assert calls["FrontierOrbit.hits"] == g.n  # one spectrum per vertex
-    assert sorted(starts) == [1 << v for v in range(g.n)]  # one backward orbit per vertex
-    # One step function per mask that layers step in: the SCCs {0, 1},
-    # {2, 3, 4} and {6}, and the empty mask of the acyclic vertices 5 and 7.
-    assert calls["orbit_step"] == 4
+    # One spectrum and one backward orbit per cyclic vertex; the acyclic
+    # vertices 5 and 7 take the empty spectrum and make no orbit.
+    cyclic = [0, 1, 2, 3, 4, 6]
+    assert calls["FrontierOrbit.hits"] == len(cyclic)
+    assert sorted(starts) == [1 << v for v in cyclic]
+    # One step function per SCC that layers step in: {0, 1}, {2, 3, 4} and {6}.
+    assert calls["orbit_step"] == 3
     assert calls["transpose_rows"] == 1
     # A^2, ..., A^9 for the chain, one product each; the evens stop at
     # bound 7, so every power they read is one of those.  Building any
@@ -172,6 +183,20 @@ def test_chain_check_reads_each_power_off_the_previous_one(monkeypatch):
     assert calls == {"mat_mul_bool": 8}  # A^2, ..., A^9, one product each
 
 
+def test_chain_check_builds_its_specs_once_per_process(monkeypatch):
+    GraphAnalysis(TWO_CYCLES).inclusion_chain_check(8)
+    built = []
+    post_init = DiagonalSpec.__post_init__
+
+    def recorded(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DiagonalSpec, "__post_init__", recorded)
+    GraphAnalysis(CHORDED_CYCLE).inclusion_chain_check(8)
+    assert built == []  # D, Dinf and D_1..D_8 come from the first check
+
+
 def test_chain_check_reads_memoised_powers_for_members_of_s(monkeypatch):
     g = gen_random(12, 0.3, 3, "allow")
     analysis = GraphAnalysis(g)
@@ -233,12 +258,82 @@ def test_ds_set_and_witness_lengths_read_the_shortest_violations(g):
 @given(graphs(max_order=12))
 @settings(max_examples=40)
 def test_vertex_major_battery_equals_one_spec_at_a_time(g):
+    # D and DS(finite(0)) share the length set {0}, Dn(1) and DS(finite(1))
+    # share {1}: the battery does their work once, a fresh analysis twice.
     specs = [*default_spec_battery(), DiagonalSpec.dn(10**9 + 7)]
+    assert len({spec.lengths for spec in specs}) == len(specs) - 2
     single = []
     for spec in specs:
         analysis = GraphAnalysis(g)  # fresh: spectra first, then lazily read layers
         single.append((spec, analysis.diagonal_set(spec), analysis.verify_unequal(spec)))
-    assert GraphAnalysis(g).verify_battery(specs) == single
+    battery = GraphAnalysis(g).verify_battery(specs)
+    assert battery == single
+    by_label = {spec.label(): (dx, witnesses) for spec, dx, witnesses in battery}
+    assert by_label["DS(finite(0))"] == by_label["D"]
+    assert by_label["DS(finite(1))"] == by_label["Dn(1)"]
+
+
+def test_specs_with_one_shortest_violation_share_one_witness():
+    odds = UPSet(0, 2, frozenset({1}))
+    specs = [
+        DiagonalSpec.d(),
+        DiagonalSpec.dn(1),
+        DiagonalSpec.ds(odds),
+        DiagonalSpec.ds(UPSet.from_finite([0])),
+    ]
+    (_, _, d), (_, _, dn1), (_, _, ds_odds), (_, _, d0) = GraphAnalysis(
+        TWO_CYCLES
+    ).verify_battery(specs)
+    assert all(a is b for a, b in zip(d, d0))  # one length set {0}
+    # 0's shortest violation of both {1} and the odds is the 2-cycle.
+    assert dn1[0] is ds_odds[0]
+    assert dn1[0].evidence == Evidence((1, 0, 1))
+    # 2 lies on the 3-cycle only, so neither {0} nor {1} is violated there.
+    assert d[2] is dn1[2]
+    assert d[2] == Witness(2, Side.DX_MINUS_OUT, 2, None)
+    assert ds_odds[2].evidence == Evidence((3, 4, 2, 3, 4, 2, 3))  # length 6
+
+
+@pytest.mark.parametrize("g", [TWO_CYCLES, CHORDED_CYCLE, gen_random(24, 0.15, 3, "allow")])
+def test_one_witness_and_at_most_one_descent_per_vertex_and_length(monkeypatch, g):
+    made = []
+    witness = GraphAnalysis._witness
+
+    def recorded(self, v, length, layers):
+        made.append((v, length))
+        return witness(self, v, length, layers)
+
+    monkeypatch.setattr(GraphAnalysis, "_witness", recorded)
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls, "_descend")
+    min_common = UPSet.min_common
+
+    def counted_min_common(self, other):
+        calls["min_common"] += 1
+        return min_common(self, other)
+
+    monkeypatch.setattr(UPSet, "min_common", counted_min_common)
+    specs = [*default_spec_battery(), DiagonalSpec.dn(10**9 + 7)]
+    battery = GraphAnalysis(g).verify_battery(specs)
+    # One shortest violation per vertex and distinct length set of a closed walk.
+    assert calls["min_common"] == len({spec.lengths for spec in specs} - {None}) * g.n
+    assert len(made) == len(set(made)) < len(specs) * g.n
+    # Only an unlooped vertex outside a diagonal descends, once per length.
+    walks_made = [(v, m) for v, m in made if m is not None and not g.has_edge(v, v)]
+    assert calls["_descend"] == len(walks_made)
+    assert sum(len(witnesses) for _, _, witnesses in battery) == len(specs) * g.n
+
+
+def test_witness_of_a_looped_vertex_follows_its_length():
+    g = make_graph(2, [(0, 0), (0, 1)])
+    analysis = GraphAnalysis(g)
+    layers = diagonals._BackLayers(analysis, 0)
+    tail = analysis._witness(0, math.inf, layers)
+    assert tail == Witness(0, Side.OUT_MINUS_DX, 0, Evidence((0,), infinite_tail=True))
+    pumped = analysis._witness(0, 3, layers)
+    assert pumped == Witness(0, Side.OUT_MINUS_DX, 0, Evidence((0, 0, 0, 0)))
+    for spec, w in ((DiagonalSpec.dinf(), tail), (DiagonalSpec.dn(2), pumped)):
+        diagonals.validate_witness(g, spec, analysis.diagonal_set(spec), w, analysis.cyclic)
 
 
 def test_power_memo_matches_the_trace():
@@ -250,11 +345,6 @@ def test_power_memo_matches_the_trace():
         assert analysis.power(k) is analysis.power(k)
     spec = DiagonalSpec.dn(6)
     assert analysis.diagonal_set(spec) == trace.power(7).loops().complement()
-
-
-# A 20-cycle with the chord 19 -> 1: one SCC of 20 vertices and 21 edges,
-# which the cost rule gives to one forward pass.
-CHORDED_CYCLE = make_graph(20, [(i, (i + 1) % 20) for i in range(20)] + [(19, 1)])
 
 
 @pytest.mark.parametrize("first", ["spectrum", "spectra", "verify_battery"])

@@ -46,6 +46,17 @@ def test_diagonal_n_rejects_zero():
         GraphAnalysis(C3).diagonal_set(DiagonalSpec.dn(0))
 
 
+@pytest.mark.parametrize("first, second", [(1, True), (True, 1), (2, 2.0), (2.0, 2)])
+def test_dn_is_built_once_per_n_and_type(first, second):
+    DiagonalSpec.dn.__func__.cache_clear()  # so that first is built first
+    a, b = DiagonalSpec.dn(first), DiagonalSpec.dn(second)
+    assert a is DiagonalSpec.dn(first) and b is DiagonalSpec.dn(second)
+    assert a is not b  # equal n of different types stay apart
+    assert (type(a.n), type(b.n)) == (type(first), type(second))
+    assert DiagonalSpec.d() is DiagonalSpec.d()
+    assert DiagonalSpec.dinf() is DiagonalSpec.dinf()
+
+
 def test_looped_vertex_excluded_for_every_n():
     g = make_graph(3, [(0, 0), (0, 1), (1, 2)])
     for n in range(1, 9):
