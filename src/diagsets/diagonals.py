@@ -22,19 +22,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, VertexSet, bits_of
 from .upsets import UPSet
 from .walks import (
+    BackLayers,
     CyclicClasses,
-    FrontierOrbit,
     bfs_levels,
     forward_pass,
     long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
-    orbit_step,
     pass_beats_orbits,
     strongly_connected_components,
     transpose_rows,
@@ -94,8 +93,8 @@ class DiagonalSpec:
         if self.kind not in ("D", "Dn", "Dinf", "DS"):
             raise ValueError(f"unknown diagonal kind {self.kind!r}")
         if self.kind == "Dn":
-            if self.n is None or self.n < 1:
-                raise ValueError("Dn requires n >= 1 (D itself covers n = 0)")
+            if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+                raise ValueError(f"Dn requires an integer n >= 1 (D covers n = 0), got {self.n!r}")
         elif self.n is not None:
             raise ValueError(f"{self.kind} takes no n parameter")
         if self.kind == "DS":
@@ -192,41 +191,8 @@ def cantor_witness(g: Graph, v: int) -> Witness:
     return Witness(v, Side.DX_MINUS_OUT, v, None)
 
 
-class _BackLayers:
-    """v's backward layers B_k, the vertices with a length-k walk to v inside v's SCC.
-
-    B_0 = {v} and B_(k+1) = In(B_k) & C for v's SCC C.  From the start of C's
-    cyclic classes on, when its forward pass ran, B_k is a class.  Below it,
-    B_k comes from v's own orbit, made on first read with C's step function.
-    """
-
-    __slots__ = ("_analysis", "_v", "_classes", "_orbit")
-
-    def __init__(self, analysis: GraphAnalysis, v: int):
-        self._analysis = analysis
-        self._v = v
-        self._classes = analysis._classes.get(analysis.masks[v])
-        self._orbit: FrontierOrbit | None = None
-
-    @property
-    def orbit(self) -> FrontierOrbit:
-        if self._orbit is None:
-            analysis, mask = self._analysis, self._analysis.masks[self._v]
-            if mask not in analysis._back_steps:
-                analysis._back_steps[mask] = orbit_step(analysis.transposed_rows, mask)
-            self._orbit = FrontierOrbit(1 << self._v, analysis._back_steps[mask])
-        return self._orbit
-
-    def __getitem__(self, k: int) -> int:
-        classes = self._classes
-        if classes is not None and k >= classes.start:
-            return classes.layer(self._v, k)
-        orbit = self._orbit
-        return (self.orbit if orbit is None else orbit)[k]
-
-
 def _descend(
-    g: Graph, layers: _BackLayers | Sequence[int], start: int, length: int
+    g: Graph, layers: BackLayers | Sequence[int], start: int, length: int
 ) -> Iterator[int]:
     """The least walk of the given length from start into layers[0], smallest step first.
 
@@ -249,22 +215,22 @@ def _descend(
 class GraphAnalysis:
     """The per-graph facts behind every diagonal set and witness, each computed once.
 
-    Each fact is computed on first read and kept: the transposed rows, the
-    SCC masks (one Kosaraju pass over them), the cyclic set and the levels
-    of one breadth-first search back from it, each SCC's route, the
-    spectra, the powers A^k by exponent, and the diagonal set of every
-    length set S (None for Dinf).  The independent routes run once per
-    analysis: Dinf by the levels and by the zero rows of A^|V|, and in the
-    chain check D_n and D_S from the spectra and from the loops of powers.
+    Each fact is computed on first read and kept: the transposed rows,
+    the cyclic SCCs and their cyclic classes (one Kosaraju pass, whose
+    levels give both), the SCC masks, the cyclic set and the levels of one
+    breadth-first search back from it, each SCC's route, the spectra, the
+    powers A^k by exponent, and the diagonal set of every length set S
+    (None for Dinf).  The independent routes run once per analysis: Dinf
+    by the levels and by the zero rows of A^|V|, and in the chain check
+    D_n and D_S from the spectra and from the loops of powers.
 
     The first vertex of an SCC that needs a spectrum decides the route:
-    one forward pass for all its spectra and cyclic classes where
-    ``pass_beats_orbits`` says so, else one backward orbit per vertex; a
-    vertex on no closed walk has the empty spectrum and no orbit.  The
-    battery runs vertex by vertex and once per distinct length set S.  A
-    vertex's backward layers give its witness walks, one per distinct
-    shortest violation, which every spec with that violation shares.
-    Dinf tails descend the levels.
+    one forward pass for all its spectra where ``pass_beats_orbits`` says
+    so, else each vertex's own backward layers; a vertex on no closed walk
+    has the empty spectrum and no layers.  The battery runs vertex by
+    vertex and once per distinct length set S.  A vertex's backward layers
+    give its witness walks, one per distinct shortest violation, which
+    every spec with that violation shares.  Dinf tails descend the levels.
     """
 
     def __init__(self, g: Graph):
@@ -272,20 +238,25 @@ class GraphAnalysis:
         self._powers: dict[int, Graph] = {1: g}
         self._spectra: list[UPSet | None] = [None] * g.n
         self._sets: dict[UPSet | None, VertexSet] = {}
-        self._back_steps: dict[int, Callable[[int], int]] = {}
-        self._classes: dict[int, CyclicClasses | None] = {}
+        self._routed: set[int] = set()  # the SCCs whose spectra route is decided
+
+    @cached_property
+    def classes(self) -> list[CyclicClasses | None]:
+        """Per vertex, its SCC's cyclic classes if a closed walk passes through it, else None."""
+        rows, rev = self.g.rows, self.transposed_rows
+        found: list[CyclicClasses | None] = [None] * self.g.n
+        for levels in strongly_connected_components(self.g, rev):
+            v = levels[0].bit_length() - 1  # the root, alone at level 0
+            if len(levels) > 1 or rows[v] >> v & 1:
+                classes = CyclicClasses(rev, levels)
+                for v in bits_of(classes.comp):
+                    found[v] = classes
+        return found
 
     @cached_property
     def masks(self) -> list[int]:
         """Per vertex, its SCC as a mask if a closed walk passes through it, else 0."""
-        rows = self.g.rows
-        masks = [0] * self.g.n
-        for comp in strongly_connected_components(self.g, self.transposed_rows):
-            v = comp.bit_length() - 1
-            if comp & (comp - 1) or rows[v] >> v & 1:
-                for v in bits_of(comp):
-                    masks[v] = comp
-        return masks
+        return [0 if classes is None else classes.comp for classes in self.classes]
 
     @cached_property
     def transposed_rows(self) -> tuple[int, ...]:
@@ -314,12 +285,13 @@ class GraphAnalysis:
             self._spectra = [self.spectrum(v) for v in range(self.g.n)]
         return self._spectra
 
-    def _route(self, mask: int) -> None:
-        """Once per SCC: its classes and spectra from a forward pass, or None for orbits."""
-        if mask not in self._classes:
-            self._classes[mask] = None
-            if mask and pass_beats_orbits(self.g.rows, mask):  # 0 holds the acyclic vertices
-                found, self._classes[mask] = forward_pass(self.g.rows, mask)
+    def _route(self, classes: CyclicClasses) -> None:
+        """Once per SCC: its spectra and a settled index from a forward pass, if priced lower."""
+        comp = classes.comp
+        if comp not in self._routed:
+            self._routed.add(comp)
+            if pass_beats_orbits(self.g.rows, comp):
+                found, classes.start = forward_pass(self.g.rows, comp, classes.period)
                 for u, spectrum in found.items():
                     self._spectra[u] = spectrum
 
@@ -363,16 +335,14 @@ class GraphAnalysis:
         needed = self._spectra[v] is None and (
             not specs or any(spec.kind != "Dinf" for spec in specs)
         )
-        if needed:
-            mask = self.masks[v]
-            if mask:
-                self._route(mask)
-            else:
-                self._spectra[v] = _NO_CLOSED_WALK
-        layers = _BackLayers(self, v)  # after the route: it reads the SCC's classes
+        classes = self.classes[v]  # None: no closed walk passes through v
+        if needed and classes is not None:
+            self._route(classes)
+        # Made after the route, whose forward pass may give a settled index.
+        layers = None if classes is None else BackLayers(v, classes)
         spectrum = self._spectra[v]
         if needed and spectrum is None:
-            spectrum = self._spectra[v] = layers.orbit.hits(v)
+            spectrum = self._spectra[v] = _NO_CLOSED_WALK if layers is None else layers.hits()
         shortest = []
         for spec in specs:
             if spec.kind == "Dinf":  # its violation is an infinite walk
@@ -386,7 +356,7 @@ class GraphAnalysis:
         """Witness by the three-way case split; for D = D_S({0}) it is ``cantor_witness``."""
         return self._vertex(v, (spec,))[2][0]
 
-    def _witness(self, v: int, length: float | None, layers: _BackLayers) -> Witness:
+    def _witness(self, v: int, length: float | None, layers: BackLayers | None) -> Witness:
         """v's witness, given its shortest violation and its backward layers.
 
         ``length`` is None when v is in the diagonal, ``math.inf`` for an

@@ -96,9 +96,9 @@ class UPSet:
 
     @classmethod
     def from_finite(cls, values: Iterable[int]) -> UPSet:
-        vals = set(values)
-        if any(v < 0 for v in vals):
-            raise ValueError("values must be nonnegative")
+        vals = list(values)  # not yet a set, which would merge False into 0
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in vals):
+            raise ValueError(f"values must be nonnegative integers, got {vals}")
         t = max(vals) + 1 if vals else 0
         return cls(t, 1, frozenset(), frozenset(vals))
 

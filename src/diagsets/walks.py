@@ -5,13 +5,13 @@ exists; boolean products realize walk concatenation.  A closed walk
 through v never leaves its strongly connected component (SCC) C, so v's
 spectrum {k >= 1 : v in B_k} and its witness walks come from the backward
 layers B_0 = {v}, B_(k+1) = In(B_k) & C, whatever the period of the whole
-graph.  An SCC's spectra come from one of two routes, whichever
-:func:`pass_beats_orbits` prices lower: one :class:`FrontierOrbit` of
-backward layers per vertex, or one :func:`forward_pass` of A_C^k for all
-of C, which also yields the cyclic classes that every layer follows past
-the pass's start.  The SCCs themselves come from bitset row ORs too
-(Kosaraju's two passes).  ``diagonals.GraphAnalysis`` composes these
-kernels into each vertex's SCC mask and spectrum, once per graph.
+graph.  The SCCs come from bitset row ORs (Kosaraju's two passes), whose
+second pass gives each SCC's :class:`CyclicClasses`; :class:`BackLayers`
+steps v's layers only until one equals its class.  An SCC's spectra come
+from one of two routes, whichever :func:`pass_beats_orbits` prices lower:
+each vertex's own layers, or one :func:`forward_pass` of A_C^k for all of
+C.  ``diagonals.GraphAnalysis`` composes these kernels into each vertex's
+SCC mask and spectrum, once per graph.
 
 :class:`PowerTrace`, the periodicity certificate of the whole power
 sequence A^1, A^2, ..., is kept only as an independent oracle for them.
@@ -233,102 +233,118 @@ def spectra_from_trace(trace: PowerTrace) -> list[UPSet]:
     return out
 
 
-class FrontierOrbit:
-    """Frontiers x_0 = start, x_(k+1) = step(x_k), stored only as far as read.
-
-    Over a finite vertex set the sequence is eventually periodic.  Hashing
-    each frontier finds the first repeat x_(mu+lam) = x_mu exactly; from
-    then on every index reduces into the stored prefix.
-    """
-
-    def __init__(self, start: int, step: Callable[[int], int]):
-        self.items = [start]
-        self.mu = 0
-        self.lam = 0  # 0 until the first repeat is found
-        self._step = step
-        self._seen: dict[int, int] | None = {start: 0}
-
-    def _extend(self, k: int) -> None:
-        """Store frontiers up to index k, or stop at the first repeat."""
-        items, seen, step = self.items, self._seen, self._step
-        x = items[-1]
-        i = len(items)
-        while i <= k:
-            x = step(x)
-            j = seen.setdefault(x, i)
-            if j != i:
-                self.mu, self.lam, self._seen = j, i - j, None
-                return
-            items.append(x)
-            i += 1
-
-    def __getitem__(self, k: int) -> int:
-        if k >= len(self.items) and not self.lam:
-            self._extend(k)
-        if k < len(self.items):
-            return self.items[k]
-        return self.items[self.mu + (k - self.mu) % self.lam]
-
-    def hits(self, v: int) -> UPSet:
-        """{k >= 1 : v in x_k}, as a UPSet."""
-        if not self.lam:
-            self._extend(math.inf)
-        t = max(self.mu, 1)
-        exceptional = frozenset(k for k in range(1, t) if self.items[k] >> v & 1)
-        residues = frozenset(k % self.lam for k in range(t, t + self.lam) if self[k] >> v & 1)
-        return UPSet(t, self.lam, residues, exceptional)
-
-
-@dataclass(frozen=True)
 class CyclicClasses:
-    """An SCC's cyclic classes, and the walk length from which its walks follow them.
+    """A cyclic SCC's period and cyclic classes, read off the levels of a backward search.
 
-    With p the SCC's period, class c holds the vertices at breadth-first
-    level c mod p; every edge leads from one class to the next.  For every
-    k >= ``start``, the vertices of the SCC with a length-k walk to v are
-    exactly the class (class(v) - k) mod p.
+    ``levels[d]`` holds the vertices of the SCC C whose shortest walk to its
+    root has d edges.  Two walks between the same vertices of C have lengths
+    congruent mod its period p, so every edge u -> w of C has p dividing
+    d(w) + 1 - d(u), and p is the gcd of these gaps (Denardo, 1977).  Class
+    c holds the vertices with d = -c (mod p), so every edge leads from one
+    class to the next.  For every k >= ``start``, the vertices of C with a
+    length-k walk to v are the whole class (class(v) - k) mod p;
+    ``start`` is ``math.inf`` until a forward pass has found one.
     """
 
-    start: int
-    classes: tuple[int, ...]
-    class_of: dict[int, int]
+    def __init__(self, rev: Sequence[int], levels: Sequence[int]):
+        self.comp = comp = sum(levels)
+        self._rev = rev
+        depth = {u: d for d, level in enumerate(levels) for u in bits_of(level)}
+        into = frontier_step(rev, comp, False)  # u is in into({w}) for each edge u -> w
+        # An edge into level d comes from level d + 1 (gap 0) or nearer.
+        gaps = (
+            d + 1 - depth[u]
+            for d, (level, farther) in enumerate(zip(levels, [*levels[1:], 0]))
+            for u in bits_of(into(level) & ~farther)
+        )
+        p = functools.reduce(math.gcd, gaps, 0)
+        classes = [0] * p
+        for d, level in enumerate(levels):
+            classes[-d % p] |= level
+        self.classes = tuple(classes)
+        self.class_of = {u: -d % p for u, d in depth.items()}
+        self.start: float = math.inf
+
+    @property
+    def period(self) -> int:
+        return len(self.classes)
+
+    @functools.cached_property
+    def back_step(self) -> Callable[[int], int]:
+        """F -> In(F) & C, by ``orbit_step``: built once, by the first layer that steps."""
+        return orbit_step(self._rev, self.comp)
 
     def layer(self, v: int, k: int) -> int:
-        """The vertices with a length-k walk to v inside the SCC, for k >= ``start``."""
+        """The class (class(v) - k) mod p: the vertices with a length-k walk to v, for k large."""
         return self.classes[(self.class_of[v] - k) % len(self.classes)]
 
 
-def forward_pass(rows: Sequence[int], comp: int) -> tuple[dict[int, UPSet], CyclicClasses]:
-    """Every spectrum of the cyclic SCC ``comp`` from one pass, and its cyclic classes.
+class BackLayers:
+    """v's backward layers B_k, the vertices of its SCC C with a length-k walk to v.
+
+    B_0 = {v} and B_(k+1) = In(B_k) & C.  B_k lies in the class
+    (class(v) - k) mod p, and once it is that whole class, so is every later
+    layer: a full class steps to the full class before it.  So the layers
+    are stepped and stored only as far as read, up to the first one that
+    equals its class (the ``settled`` index), and read off the classes from
+    there on; C's ``start``, where known, is a settled index already.  A
+    layer that repeated before it filled its class would stay periodic and
+    never fill it, so the layers first repeat exactly at (settled, p).
+    """
+
+    __slots__ = ("v", "classes", "items", "settled")
+
+    def __init__(self, v: int, classes: CyclicClasses):
+        self.v = v
+        self.classes = classes
+        self.items = [1 << v]
+        self.settled = classes.start
+
+    def _settle(self, k: float) -> None:
+        """Store layers up to index k, or stop at the first one that equals its class."""
+        items, classes, step = self.items, self.classes, self.classes.back_step
+        i = len(items) - 1
+        while items[i] != classes.layer(self.v, i):
+            if i >= k:
+                return
+            items.append(step(items[i]))
+            i += 1
+        self.settled = i
+
+    def __getitem__(self, k: int) -> int:
+        if len(self.items) <= k < self.settled:
+            self._settle(k)
+        if k < len(self.items):
+            return self.items[k]
+        return self.classes.layer(self.v, k)
+
+    def hits(self) -> UPSet:
+        """{k >= 1 : v in B_k}: the hits below the settled index, then every multiple of p."""
+        self._settle(math.inf)
+        t = max(self.settled, 1)
+        exceptional = frozenset(k for k in range(1, t) if self.items[k] >> self.v & 1)
+        return UPSet(t, self.classes.period, frozenset({0}), exceptional)
+
+
+def forward_pass(rows: Sequence[int], comp: int, p: int) -> tuple[dict[int, UPSet], int]:
+    """Every spectrum of the cyclic SCC ``comp`` of period p from one pass, and where it settles.
 
     X_k[u], the vertices of the SCC that u reaches by a walk of length k, is
     X_0[u] = {u} and X_(k+1)[u] = OR of X_k[w] over the successors w of u in
-    the SCC.  X_k is A_C^k, so it is periodic from some k on with the SCC's
-    period p, the gcd of the breadth-first level gaps of its edges (Denardo,
-    1977).  A closed walk has a length divisible by p, so the diagonal is
-    read, and the state compared with one snapshot (as in Brent, 1980),
-    only every p steps: the pass keeps two states and one diagonal per p
-    steps, and stops at the first multiple s of p with X_(s+p) = X_s.  From
-    s on, X_k is the cyclic class pattern, and UPSet's canonical form makes
-    any such s give the same spectra.  Each step is a C-level gather per
-    out-degree slot: vertices are sorted by out-degree, so slot j serves a
-    prefix of them.
+    the SCC.  X_k is A_C^k, so it is periodic with period p from some k on.
+    A closed walk has a length divisible by p, so the diagonal is read, and
+    the state compared with one snapshot (as in Brent, 1980), only every p
+    steps: the pass keeps two states and one diagonal per p steps, and
+    stops at the first multiple s of p with X_(s+p) = X_s.  From s on, X_k
+    is the cyclic class pattern, so s is a settled index of every backward
+    layer of the SCC, and UPSet's canonical form makes any such s give the
+    same spectra.  Each step is a C-level gather per out-degree slot:
+    vertices are sorted by out-degree, so slot j serves a prefix of them.
     """
     vs = sorted(bits_of(comp), key=lambda v: -(rows[v] & comp).bit_count())
     m = len(vs)
     local = {v: i for i, v in enumerate(vs)}
     succ = [[local[w] for w in bits_of(rows[v] & comp)] for v in vs]
-    level = [0] + [-1] * (m - 1)
-    queue = [0]
-    for i in queue:
-        for j in succ[i]:
-            if level[j] < 0:
-                level[j] = level[i] + 1
-                queue.append(j)
-    p = 0
-    for i, js in enumerate(succ):
-        for j in js:
-            p = math.gcd(p, level[i] + 1 - level[j])
     # X carries a last entry 0 for a vertex with no walks.  Each column ends
     # with its index, so every gather returns a tuple, even for one vertex.
     columns = [[js[slot] for js in succ if len(js) > slot] + [m] for slot in range(len(succ[0]))]
@@ -357,19 +373,17 @@ def forward_pass(rows: Sequence[int], comp: int) -> tuple[dict[int, UPSet], Cycl
     for v, h in zip(vs, hits):
         cut = bisect.bisect_left(h, t)  # h is sorted
         spectra[v] = UPSet(t, p, frozenset(k % p for k in h[cut:]), frozenset(h[:cut]))
-    classes = [0] * p
-    for v, lev in zip(vs, level):
-        classes[lev % p] |= 1 << v
-    return spectra, CyclicClasses(s, tuple(classes), {v: lev % p for v, lev in zip(vs, level)})
+    return spectra, s
 
 
-def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:
-    """The SCCs as masks, by Kosaraju's two passes; ``rev`` is ``transpose_rows(g)``.
+def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[list[int]]:
+    """The SCCs, each as its levels back from a root, by Kosaraju's two passes.
 
     Pass 1 is a depth-first search whose next child is the lowest unseen
     successor; it lists the vertices as they finish.  Pass 2 takes them in
-    reverse finishing order: the still unassigned vertices that reach one
-    form its SCC.
+    reverse finishing order: the still unassigned vertices that reach one,
+    its root, form its SCC, found level by level along ``rev``
+    (``transpose_rows(g)``) by ``bfs_levels``.
     """
     rows = g.rows
     unseen = (1 << g.n) - 1
@@ -389,8 +403,8 @@ def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[int]:
     unassigned = (1 << g.n) - 1
     for v in reversed(finished):
         if unassigned >> v & 1:
-            components.append(sum(bfs_levels(rev, 1 << v, within=unassigned)))
-            unassigned ^= components[-1]
+            components.append(list(bfs_levels(rev, 1 << v, within=unassigned)))
+            unassigned ^= sum(components[-1])
     return components
 
 

@@ -67,20 +67,21 @@ def _count_orbit_steps(monkeypatch, calls):
 
         return counted_step
 
-    for module in (walks, diagonals):
-        monkeypatch.setattr(module, "orbit_step", counted)
+    monkeypatch.setattr(walks, "orbit_step", counted)
 
 
-def _count_orbit_starts(monkeypatch):
-    """The start of every backward orbit the analysis makes, in order."""
+def _count_layer_starts(monkeypatch):
+    """B_0 of every vertex's backward layers the analysis makes, in order."""
     starts = []
 
-    class CountedOrbit(walks.FrontierOrbit):
-        def __init__(self, start, step):
-            starts.append(start)
-            super().__init__(start, step)
+    class CountedLayers(walks.BackLayers):
+        __slots__ = ()
 
-    monkeypatch.setattr(diagonals, "FrontierOrbit", CountedOrbit)
+        def __init__(self, v, classes):
+            starts.append(1 << v)
+            super().__init__(v, classes)
+
+    monkeypatch.setattr(diagonals, "BackLayers", CountedLayers)
     return starts
 
 
@@ -90,14 +91,14 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     _count_calls(monkeypatch, calls, "strongly_connected_components")
     _count_calls(monkeypatch, calls, "pass_beats_orbits")
     _count_orbit_steps(monkeypatch, calls)
-    starts = _count_orbit_starts(monkeypatch)
-    hits = walks.FrontierOrbit.hits
+    starts = _count_layer_starts(monkeypatch)
+    hits = walks.BackLayers.hits
 
-    def counted_hits(self, v):
-        calls["FrontierOrbit.hits"] += 1
-        return hits(self, v)
+    def counted_hits(self):
+        calls["BackLayers.hits"] += 1
+        return hits(self)
 
-    monkeypatch.setattr(walks.FrontierOrbit, "hits", counted_hits)
+    monkeypatch.setattr(walks.BackLayers, "hits", counted_hits)
     _count_calls(monkeypatch, calls, "transpose_rows")
     _count_calls(monkeypatch, calls, "mat_mul_bool")
     _count_calls(monkeypatch, calls, "mat_pow_bool")
@@ -109,12 +110,13 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     assert report["chain"]["ok"]
     assert calls["strongly_connected_components"] == 1
     assert calls["pass_beats_orbits"] == 3  # once per SCC: {0, 1}, {2, 3, 4} and {6}
-    # One spectrum and one backward orbit per cyclic vertex; the acyclic
-    # vertices 5 and 7 take the empty spectrum and make no orbit.
+    # One spectrum and one set of backward layers per cyclic vertex; the
+    # acyclic vertices 5 and 7 take the empty spectrum and make no layers.
     cyclic = [0, 1, 2, 3, 4, 6]
-    assert calls["FrontierOrbit.hits"] == len(cyclic)
+    assert calls["BackLayers.hits"] == len(cyclic)
     assert sorted(starts) == [1 << v for v in cyclic]
-    # One step function per SCC that layers step in: {0, 1}, {2, 3, 4} and {6}.
+    # One step function per SCC whose layers settle for a spectrum: {0, 1},
+    # {2, 3, 4} and {6}.  Each is a plain cycle, settled at B_0 with no step.
     assert calls["orbit_step"] == 3
     assert calls["transpose_rows"] == 1
     # A^2, ..., A^9 for the chain, one product each; the evens stop at
@@ -122,13 +124,29 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     # A^k twice, or by squaring, breaks this count.
     assert calls["mat_mul_bool"] == 8
     assert calls["mat_pow_bool"] == 0
-    # Each vertex's orbit is stepped once, for its spectrum, and every
-    # witness walk reads it without a step of its own.  The Dinf tails
+    # Each vertex's layers are stepped once, for its spectrum, and every
+    # witness walk reads them without a step of its own.  The Dinf tails
     # descend the cycle levels: 7's tail 5 -> 6 goes from level 1 to 0.
     analyze_steps = calls["orbit steps"]
     GraphAnalysis(g).spectra
     assert analyze_steps == calls["orbit steps"] - analyze_steps
     assert report["specs"][3]["witnesses"][7]["evidence"] == {"infinite_tail": [5, 6]}  # Dinf
+
+
+def test_a_plain_cycle_steps_no_layer(monkeypatch):
+    # Each vertex of a 5-cycle is its own cyclic class, so its layers are
+    # settled at B_0 = {v}: its spectrum and its witness walks read the
+    # classes, and no layer is ever stepped.
+    g = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    calls: Counter = Counter()
+    _count_orbit_steps(monkeypatch, calls)
+    analysis = GraphAnalysis(g)
+    assert not walks.pass_beats_orbits(g.rows, (1 << 5) - 1)  # the layers' own route
+    battery = analysis.verify_battery([*default_spec_battery(), DiagonalSpec.dn(10**9 + 4)])
+    assert analysis.spectra == [UPSet(1, 5, frozenset({0}))] * 5
+    assert battery[-1][2][0].evidence is None  # past the evidence cap
+    assert battery[4][2][2].evidence == Evidence((3, 4, 0, 1, 2, 3))  # Dn(4) at 2
+    assert calls["orbit steps"] == 0
 
 
 def test_dinf_alone_builds_no_spectrum(monkeypatch):
@@ -327,7 +345,7 @@ def test_one_witness_and_at_most_one_descent_per_vertex_and_length(monkeypatch, 
 def test_witness_of_a_looped_vertex_follows_its_length():
     g = make_graph(2, [(0, 0), (0, 1)])
     analysis = GraphAnalysis(g)
-    layers = diagonals._BackLayers(analysis, 0)
+    layers = walks.BackLayers(0, analysis.classes[0])
     tail = analysis._witness(0, math.inf, layers)
     assert tail == Witness(0, Side.OUT_MINUS_DX, 0, Evidence((0,), infinite_tail=True))
     pumped = analysis._witness(0, 3, layers)

@@ -48,13 +48,24 @@ def test_diagonal_n_rejects_zero():
 
 @pytest.mark.parametrize("first, second", [(1, True), (True, 1), (2, 2.0), (2.0, 2)])
 def test_dn_is_built_once_per_n_and_type(first, second):
-    DiagonalSpec.dn.__func__.cache_clear()  # so that first is built first
-    a, b = DiagonalSpec.dn(first), DiagonalSpec.dn(second)
-    assert a is DiagonalSpec.dn(first) and b is DiagonalSpec.dn(second)
-    assert a is not b  # equal n of different types stay apart
-    assert (type(a.n), type(b.n)) == (type(first), type(second))
+    DiagonalSpec.dn.__func__.cache_clear()  # so that first is asked for first
+    for n in (first, second):
+        if type(n) is int:
+            spec = DiagonalSpec.dn(n)
+            assert spec is DiagonalSpec.dn(n) and type(spec.n) is int
+        else:  # an equal n of another type is rejected, whether the int is cached or not
+            with pytest.raises(ValueError, match="integer n"):
+                DiagonalSpec.dn(n)
     assert DiagonalSpec.d() is DiagonalSpec.d()
     assert DiagonalSpec.dinf() is DiagonalSpec.dinf()
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None])
+def test_dn_rejects_an_n_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="integer n"):
+        DiagonalSpec.dn(n)
+    with pytest.raises(ValueError, match="integer n"):
+        DiagonalSpec("Dn", n=n)
 
 
 def test_looped_vertex_excluded_for_every_n():

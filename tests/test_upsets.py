@@ -36,6 +36,12 @@ def test_from_finite_empty():
     assert (s.threshold, s.period) == (0, 1)
 
 
+@pytest.mark.parametrize("values", [[2.5], [1, 2.0], [True], [0, False]])
+def test_from_finite_rejects_values_that_are_not_ints(values):
+    with pytest.raises(ValueError, match="integers"):
+        UPSet.from_finite(values)
+
+
 def test_member_on_evens():
     assert EVENS.member(10)
     assert not EVENS.member(7)

@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -12,7 +13,8 @@ from diagsets.graph import Graph, VertexSet, bits_of, make_graph
 from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
 from diagsets.walks import (
-    FrontierOrbit,
+    BackLayers,
+    CyclicClasses,
     TraceCapError,
     bfs_levels,
     forward_pass,
@@ -20,7 +22,6 @@ from diagsets.walks import (
     long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
-    orbit_step,
     power_trace,
     spectra_from_trace,
     strongly_connected_components,
@@ -168,18 +169,20 @@ def test_spectrum_of_edgeless_vertex_is_empty():
 
 
 def test_one_vertex_spectrum_runs_only_its_own_orbit(monkeypatch):
-    # Dense enough that 5's SCC takes the orbit route, one orbit per vertex.
+    # Dense enough that 5's SCC takes the orbit route: each vertex's own layers.
     g = gen_random(16, 0.5, 1, "allow")
     assert not walks.pass_beats_orbits(g.rows, GraphAnalysis(g).masks[5])
     expected = GraphAnalysis(g).spectra[5]
     built = []
 
-    class CountedOrbit(diagonals.FrontierOrbit):
-        def __init__(self, start, step):
-            built.append(start)
-            super().__init__(start, step)
+    class CountedLayers(diagonals.BackLayers):
+        __slots__ = ()
 
-    monkeypatch.setattr(diagonals, "FrontierOrbit", CountedOrbit)
+        def __init__(self, v, classes):
+            built.append(1 << v)
+            super().__init__(v, classes)
+
+    monkeypatch.setattr(diagonals, "BackLayers", CountedLayers)
     assert GraphAnalysis(g).spectrum(5) == expected
     assert built == [1 << 5]
 
@@ -205,17 +208,6 @@ def test_one_vertex_spectrum_equals_trace_spectrum(g):
     spectra = spectra_from_trace(power_trace(g))
     for v in range(g.n):
         assert GraphAnalysis(g).spectrum(v) == spectra[v]
-
-
-@given(graphs(max_order=6), st.integers(0, 60))
-def test_frontier_orbit_reads_like_direct_iteration(g, k):
-    step = frontier_step(g.rows, (1 << g.n) - 1, g.n > 8)
-    orbit = FrontierOrbit(1, step)
-    x = 1
-    for _ in range(k):
-        x = step(x)
-    assert orbit[k] == x
-    assert orbit[k + 1] == step(x)
 
 
 def test_frontier_step_block_tables_match_row_ors():
@@ -257,9 +249,12 @@ def test_cyclic_vertices_equal_nonempty_spectra(g):
 
 def test_scc_partition_covers_all_vertices():
     comps = strongly_connected_components(C3, transpose_rows(C3))
-    assert sorted(v for comp in comps for v in bits_of(comp)) == [0, 1, 2]
+    assert sorted(v for levels in comps for level in levels for v in bits_of(level)) == [0, 1, 2]
     assert len(comps) == 1
-    assert len(strongly_connected_components(PATH3, transpose_rows(PATH3))) == 3
+    # Kosaraju's second pass searches back from its root, vertex 0: 2 -> 0
+    # and 1 -> 2 -> 0 are the shortest walks to it.
+    assert comps == [[0b001, 0b100, 0b010]]
+    assert strongly_connected_components(PATH3, transpose_rows(PATH3)) == [[1], [2], [4]]
 
 
 def _transpose_by_edges(g):
@@ -463,17 +458,56 @@ def test_forward_pass_and_orbits_agree_on_spectra_and_witnesses(g):
     assert by_pass[0] == spectra_from_trace(power_trace(g))
 
 
-@given(graphs(max_order=8))
-def test_class_layers_equal_orbit_layers_past_the_start(g):
+def _first_repeat(start, step):
+    """(mu, lam) of the first x_(mu+lam) = x_mu of x_0 = start, x_(k+1) = step(x_k), by hashing."""
+    seen = {}
+    x = start
+    while x not in seen:
+        seen[x] = len(seen)
+        x = step(x)
+    return seen[x], len(seen) - seen[x]
+
+
+@given(graphs(max_order=10))
+@settings(max_examples=150)
+def test_back_layers_settle_into_cyclic_classes(g):
     # A Hamiltonian cycle 0 -> 1 -> ... -> 0 makes g strongly connected.
     n = g.n
     g = Graph(n, tuple(row | 1 << (u + 1) % n for u, row in enumerate(g.rows)))
     full = (1 << n) - 1
-    _, classes = forward_pass(g.rows, full)
-    p = len(classes.classes)
-    assert sum(classes.classes) == full  # the classes partition the SCC
-    step = orbit_step(transpose_rows(g), full)
+    rev = transpose_rows(g)
+    [levels] = strongly_connected_components(g, rev)
+    classes = CyclicClasses(rev, levels)
+    p = classes.period
+    # The classes partition the SCC, and every edge leads from a class to the next.
+    assert sum(classes.classes) == full
+    assert sum(c.bit_count() for c in classes.classes) == n and all(classes.classes)
+    for c, members in enumerate(classes.classes):
+        assert all(classes.class_of[u] == c for u in bits_of(members))
+    for u in range(n):
+        for w in bits_of(g.rows[u]):
+            assert classes.class_of[w] == (classes.class_of[u] + 1) % p
+    # p is the gcd of the closed-walk lengths.
+    spectra = spectra_from_trace(power_trace(g))
+    lengths = [m for sp in spectra for m in sp.members_upto(sp.threshold + 2 * sp.period)]
+    assert p == math.gcd(*lengths)
+    # The forward pass's stopping point is a settled index of every vertex.
+    passed = CyclicClasses(rev, levels)
+    _, passed.start = forward_pass(g.rows, full, p)
+    step = frontier_step(rev, full, False)
     for v in range(n):
-        orbit = FrontierOrbit(1 << v, step)
-        for k in range(classes.start, classes.start + 3 * p + 1):
-            assert classes.layer(v, k) == orbit[k]
+        layers = BackLayers(v, classes)
+        settled_spectrum = layers.hits()
+        # The hashed orbit of the same layers first repeats at (settled, p).
+        assert _first_repeat(1 << v, step) == (layers.settled, p)
+        assert layers.settled <= passed.start
+        direct = [1 << v]
+        for _ in range(layers.settled + 3 * p):
+            direct.append(step(direct[-1]))
+        # Fresh layers read backwards, so the first read steps the furthest,
+        # and layers that know the pass's settled index.
+        fresh, from_pass = BackLayers(v, classes), BackLayers(v, passed)
+        for k in reversed(range(len(direct))):
+            assert layers[k] == fresh[k] == from_pass[k] == direct[k]
+        assert fresh.settled == layers.settled
+        assert settled_spectrum == spectra[v]
