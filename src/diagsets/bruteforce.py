@@ -9,9 +9,12 @@ scalable path.
 
 ``exhaustive_sweep`` runs every engine-vs-oracle comparison and every
 theorem over *all* digraphs up to a given order (2 + 16 + 512 = 530
-graphs through order 3).  One literal oracle, ``diagonal_S_bf``, checks D,
-Dn and every finite DS; the sweep records each exception, an oracle guard
-or the trace cap included, as a counterexample, never as a skip.
+graphs through order 3).  Each graph's theorems take one battery; only a
+graph whose battery fails reruns them spec by spec, so that each failure
+is named with its own message.  One literal oracle, ``diagonal_S_bf``,
+checks D, Dn and every finite DS; the sweep records each exception, an
+oracle guard or the trace cap included, as a counterexample, never as a
+skip.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Iterable, Iterator
 
 from .diagonals import (
     CHAIN_N_MAX,
+    DiagonalSpec,
     GraphAnalysis,
     default_spec_battery,
     distinct_out_count,
@@ -177,6 +181,9 @@ class SweepReport:
 def exhaustive_sweep(order_max: int = 3) -> SweepReport:
     """Check the default battery and every engine-vs-oracle pair over all small graphs.
 
+    Each graph's theorems take one ``verify_battery`` call.  If it raises,
+    ``verify_unequal`` reruns them spec by spec, so each failing spec is
+    named with its own message and every other spec still passes.
     Failures are recorded, never raised; callers assert the report is clean.
     Order 4 adds 65536 graphs to the 530 of orders 1 to 3.
     """
@@ -184,9 +191,11 @@ def exhaustive_sweep(order_max: int = 3) -> SweepReport:
         raise ValueError("order_max must be between 1 and 4")
     specs = default_spec_battery()
     s_samples = [spec.s for spec in specs if spec.kind == "DS"]
+    theorems = [(f"theorem[{spec.label()}]", spec) for spec in specs]
     # D, Dn and DS are each D_S of a length set S; every finite S has the literal oracle.
     oracles = [
         (
+            f"oracle[{spec.label()}]",
             spec,
             diagonal_inf_bf
             if spec.lengths is None
@@ -195,12 +204,15 @@ def exhaustive_sweep(order_max: int = 3) -> SweepReport:
         for spec in specs
         if spec.lengths is None or spec.lengths.is_finite()
     ]
-
-    results: dict[str, PropertyResult] = {}
+    names = (
+        [name for name, _ in theorems]
+        + ["chain"]
+        + [name for name, _, _ in oracles]
+        + ["spectrum", "pigeonhole"]
+    )
+    results = {name: PropertyResult(name) for name in names}
 
     def check(name: str, g: Graph, thunk) -> None:
-        if name not in results:
-            results[name] = PropertyResult(name)
         try:
             thunk()
             error = None
@@ -208,9 +220,9 @@ def exhaustive_sweep(order_max: int = 3) -> SweepReport:
             error = exc
         results[name].record(g, error)
 
-    def assert_eq(a, b, what: str) -> None:
+    def assert_eq(a, b, spec: DiagonalSpec) -> None:
         if a != b:
-            raise AssertionError(f"{what}: engine={a} oracle={b}")
+            raise AssertionError(f"{spec.label()}: engine={a} oracle={b}")
 
     per_order: dict[int, int] = {}
     checked = 0
@@ -220,14 +232,20 @@ def exhaustive_sweep(order_max: int = 3) -> SweepReport:
             checked += 1
             per_order[order] += 1
             analysis = GraphAnalysis(g)
-            for spec in specs:
-                check(f"theorem[{spec.label()}]", g, lambda s=spec: analysis.verify_unequal(s))
+            try:
+                analysis.verify_battery(specs)
+            except Exception:  # rerun spec by spec to name each failure
+                for name, spec in theorems:
+                    check(name, g, partial(analysis.verify_unequal, spec))
+            else:
+                for name, _ in theorems:
+                    results[name].record(g, None)
             check("chain", g, lambda: analysis.inclusion_chain_check(CHAIN_N_MAX, s_samples))
-            for spec, oracle in oracles:
+            for name, spec, oracle in oracles:
                 check(
-                    f"oracle[{spec.label()}]",
+                    name,
                     g,
-                    lambda s=spec, o=oracle: assert_eq(analysis.diagonal_set(s), o(g), s.label()),
+                    lambda s=spec, o=oracle: assert_eq(analysis.diagonal_set(s), o(g), s),
                 )
             check("spectrum", g, lambda: _check_spectra(analysis))
             check("pigeonhole", g, lambda: _check_pigeonhole(g))

@@ -1,6 +1,6 @@
 import pytest
 
-from diagsets import graph
+from diagsets import diagonals, graph
 from diagsets.bruteforce import (
     OracleGuardError,
     closed_walk_lengths_bf,
@@ -12,6 +12,7 @@ from diagsets.bruteforce import (
     walk_exists_bf,
     walk_from_exists_bf,
 )
+from diagsets.diagonals import GraphAnalysis
 from diagsets.graph import make_graph
 
 C3 = make_graph(3, [(0, 1), (1, 2), (2, 0)])
@@ -174,3 +175,64 @@ def test_sweep_rejects_bad_bounds():
         exhaustive_sweep(order_max=0)
     with pytest.raises(ValueError):
         exhaustive_sweep(order_max=5)
+
+
+def _assert_only_these_fail(report, failing):
+    """Each property's (passes, failures, first counterexample) over the 530 graphs."""
+    for p in report.properties:
+        tally = (p.passes, p.failures, p.first_counterexample)
+        assert tally == failing.get(p.name, (530, 0, None)), p.name
+
+
+def test_sweep_names_a_failing_witness_check_by_its_spec(monkeypatch):
+    validate = diagonals.validate_witness
+
+    def planted(g, spec, dx, witness, cyclic):
+        if spec.label() == "Dn(3)" and g.rows[0] & 1:
+            raise diagonals.TheoremViolationError("planted on Dn(3)")
+        return validate(g, spec, dx, witness, cyclic)
+
+    monkeypatch.setattr(diagonals, "validate_witness", planted)
+    first = "order=1 edges=[(0, 0)]: planted on Dn(3)"
+    _assert_only_these_fail(exhaustive_sweep(3), {"theorem[Dn(3)]": (265, 265, first)})
+
+
+def test_sweep_names_every_spec_a_failing_descent_reaches(monkeypatch):
+    descend = diagonals._descend
+
+    def planted(g, layers, start, length):
+        if length == 4:
+            raise diagonals.InternalDisagreementError("planted descent of length 4")
+        return descend(g, layers, start, length)
+
+    monkeypatch.setattr(diagonals, "_descend", planted)
+    message = "planted descent of length 4"
+    first_dn = f"order=2 edges=[(0, 1), (1, 0)]: {message}"
+    first_ds = f"order=3 edges=[(0, 0), (0, 1), (1, 2), (2, 0)]: {message}"
+    _assert_only_these_fail(
+        exhaustive_sweep(3),
+        {
+            "theorem[Dn(3)]": (277, 253, first_dn),
+            "theorem[DS(up(t=0,d=2,r=1))]": (500, 30, first_ds),
+        },
+    )
+
+
+def test_passing_sweep_runs_one_battery_per_graph(monkeypatch):
+    calls = {}
+
+    def count(name):
+        method = getattr(GraphAnalysis, name)
+
+        def counted(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return method(self, *args)
+
+        monkeypatch.setattr(GraphAnalysis, name, counted)
+
+    for name in ("verify_battery", "verify_unequal", "_vertex", "_witness"):
+        count(name)
+    assert exhaustive_sweep(3).ok()
+    # One verify_unequal per spec took 6,890 batteries, 20,410 vertex
+    # passes and 20,410 witnesses.
+    assert calls == {"verify_battery": 530, "_vertex": 1570, "_witness": 9549}
