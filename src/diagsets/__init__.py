@@ -13,7 +13,6 @@ from .diagonals import (
     Side,
     TheoremViolationError,
     Witness,
-    cantor_witness,
     default_spec_battery,
     distinct_out_count,
     validate_witness,
@@ -33,7 +32,6 @@ __all__ = [
     "UPSet",
     "VertexSet",
     "Witness",
-    "cantor_witness",
     "default_spec_battery",
     "distinct_out_count",
     "emit_edge_list",

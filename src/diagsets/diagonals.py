@@ -183,14 +183,6 @@ def inclusion_chain_check(
     return GraphAnalysis(g).inclusion_chain_check(n_max, s_samples)
 
 
-def cantor_witness(g: Graph, v: int) -> Witness:
-    """The fixed-point witness: v itself separates D from Out(v)."""
-    g._check_vertex(v)
-    if g.has_edge(v, v):
-        return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v, v)))
-    return Witness(v, Side.DX_MINUS_OUT, v, None)
-
-
 def _descend(
     g: Graph, layers: BackLayers | Sequence[int], start: int, length: int
 ) -> Iterator[int]:
@@ -218,11 +210,12 @@ class GraphAnalysis:
     Each fact is computed on first read and kept: the transposed rows,
     the cyclic SCCs and their cyclic classes (one Kosaraju pass, whose
     levels give both), the SCC masks, the cyclic set and the levels of one
-    breadth-first search back from it, each SCC's route, the spectra, the
-    powers A^k by exponent, and the diagonal set of every length set S
-    (None for Dinf).  The independent routes run once per analysis: Dinf
-    by the levels and by the zero rows of A^|V|, and in the chain check
-    D_n and D_S from the spectra and from the loops of powers.
+    breadth-first search back from it, each SCC's route, the spectra and
+    the diagonal set of every length set S (None for Dinf).  No matrix
+    power is kept: the chain check makes the ones it reads in one walk and
+    drops them.  The independent routes run once per analysis: Dinf by
+    the levels and by the zero rows of A^|V|, and in the chain check D_n
+    and D_S from the spectra and from the loops of powers.
 
     The first vertex of an SCC that needs a spectrum decides the route:
     one forward pass for all its spectra where ``pass_beats_orbits`` says
@@ -235,7 +228,6 @@ class GraphAnalysis:
 
     def __init__(self, g: Graph):
         self.g = g
-        self._powers: dict[int, Graph] = {1: g}
         self._spectra: list[UPSet | None] = [None] * g.n
         self._sets: dict[UPSet | None, VertexSet] = {}
         self._routed: set[int] = set()  # the SCCs whose spectra route is decided
@@ -295,15 +287,6 @@ class GraphAnalysis:
                 for u, spectrum in found.items():
                     self._spectra[u] = spectrum
 
-    def power(self, exponent: int) -> Graph:
-        """A^exponent: one product from a memoised A^(exponent-1), else by squaring."""
-        if exponent not in self._powers:
-            prev = self._powers.get(exponent - 1)
-            self._powers[exponent] = (
-                mat_pow_bool(self.g, exponent) if prev is None else mat_mul_bool(self.g, prev)
-            )
-        return self._powers[exponent]
-
     def diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         """The diagonal set of spec, kept per length set S: D and DS({0}) share one."""
         if spec.lengths not in self._sets:
@@ -353,7 +336,7 @@ class GraphAnalysis:
         return spectrum, shortest, [made[m] for m in shortest]
 
     def variant_witness(self, v: int, spec: DiagonalSpec) -> Witness:
-        """Witness by the three-way case split; for D = D_S({0}) it is ``cantor_witness``."""
+        """Witness by the three-way case split; for D = D_S({0}), v itself: the fixed point."""
         return self._vertex(v, (spec,))[2][0]
 
     def _witness(self, v: int, length: float | None, layers: BackLayers | None) -> Witness:
@@ -429,20 +412,54 @@ class GraphAnalysis:
 
         Here the spectra meet matrix powers.  Each D_n (D for n = 0) must be
         the unlooped vertices of A^(n+1), and D_S the intersection of the
-        D_n over S, read off powers A^(m+1) for the members m of S: the
-        memoised power where there is one, else chained along the members.
-        An infinite S is truncated at the largest max(t_v, t_S+1) +
+        D_n over S, read off powers A^(m+1) for the members m of S.  An
+        infinite S is truncated at the largest max(t_v, t_S+1) +
         lcm(d_v, d_S) over the vertices v, with (t_v, d_v) the threshold and
         period of v's spectrum; beyond it each vertex's violations are
         periodic, so nothing new can appear.
+
+        One ascending walk over the exponents read makes every power, each
+        from the one before by one product with A^gap.  The walk keeps A^gap
+        from where it passes exponent gap to its last use, and
+        ``mat_pow_bool`` makes only a gap it never passes.  No power
+        outlives the check.
         """
+        if not isinstance(n_max, int) or isinstance(n_max, bool):
+            raise ValueError(f"n_max must be an integer, got {n_max!r}")
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
         d = self.diagonal_set(DiagonalSpec.d())
         dinf = self.diagonal_set(DiagonalSpec.dinf())
+        samples = []  # (S, its members read, its truncation bound or None)
+        for s in s_samples:
+            bound = None
+            if not s.is_finite():
+                bound = max(
+                    max(sp.threshold, s.threshold + 1) + math.lcm(sp.period, s.period)
+                    for sp in self.spectra
+                )
+            # A finite S lies below its threshold.
+            samples.append((s, list(s.members_upto(bound or s.threshold)), bound))
+
+        # The walk starts at A^1, which D = D_0 reads.
+        walk = sorted({*range(1, n_max + 2), *(m + 1 for _, ms, _ in samples for m in ms)})
+        gaps = [b - a for a, b in zip(walk, walk[1:])]
+        last_use = {gap: i for i, gap in enumerate(gaps)}
+        power, steps = self.g, {1: self.g}  # steps: A^gap by gap, for the gaps still to read
+        unlooped = {1: power.loops().complement()}
+        for i, (k, gap) in enumerate(zip(walk[1:], gaps)):
+            step = steps.pop(gap) if gap in steps else mat_pow_bool(self.g, gap)
+            if last_use[gap] > i:
+                steps[gap] = step
+            # Powers of A commute; the sparser step goes on the left.
+            power = mat_mul_bool(step, power)
+            if last_use.get(k, -1) > i:
+                steps[k] = power
+            unlooped[k] = power.loops().complement()
+
         for n in range(n_max + 1):
             dn = self.diagonal_set(DiagonalSpec.dn(n)) if n else d
-            if dn != self.power(n + 1).loops().complement():
+            if dn != unlooped[n + 1]:
                 raise InternalDisagreementError(f"D_{n} routes disagree: spectra vs A^{n + 1}")
             if n and not dinf.issubset(dn):
                 raise TheoremViolationError(f"D_inf is not a subset of D_{n}")
@@ -451,29 +468,11 @@ class GraphAnalysis:
 
         finite_ids: list[str] = []
         truncated: list[tuple[str, int]] = []
-        for s in s_samples:
-            ds = self.diagonal_set(DiagonalSpec.ds(s))
-            if s.is_finite():
-                members = sorted(s.exceptional)
-                bound = None
-            else:
-                bound = max(
-                    max(sp.threshold, s.threshold + 1) + math.lcm(sp.period, s.period)
-                    for sp in self.spectra
-                )
-                members = list(s.members_upto(bound))
+        for s, members, bound in samples:
             expected = VertexSet.full(self.g.n)
-            power, prev = None, -1  # power is A^(prev+1); None stands for A^0
             for m in members:
-                if m + 1 in self._powers:
-                    power = self._powers[m + 1]
-                else:
-                    step = self.power(m - prev)
-                    # Powers of A commute; the sparser step goes on the left.
-                    power = step if power is None else mat_mul_bool(step, power)
-                prev = m
-                expected &= power.loops().complement()
-            if ds != expected:
+                expected &= unlooped[m + 1]
+            if self.diagonal_set(DiagonalSpec.ds(s)) != expected:
                 raise TheoremViolationError(
                     f"D_S for S={s.literal()} differs from the intersection of its D_n"
                 )

@@ -28,8 +28,10 @@ from diagsets.bruteforce import (
 )
 from diagsets.diagonals import (
     DiagonalSpec,
+    Evidence,
     GraphAnalysis,
-    cantor_witness,
+    Side,
+    Witness,
     default_spec_battery,
     distinct_out_count,
 )
@@ -44,6 +46,13 @@ from diagsets.walks import (
 EVENS = UPSet(0, 2, frozenset({0}))
 ODDS = UPSet(0, 2, frozenset({1}))
 PS = (0.05, 0.2, 0.5, 0.9)
+
+
+def cantor_witness(g, v):
+    """The fixed-point witness: v itself separates D from Out(v)."""
+    if g.has_edge(v, v):
+        return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v, v)))
+    return Witness(v, Side.DX_MINUS_OUT, v, None)
 
 
 @contextmanager
@@ -173,10 +182,11 @@ def test_criterion_06_chain_and_intersection_identities(
 
 
 def test_criterion_07_cantor_fixed_point(small_exhaustive, random_small, random_mid):
-    with criterion("7. cantor_witness(G, v).vertex == v on every corpus graph"):
+    with criterion("7. D's witness for v is cantor_witness(G, v), at v, on every corpus graph"):
         for g in small_exhaustive + random_small + random_mid:
-            for v in range(g.n):
-                assert cantor_witness(g, v).vertex == v
+            witnesses = GraphAnalysis(g).verify_unequal(DiagonalSpec.d())
+            assert witnesses == [cantor_witness(g, v) for v in range(g.n)]
+            assert all(w.vertex == v for v, w in enumerate(witnesses))
 
 
 def test_criterion_08_pigeonhole_count(small_exhaustive, random_small, random_mid):

@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import weakref
 from collections import Counter, deque
 
 import pytest
@@ -18,10 +19,10 @@ from diagsets.diagonals import (
     Witness,
     default_spec_battery,
 )
-from diagsets.graph import make_graph
+from diagsets.graph import VertexSet, make_graph
 from diagsets.graphio import gen_random
 from diagsets.report import analyze_graph
-from diagsets.upsets import UPSet
+from diagsets.upsets import UPSet, parse_upset
 from diagsets.walks import power_trace, spectra_from_trace
 
 from strategies import graphs
@@ -224,7 +225,7 @@ def test_chain_check_reads_memoised_powers_for_members_of_s(monkeypatch):
     _count_calls(monkeypatch, calls, "mat_pow_bool")
     report = analysis.inclusion_chain_check(8, [UPSet.from_finite([0, 2])])
     assert report.finite_identities == ("finite(0,2)",)
-    assert calls == {"mat_mul_bool": 8}  # A^1 and A^3 come from the D_n loop's memo
+    assert calls == {"mat_mul_bool": 8}  # D_0 and D_2 read A^1 and A^3 too
 
 
 def test_dn_at_a_huge_n_makes_no_matrix_product(monkeypatch):
@@ -354,15 +355,50 @@ def test_witness_of_a_looped_vertex_follows_its_length():
         diagonals.validate_witness(g, spec, analysis.diagonal_set(spec), w, analysis.cyclic)
 
 
-def test_power_memo_matches_the_trace():
+def test_dn_matches_the_trace():
     g = gen_random(12, 0.2, 5, "allow")
-    analysis = GraphAnalysis(g)
     trace = power_trace(g)
-    for k in (1, 2, 7, 10**9 + 8):
-        assert analysis.power(k) == trace.power(k)
-        assert analysis.power(k) is analysis.power(k)
     spec = DiagonalSpec.dn(6)
-    assert analysis.diagonal_set(spec) == trace.power(7).loops().complement()
+    assert GraphAnalysis(g).diagonal_set(spec) == trace.power(7).loops().complement()
+
+
+def test_chain_walk_makes_the_gaps_it_never_passes_and_matches_the_trace(monkeypatch):
+    # Past A^9 the walk reads A^37 for up(t=30,...) and A^41 for
+    # finite(0,40): the gap 28 is no exponent the walk passes, so
+    # mat_pow_bool makes it.
+    g = gen_random(12, 0.3, 11, "allow")
+    samples = [parse_upset("finite(0,40)"), parse_upset("up(t=30,d=12,r=0|5)")]
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls, "mat_pow_bool")
+    analysis = GraphAnalysis(g)
+    report = analysis.inclusion_chain_check(8, samples)
+    assert calls["mat_pow_bool"] == 1
+    assert report.finite_identities == ("finite(0,40)",)
+    ((literal, bound),) = report.truncated_identities
+    assert literal == samples[1].literal()
+    trace = power_trace(g)
+    for s, upto in zip(samples, (40, bound)):
+        expected = VertexSet.full(g.n)
+        for m in s.members_upto(upto):
+            expected &= trace.power(m + 1).loops().complement()
+        assert analysis.diagonal_set(DiagonalSpec.ds(s)) == expected
+
+
+def test_chain_check_keeps_no_product_alive(monkeypatch):
+    g = gen_random(12, 0.3, 3, "allow")
+    analysis = GraphAnalysis(g)
+    products = []
+    for module in (walks, diagonals):
+
+        def kept(a, b, _original=module.mat_mul_bool):
+            product = _original(a, b)
+            products.append(weakref.ref(product))
+            return product
+
+        monkeypatch.setattr(module, "mat_mul_bool", kept)
+    analysis.inclusion_chain_check(8, [EVENS, parse_upset("finite(0,40)")])
+    assert len(products) > 8
+    assert all(ref() is None for ref in products)
 
 
 @pytest.mark.parametrize("first", ["spectrum", "spectra", "verify_battery"])

@@ -6,10 +6,11 @@ from diagsets import diagonals
 from diagsets.bruteforce import diagonal_S_bf, diagonal_inf_bf, diagonal_n_bf
 from diagsets.diagonals import (
     DiagonalSpec,
+    Evidence,
     GraphAnalysis,
     Side,
     TheoremViolationError,
-    cantor_witness,
+    Witness,
     default_spec_battery,
     distinct_out_count,
     validate_witness,
@@ -26,6 +27,13 @@ PATH3 = make_graph(3, [(0, 1), (1, 2)])
 LOOP1 = make_graph(1, [(0, 0)])
 K3_LOOPED = make_graph(3, [(u, w) for u in range(3) for w in range(3)])
 EVENS = UPSet(0, 2, frozenset({0}))
+
+
+def cantor_witness(g, v):
+    """The fixed-point witness: v itself separates D from Out(v)."""
+    if g.has_edge(v, v):
+        return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v, v)))
+    return Witness(v, Side.DX_MINUS_OUT, v, None)
 
 
 def test_diagonal_examples():
@@ -453,8 +461,14 @@ def test_diagonal_n_is_not_monotone_in_n():
 def test_chain_rejects_bad_arguments():
     with pytest.raises(ValueError):
         GraphAnalysis(C3).inclusion_chain_check(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="DS requires a nonempty length set"):
         GraphAnalysis(C3).inclusion_chain_check(3, [UPSet.empty()])
+
+
+@pytest.mark.parametrize("n_max", [True, 2.5])
+def test_chain_rejects_an_n_max_that_is_not_an_int(n_max):
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        GraphAnalysis(C3).inclusion_chain_check(n_max)
 
 
 def test_distinct_out_count_examples():
