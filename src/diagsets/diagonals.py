@@ -209,7 +209,7 @@ class GraphAnalysis:
 
     Each fact is computed on first read and kept: the transposed rows,
     the cyclic SCCs and their cyclic classes (one Kosaraju pass, whose
-    levels give both), the SCC masks, the cyclic set and the levels of one
+    levels give both), the cyclic set and the levels of one
     breadth-first search back from it, each SCC's route, the spectra and
     the diagonal set of every length set S (None for Dinf).  No matrix
     power is kept: the chain check makes the ones it reads in one walk and
@@ -230,7 +230,7 @@ class GraphAnalysis:
         self.g = g
         self._spectra: list[UPSet | None] = [None] * g.n
         self._sets: dict[UPSet | None, VertexSet] = {}
-        self._routed: set[int] = set()  # the SCCs whose spectra route is decided
+        self._routed: set[CyclicClasses] = set()  # the SCCs whose spectra route is decided
 
     @cached_property
     def classes(self) -> list[CyclicClasses | None]:
@@ -246,17 +246,13 @@ class GraphAnalysis:
         return found
 
     @cached_property
-    def masks(self) -> list[int]:
-        """Per vertex, its SCC as a mask if a closed walk passes through it, else 0."""
-        return [0 if classes is None else classes.comp for classes in self.classes]
-
-    @cached_property
     def transposed_rows(self) -> tuple[int, ...]:
         return transpose_rows(self.g)
 
     @cached_property
     def cyclic(self) -> VertexSet:
-        return VertexSet(self.g.n, sum(set(self.masks)))  # distinct SCCs are disjoint
+        # Each SCC's mask once; distinct SCCs are disjoint.
+        return VertexSet(self.g.n, sum(c.comp for c in set(self.classes) - {None}))
 
     @cached_property
     def cycle_levels(self) -> list[int]:
@@ -279,12 +275,10 @@ class GraphAnalysis:
 
     def _route(self, classes: CyclicClasses) -> None:
         """Once per SCC: its spectra and a settled index from a forward pass, if priced lower."""
-        comp = classes.comp
-        if comp not in self._routed:
-            self._routed.add(comp)
-            if pass_beats_orbits(self.g.rows, comp):
-                found, classes.start = forward_pass(self.g.rows, comp, classes.period)
-                for u, spectrum in found.items():
+        if classes not in self._routed:
+            self._routed.add(classes)
+            if pass_beats_orbits(self.g.rows, classes.comp):
+                for u, spectrum in forward_pass(self.g.rows, classes).items():
                     self._spectra[u] = spectrum
 
     def diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
@@ -314,7 +308,7 @@ class GraphAnalysis:
 
         Specs with one shortest violation at v share one witness object.
         """
-        self.g._check_vertex(v)  # a negative v would index another vertex's mask
+        self.g._check_vertex(v)  # a negative v would index another vertex's classes
         needed = self._spectra[v] is None and (
             not specs or any(spec.kind != "Dinf" for spec in specs)
         )

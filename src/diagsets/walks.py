@@ -19,13 +19,12 @@ sequence A^1, A^2, ..., is kept only as an independent oracle for them.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, bits_of
 from .upsets import UPSet
@@ -241,9 +240,10 @@ class CyclicClasses:
     congruent mod its period p, so every edge u -> w of C has p dividing
     d(w) + 1 - d(u), and p is the gcd of these gaps (Denardo, 1977).  Class
     c holds the vertices with d = -c (mod p), so every edge leads from one
-    class to the next.  For every k >= ``start``, the vertices of C with a
-    length-k walk to v are the whole class (class(v) - k) mod p;
-    ``start`` is ``math.inf`` until a forward pass has found one.
+    class to the next.  ``start`` is ``math.inf`` until :func:`forward_pass`
+    records the first multiple of p where each of its rows fills its class;
+    for every k >= ``start``, the vertices of C with a length-k walk to v
+    are then the whole class (class(v) - k) mod p.
     """
 
     def __init__(self, rev: Sequence[int], levels: Sequence[int]):
@@ -277,6 +277,14 @@ class CyclicClasses:
     def layer(self, v: int, k: int) -> int:
         """The class (class(v) - k) mod p: the vertices with a length-k walk to v, for k large."""
         return self.classes[(self.class_of[v] - k) % len(self.classes)]
+
+    def spectrum(self, settled: int, hits: Iterable[int]) -> UPSet:
+        """The spectrum of a vertex whose layers settle at ``settled``.
+
+        ``hits`` are its closed-walk lengths from 1 to settled - 1; from
+        the settled index on, its layer at k holds it exactly when p divides k.
+        """
+        return UPSet(max(settled, 1), self.period, frozenset({0}), frozenset(hits))
 
 
 class BackLayers:
@@ -321,26 +329,28 @@ class BackLayers:
     def hits(self) -> UPSet:
         """{k >= 1 : v in B_k}: the hits below the settled index, then every multiple of p."""
         self._settle(math.inf)
-        t = max(self.settled, 1)
-        exceptional = frozenset(k for k in range(1, t) if self.items[k] >> self.v & 1)
-        return UPSet(t, self.classes.period, frozenset({0}), exceptional)
+        items, v = self.items, self.v
+        return self.classes.spectrum(
+            self.settled, (k for k in range(1, self.settled) if items[k] >> v & 1)
+        )
 
 
-def forward_pass(rows: Sequence[int], comp: int, p: int) -> tuple[dict[int, UPSet], int]:
-    """Every spectrum of the cyclic SCC ``comp`` of period p from one pass, and where it settles.
+def forward_pass(rows: Sequence[int], classes: CyclicClasses) -> dict[int, UPSet]:
+    """Every spectrum of a cyclic SCC from one pass, which records where it settles as ``start``.
 
-    X_k[u], the vertices of the SCC that u reaches by a walk of length k, is
+    X_k[u], the vertices of the SCC C that u reaches by a walk of length k, is
     X_0[u] = {u} and X_(k+1)[u] = OR of X_k[w] over the successors w of u in
-    the SCC.  X_k is A_C^k, so it is periodic with period p from some k on.
-    A closed walk has a length divisible by p, so the diagonal is read, and
-    the state compared with one snapshot (as in Brent, 1980), only every p
-    steps: the pass keeps two states and one diagonal per p steps, and
-    stops at the first multiple s of p with X_(s+p) = X_s.  From s on, X_k
-    is the cyclic class pattern, so s is a settled index of every backward
-    layer of the SCC, and UPSet's canonical form makes any such s give the
-    same spectra.  Each step is a C-level gather per out-degree slot:
-    vertices are sorted by out-degree, so slot j serves a prefix of them.
+    C.  At a multiple k of the period p, X_k[u] lies in u's own class, and a
+    row that fills its class stays full, so the pass stops at the first
+    multiple s of p where every row has as many vertices as its class.  From
+    s on, X_k follows the cyclic classes, so s is the first multiple of p
+    at which every backward layer of C is settled.  A closed walk has a
+    length divisible by p, so the diagonal is read only at the multiples of
+    p below s: a plain cycle, whose classes are single vertices, takes no
+    step.  Each step is a C-level gather per out-degree slot: vertices are
+    sorted by out-degree, so slot j serves a prefix of them.
     """
+    comp, p = classes.comp, classes.period
     vs = sorted(bits_of(comp), key=lambda v: -(rows[v] & comp).bit_count())
     m = len(vs)
     local = {v: i for i, v in enumerate(vs)}
@@ -352,28 +362,22 @@ def forward_pass(rows: Sequence[int], comp: int, p: int) -> tuple[dict[int, UPSe
     prefixes = [len(col) - 1 for col in columns[1:]]
     x = [1 << i for i in range(m)] + [0]
     unit, everyone = x, range(m)
-    diagonals = []  # per multiple k of p, the local indices i with i in X_k[i]
-    while True:
-        snapshot = x
+    sizes = [c.bit_count() for c in classes.classes]
+    full = [sizes[classes.class_of[v]] for v in vs]
+    hits: list[list[int]] = [[] for _ in vs]
+    s = 0
+    while not all(map(operator.eq, map(int.bit_count, x), full)):
+        if s:
+            for i in itertools.compress(everyone, map(operator.and_, x, unit)):
+                hits[i].append(s)
         for _ in range(p):
             nxt = list(first(x))
             for gather, c in zip(others, prefixes):
                 nxt[:c] = map(operator.or_, nxt[:c], gather(x))
             x = nxt
-        diagonals.append(tuple(itertools.compress(everyone, map(operator.and_, x, unit))))
-        if x == snapshot:
-            break
-    s = p * (len(diagonals) - 1)
-    t = max(s, 1)
-    hits: list[list[int]] = [[] for _ in vs]
-    for k, diagonal in enumerate(diagonals, 1):
-        for i in diagonal:
-            hits[i].append(k * p)
-    spectra = {}
-    for v, h in zip(vs, hits):
-        cut = bisect.bisect_left(h, t)  # h is sorted
-        spectra[v] = UPSet(t, p, frozenset(k % p for k in h[cut:]), frozenset(h[:cut]))
-    return spectra, s
+        s += p
+    classes.start = s
+    return {v: classes.spectrum(s, h) for v, h in zip(vs, hits)}
 
 
 def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[list[int]]:

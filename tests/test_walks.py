@@ -1,9 +1,12 @@
+import itertools
 import math
+import operator
 import random
+import types
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagsets import diagonals, walks
@@ -171,7 +174,7 @@ def test_spectrum_of_edgeless_vertex_is_empty():
 def test_one_vertex_spectrum_runs_only_its_own_orbit(monkeypatch):
     # Dense enough that 5's SCC takes the orbit route: each vertex's own layers.
     g = gen_random(16, 0.5, 1, "allow")
-    assert not walks.pass_beats_orbits(g.rows, GraphAnalysis(g).masks[5])
+    assert not walks.pass_beats_orbits(g.rows, GraphAnalysis(g).classes[5].comp)
     expected = GraphAnalysis(g).spectra[5]
     built = []
 
@@ -294,11 +297,11 @@ def test_scc_masks_are_mutual_reachability(g):
         return seen
 
     reach = [reachable(u) for u in range(g.n)]
-    for v, mask in enumerate(GraphAnalysis(g).masks):
+    for v, classes in enumerate(GraphAnalysis(g).classes):
         # v is on a closed walk iff some successor of v reaches back to v.
         cyclic = any(g.has_edge(v, w) and v in reach[w] for w in range(g.n))
         comp = {u for u in reach[v] if v in reach[u]} if cyclic else set()
-        assert set(bits_of(mask)) == comp
+        assert set(bits_of(0 if classes is None else classes.comp)) == comp
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -311,7 +314,7 @@ def test_scc_masks_on_a_long_path_into_a_cycle(reverse):
     label = (lambda v: n - 1 - v) if reverse else (lambda v: v)
     g = make_graph(n, [(label(u), label(w)) for u, w in edges])
     cycle = sum(1 << label(v) for v in range(n - 3, n))
-    masks = GraphAnalysis(g).masks
+    masks = [0 if classes is None else classes.comp for classes in GraphAnalysis(g).classes]
     assert masks == [cycle if cycle >> v & 1 else 0 for v in range(n)]
     assert len(strongly_connected_components(g, transpose_rows(g))) == n - 2
 
@@ -451,7 +454,33 @@ def _by_route(g, use_pass, specs):
 LONG_SPECS = [*default_spec_battery(), DiagonalSpec.dn(10**9 + 7), DiagonalSpec.dn(10**18)]
 
 
+def _blowup(sizes, seed, chord=None):
+    """A cycle of classes of the given sizes, each class to the next by random edges.
+
+    The first vertex of each class is a hub: it has an edge to every vertex
+    of the next class and one from every vertex of the class before.  So the
+    graph is strongly connected, with period len(sizes) unless ``chord``
+    (u, w) adds an edge between classes that are not neighbours.
+    """
+    rng = random.Random(seed)
+    p = len(sizes)
+    starts = [sum(sizes[:c]) for c in range(p + 1)]
+    members = [range(starts[c], starts[c + 1]) for c in range(p)]
+    edges = set()
+    for c in range(p):
+        nxt = members[(c + 1) % p]
+        edges |= {(u, w) for u in members[c] for w in nxt if rng.random() < 0.4}
+        edges |= {(members[c][0], w) for w in nxt} | {(u, nxt[0]) for u in members[c]}
+    return make_graph(starts[p], sorted(edges | ({chord} if chord else set())))
+
+
 @given(graphs(max_order=8))
+@example(_blowup((2, 3), 1))
+@example(_blowup((3, 2, 2), 2))
+@example(_blowup((2, 2, 3, 2), 3))
+@example(_blowup((1, 3, 1, 2, 2), 4))
+@example(_blowup((3, 3, 3), 5, chord=(0, 1)))  # class 0 to class 0: period 3 becomes 1
+@example(_blowup((2, 2, 2, 2), 6, chord=(0, 6)))  # class 0 to class 3: period 4 becomes 2
 def test_forward_pass_and_orbits_agree_on_spectra_and_witnesses(g):
     by_pass = _by_route(g, True, LONG_SPECS)
     assert by_pass == _by_route(g, False, LONG_SPECS)
@@ -491,16 +520,16 @@ def test_back_layers_settle_into_cyclic_classes(g):
     spectra = spectra_from_trace(power_trace(g))
     lengths = [m for sp in spectra for m in sp.members_upto(sp.threshold + 2 * sp.period)]
     assert p == math.gcd(*lengths)
-    # The forward pass's stopping point is a settled index of every vertex.
     passed = CyclicClasses(rev, levels)
-    _, passed.start = forward_pass(g.rows, full, p)
+    forward_pass(g.rows, passed)
     step = frontier_step(rev, full, False)
+    settled = []
     for v in range(n):
         layers = BackLayers(v, classes)
         settled_spectrum = layers.hits()
+        settled.append(layers.settled)
         # The hashed orbit of the same layers first repeats at (settled, p).
         assert _first_repeat(1 << v, step) == (layers.settled, p)
-        assert layers.settled <= passed.start
         direct = [1 << v]
         for _ in range(layers.settled + 3 * p):
             direct.append(step(direct[-1]))
@@ -511,3 +540,46 @@ def test_back_layers_settle_into_cyclic_classes(g):
             assert layers[k] == fresh[k] == from_pass[k] == direct[k]
         assert fresh.settled == layers.settled
         assert settled_spectrum == spectra[v]
+    # The forward pass stops at the first multiple of p where every layer is settled.
+    assert passed.start == p * math.ceil(max(settled) / p)
+
+
+def _pass_steps(g):
+    """g's spectra, with every SCC forced through one forward pass, and the pass's steps.
+
+    Each step calls every gather of the pass once; the gathers are counted
+    through the ``operator.itemgetter`` the pass builds them with.
+    """
+    calls = []
+
+    def itemgetter(*items):
+        gather = operator.itemgetter(*items)
+        calls.append(0)
+        slot = len(calls) - 1
+
+        def counted(x):
+            calls[slot] += 1
+            return gather(x)
+
+        return counted
+
+    counting = types.SimpleNamespace(**{**vars(operator), "itemgetter": itemgetter})
+    with mock.patch.object(walks, "operator", counting):
+        spectra = _by_route(g, True, [])[0]
+    assert len(set(calls)) == 1  # g is strongly connected: one pass, each gather once a step
+    return spectra, calls[0]
+
+
+def test_forward_pass_steps_until_every_row_fills_its_class():
+    # Each class of a plain cycle is one vertex, so X_0 has settled.
+    n = 3000
+    spectra, steps = _pass_steps(make_graph(n, [(v, (v + 1) % n) for v in range(n)]))
+    assert steps == 0
+    assert spectra == [UPSet(1, n, frozenset({0}))] * n
+    # A blow-up with every edge from a class to the next: X_p is full, X_0 is not.
+    p, c = 7, 3
+    pairs = list(itertools.product(range(c), repeat=2))
+    edges = [(g * c + a, (g + 1) % p * c + b) for g in range(p) for a, b in pairs]
+    spectra, steps = _pass_steps(make_graph(p * c, edges))
+    assert steps == p
+    assert spectra == [UPSet(1, p, frozenset({0}))] * (p * c)
