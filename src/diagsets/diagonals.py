@@ -98,7 +98,9 @@ class DiagonalSpec:
         elif self.n is not None:
             raise ValueError(f"{self.kind} takes no n parameter")
         if self.kind == "DS":
-            if self.s is None or self.s.is_empty():
+            if not isinstance(self.s, UPSet):
+                raise ValueError(f"DS requires a UPSet length set, got {type(self.s).__name__}")
+            if self.s.is_empty():
                 raise ValueError("DS requires a nonempty length set")
         elif self.s is not None:
             raise ValueError(f"{self.kind} takes no S parameter")
@@ -220,7 +222,10 @@ class GraphAnalysis:
     The first vertex of an SCC that needs a spectrum decides the route:
     one forward pass for all its spectra where ``pass_beats_orbits`` says
     so, else each vertex's own backward layers; a vertex on no closed walk
-    has the empty spectrum and no layers.  The battery runs vertex by
+    has the empty spectrum and no layers.  Equal spectra are one object,
+    built once (``CyclicClasses.spectrum``), whose shortest violation of
+    each S+1 is found once, so the diagonal sets, the battery and the chain
+    check's bound work per distinct spectrum.  The battery runs vertex by
     vertex and once per distinct length set S.  A vertex's backward layers
     give its witness walks, one per distinct shortest violation, which
     every spec with that violation shares.  Dinf tails descend the levels.
@@ -230,6 +235,7 @@ class GraphAnalysis:
         self.g = g
         self._spectra: list[UPSet | None] = [None] * g.n
         self._sets: dict[UPSet | None, VertexSet] = {}
+        self._shortest: dict[tuple[UPSet, UPSet], int | None] = {}  # by (spectrum, S+1)
         self._routed: set[CyclicClasses] = set()  # the SCCs whose spectra route is decided
 
     @cached_property
@@ -237,10 +243,11 @@ class GraphAnalysis:
         """Per vertex, its SCC's cyclic classes if a closed walk passes through it, else None."""
         rows, rev = self.g.rows, self.transposed_rows
         found: list[CyclicClasses | None] = [None] * self.g.n
+        made: dict = {}  # the spectra, which every SCC's classes build into
         for levels in strongly_connected_components(self.g, rev):
             v = levels[0].bit_length() - 1  # the root, alone at level 0
             if len(levels) > 1 or rows[v] >> v & 1:
-                classes = CyclicClasses(rev, levels)
+                classes = CyclicClasses(rev, levels, made)
                 for v in bits_of(classes.comp):
                     found[v] = classes
         return found
@@ -281,6 +288,14 @@ class GraphAnalysis:
                 for u, spectrum in forward_pass(self.g.rows, classes).items():
                     self._spectra[u] = spectrum
 
+    def _violation(self, spectrum: UPSet, walks: UPSet) -> int | None:
+        """The least length in both a spectrum and S+1, or None: one ``min_common`` per pair."""
+        key = (spectrum, walks)
+        shortest = self._shortest.get(key, key)  # key itself marks a miss: no value is a tuple
+        if shortest is key:
+            shortest = self._shortest[key] = spectrum.min_common(walks)
+        return shortest
+
     def diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         """The diagonal set of spec, kept per length set S: D and DS({0}) share one."""
         if spec.lengths not in self._sets:
@@ -290,10 +305,9 @@ class GraphAnalysis:
     def _diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         n = self.g.n
         if spec.kind != "Dinf":
-            walks = spec.walk_lengths
-            return VertexSet(
-                n, sum(1 << v for v, sp in enumerate(self.spectra) if sp.min_common(walks) is None)
-            )
+            spectra = self.spectra
+            kept = {sp for sp in set(spectra) if self._violation(sp, spec.walk_lengths) is None}
+            return VertexSet(n, sum(1 << v for v, sp in enumerate(spectra) if sp in kept))
         scc_route = self.canreach_cycle.complement()
         matrix_route = VertexSet(n, long_walk_starts(self.g, self.transposed_rows)).complement()
         if scc_route != matrix_route:
@@ -325,7 +339,7 @@ class GraphAnalysis:
             if spec.kind == "Dinf":  # its violation is an infinite walk
                 shortest.append(None if v in self.diagonal_set(spec) else math.inf)
             else:  # a closed walk with a length in S+1
-                shortest.append(spectrum.min_common(spec.walk_lengths))
+                shortest.append(self._violation(spectrum, spec.walk_lengths))
         made = {m: self._witness(v, m, layers) for m in dict.fromkeys(shortest)}
         return spectrum, shortest, [made[m] for m in shortest]
 
@@ -409,8 +423,8 @@ class GraphAnalysis:
         D_n over S, read off powers A^(m+1) for the members m of S.  An
         infinite S is truncated at the largest max(t_v, t_S+1) +
         lcm(d_v, d_S) over the vertices v, with (t_v, d_v) the threshold and
-        period of v's spectrum; beyond it each vertex's violations are
-        periodic, so nothing new can appear.
+        period of v's spectrum, read once per distinct spectrum; beyond it
+        each vertex's violations are periodic, so nothing new can appear.
 
         One ascending walk over the exponents read makes every power, each
         from the one before by one product with A^gap.  The walk keeps A^gap
@@ -424,16 +438,16 @@ class GraphAnalysis:
             raise ValueError("n_max must be at least 1")
         d = self.diagonal_set(DiagonalSpec.d())
         dinf = self.diagonal_set(DiagonalSpec.dinf())
-        samples = []  # (S, its members read, its truncation bound or None)
+        samples = []  # (D_S, its members read, its truncation bound or None)
         for s in s_samples:
-            bound = None
+            spec, bound = DiagonalSpec.ds(s), None
             if not s.is_finite():
                 bound = max(
                     max(sp.threshold, s.threshold + 1) + math.lcm(sp.period, s.period)
-                    for sp in self.spectra
+                    for sp in set(self.spectra)
                 )
             # A finite S lies below its threshold.
-            samples.append((s, list(s.members_upto(bound or s.threshold)), bound))
+            samples.append((spec, list(s.members_upto(bound or s.threshold)), bound))
 
         # The walk starts at A^1, which D = D_0 reads.
         walk = sorted({*range(1, n_max + 2), *(m + 1 for _, ms, _ in samples for m in ms)})
@@ -462,18 +476,18 @@ class GraphAnalysis:
 
         finite_ids: list[str] = []
         truncated: list[tuple[str, int]] = []
-        for s, members, bound in samples:
+        for spec, members, bound in samples:
             expected = VertexSet.full(self.g.n)
             for m in members:
                 expected &= unlooped[m + 1]
-            if self.diagonal_set(DiagonalSpec.ds(s)) != expected:
+            if self.diagonal_set(spec) != expected:
                 raise TheoremViolationError(
-                    f"D_S for S={s.literal()} differs from the intersection of its D_n"
+                    f"D_S for S={spec.s.literal()} differs from the intersection of its D_n"
                 )
             if bound is None:
-                finite_ids.append(s.literal())
+                finite_ids.append(spec.s.literal())
             else:
-                truncated.append((s.literal(), bound))
+                truncated.append((spec.s.literal(), bound))
         return ChainReport(
             n_max=n_max,
             inclusions_checked=2 * n_max,

@@ -8,7 +8,8 @@ An ``UPSet`` is described by a threshold t, a period d, residues R within
 Every constructor canonicalizes: the period is minimal (no proper divisor
 of d induces the same periodic part) and the threshold is minimal (no
 trailing agreement between F and the periodic rule).  Structural equality
-therefore coincides with set equality.
+therefore coincides with set equality.  The hash of (t, d, R, F) is
+computed once, at construction, and kept.
 
 These sets appear in two roles: user-supplied length sets for the
 selective diagonal, and computed closed-walk spectra, which are closed
@@ -93,6 +94,10 @@ class UPSet:
         object.__setattr__(self, "period", d)
         object.__setattr__(self, "residues", residues)
         object.__setattr__(self, "exceptional", frozenset(filter(t.__gt__, exceptional)))
+        object.__setattr__(self, "_hash", hash((t, d, residues, self.exceptional)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_finite(cls, values: Iterable[int]) -> UPSet:

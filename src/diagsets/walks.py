@@ -243,12 +243,14 @@ class CyclicClasses:
     class to the next.  ``start`` is ``math.inf`` until :func:`forward_pass`
     records the first multiple of p where each of its rows fills its class;
     for every k >= ``start``, the vertices of C with a length-k walk to v
-    are then the whole class (class(v) - k) mod p.
+    are then the whole class (class(v) - k) mod p.  ``made`` is the table of
+    spectra that :meth:`spectrum` fills, shared by the SCCs of one analysis.
     """
 
-    def __init__(self, rev: Sequence[int], levels: Sequence[int]):
+    def __init__(self, rev: Sequence[int], levels: Sequence[int], made: dict):
         self.comp = comp = sum(levels)
         self._rev = rev
+        self._made = made
         depth = {u: d for d, level in enumerate(levels) for u in bits_of(level)}
         into = frontier_step(rev, comp, False)  # u is in into({w}) for each edge u -> w
         # An edge into level d comes from level d + 1 (gap 0) or nearer.
@@ -283,8 +285,16 @@ class CyclicClasses:
 
         ``hits`` are its closed-walk lengths from 1 to settled - 1; from
         the settled index on, its layer at k holds it exactly when p divides k.
+        The table ``made`` returns the UPSet built for an earlier (p, settled
+        index, hits), and the first of equal UPSets built from other ones,
+        so equal spectra in one table are one object, built once.
         """
-        return UPSet(max(settled, 1), self.period, frozenset({0}), frozenset(hits))
+        key = (self.period, max(settled, 1), tuple(hits))
+        if key not in self._made:
+            p, start, lengths = key
+            made = UPSet(start, p, frozenset({0}), frozenset(lengths))
+            self._made[key] = self._made.setdefault(made, made)
+        return self._made[key]
 
 
 class BackLayers:

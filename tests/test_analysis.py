@@ -333,9 +333,11 @@ def test_one_witness_and_at_most_one_descent_per_vertex_and_length(monkeypatch, 
 
     monkeypatch.setattr(UPSet, "min_common", counted_min_common)
     specs = [*default_spec_battery(), DiagonalSpec.dn(10**9 + 7)]
-    battery = GraphAnalysis(g).verify_battery(specs)
-    # One shortest violation per vertex and distinct length set of a closed walk.
-    assert calls["min_common"] == len({spec.lengths for spec in specs} - {None}) * g.n
+    analysis = GraphAnalysis(g)
+    battery = analysis.verify_battery(specs)
+    # One shortest violation per distinct spectrum and distinct length set of a closed walk.
+    lengths = {spec.lengths for spec in specs} - {None}
+    assert calls["min_common"] == len(lengths) * len(set(analysis.spectra)) < len(lengths) * g.n
     assert len(made) == len(set(made)) < len(specs) * g.n
     # Only an unlooped vertex outside a diagonal descends, once per length.
     walks_made = [(v, m) for v, m in made if m is not None and not g.has_edge(v, v)]
@@ -399,6 +401,38 @@ def test_chain_check_keeps_no_product_alive(monkeypatch):
     analysis.inclusion_chain_check(8, [EVENS, parse_upset("finite(0,40)")])
     assert len(products) > 8
     assert all(ref() is None for ref in products)
+
+
+# A 5-cycle blown up 20-fold: 100 vertices with one spectrum, the multiples of 5.
+BLOWUP_5X20 = make_graph(
+    100, [(c * 20 + a, (c + 1) % 5 * 20 + b) for c in range(5) for a in range(20) for b in range(20)]
+)
+
+
+# A 2-cycle and a 3-cycle sharing the edge 0 -> 1: the layers of 0 and 1
+# settle at different indices into one spectrum, {2, 3, ...}.
+SHARED_EDGE = make_graph(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
+
+
+@pytest.mark.parametrize("g", [BLOWUP_5X20, gen_random(64, 0.5, 2, "allow"), SHARED_EDGE])
+def test_an_analysis_builds_each_spectrum_once_and_keeps_it_only_itself(monkeypatch, g):
+    made = []
+    post_init = UPSet.__post_init__
+
+    def recorded(self):
+        made.append((self.threshold, self.period, self.residues, self.exceptional))
+        post_init(self)
+
+    monkeypatch.setattr(UPSet, "__post_init__", recorded)
+    first = GraphAnalysis(g).spectra
+    # Equal spectra are one object, and each constructor input is built once.
+    assert len(set(map(id, first))) == len(set(first)) < g.n
+    assert len(made) == len(set(made))
+    built = made.copy()
+    # A second analysis of the same graph builds its spectra again.
+    second = GraphAnalysis(g).spectra
+    assert second == first and not set(map(id, second)) & set(map(id, first))
+    assert made == built + built
 
 
 @pytest.mark.parametrize("first", ["spectrum", "spectra", "verify_battery"])

@@ -465,6 +465,19 @@ def test_chain_rejects_bad_arguments():
         GraphAnalysis(C3).inclusion_chain_check(3, [UPSet.empty()])
 
 
+@pytest.mark.parametrize(
+    "call, s",
+    [
+        (DiagonalSpec.ds, [1]),
+        (DiagonalSpec.ds, "finite(1)"),
+        (lambda s: GraphAnalysis(C3).inclusion_chain_check(2, [s]), [0, 2]),
+    ],
+)
+def test_a_length_set_that_is_not_a_upset_is_rejected(call, s):
+    with pytest.raises(ValueError, match=f"DS requires a UPSet length set, got {type(s).__name__}"):
+        call(s)
+
+
 @pytest.mark.parametrize("n_max", [True, 2.5])
 def test_chain_rejects_an_n_max_that_is_not_an_int(n_max):
     with pytest.raises(ValueError, match="n_max must be an integer"):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -248,3 +250,28 @@ def test_min_common_matches_enumeration(a_parts, b_parts):
     assert a.min_common(b) == expected
     assert b.min_common(a) == expected
     assert a.intersect(b).min_common(UPSet.naturals()) == expected
+
+
+@given(upsets(max_threshold=12, max_period=12), st.integers(2, 3), st.integers(0, 4), st.integers(0, 4))
+def test_equal_sets_hash_equally_by_every_route(x, k, extra, shift):
+    t, d = x.threshold, x.period
+    # The same set with the period d*k and the threshold t + extra, neither minimal.
+    padded = UPSet(
+        t + extra,
+        d * k,
+        frozenset(r + i * d for r in x.residues for i in range(k)),
+        x.exceptional | {m for m in range(t, t + extra) if x.member(m)},
+    )
+    groups = [
+        [x, padded, x.intersect(padded), x.intersect(UPSet.naturals()), parse_upset(x.literal())],
+        [x.shift(shift), padded.shift(shift), parse_upset(padded.shift(shift).literal())],
+        [UPSet.from_finite(x.members_upto(t + d)), x.intersect(UPSet.from_finite(range(t + d + 1)))],
+    ]
+    for group in groups:
+        assert all(y == group[0] for y in group)
+        assert len({hash(y) for y in group}) == 1
+    # The stored hash is the hash of the fields, also where no constructor ran.
+    kept = [dataclasses.replace(x), dataclasses.replace(x, threshold=t + extra)]
+    kept += [pickle.loads(pickle.dumps(y)) for y in (x, padded)]
+    for y in kept:
+        assert hash(y) == hash((y.threshold, y.period, y.residues, y.exceptional))

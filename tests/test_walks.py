@@ -506,7 +506,7 @@ def test_back_layers_settle_into_cyclic_classes(g):
     full = (1 << n) - 1
     rev = transpose_rows(g)
     [levels] = strongly_connected_components(g, rev)
-    classes = CyclicClasses(rev, levels)
+    classes = CyclicClasses(rev, levels, {})
     p = classes.period
     # The classes partition the SCC, and every edge leads from a class to the next.
     assert sum(classes.classes) == full
@@ -520,7 +520,7 @@ def test_back_layers_settle_into_cyclic_classes(g):
     spectra = spectra_from_trace(power_trace(g))
     lengths = [m for sp in spectra for m in sp.members_upto(sp.threshold + 2 * sp.period)]
     assert p == math.gcd(*lengths)
-    passed = CyclicClasses(rev, levels)
+    passed = CyclicClasses(rev, levels, {})
     forward_pass(g.rows, passed)
     step = frontier_step(rev, full, False)
     settled = []
