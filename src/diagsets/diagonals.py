@@ -212,23 +212,27 @@ class GraphAnalysis:
     Each fact is computed on first read and kept: the transposed rows,
     the cyclic SCCs and their cyclic classes (one Kosaraju pass, whose
     levels give both), the cyclic set and the levels of one
-    breadth-first search back from it, each SCC's route, the spectra and
-    the diagonal set of every length set S (None for Dinf).  No matrix
+    breadth-first search back from it, each SCC's route and settled index,
+    the spectra, the vertices of each distinct spectrum and the diagonal
+    set of every length set S (None for Dinf).  No matrix
     power is kept: the chain check makes the ones it reads in one walk and
     drops them.  The independent routes run once per analysis: Dinf by
     the levels and by the zero rows of A^|V|, and in the chain check D_n
     and D_S from the spectra and from the loops of powers.
 
-    The first vertex of an SCC that needs a spectrum decides the route:
-    one forward pass for all its spectra where ``pass_beats_orbits`` says
-    so, else each vertex's own backward layers; a vertex on no closed walk
-    has the empty spectrum and no layers.  Equal spectra are one object,
-    built once (``CyclicClasses.spectrum``), whose shortest violation of
-    each S+1 is found once, so the diagonal sets, the battery and the chain
-    check's bound work per distinct spectrum.  The battery runs vertex by
-    vertex and once per distinct length set S.  A vertex's backward layers
-    give its witness walks, one per distinct shortest violation, which
-    every spec with that violation shares.  Dinf tails descend the levels.
+    The first vertex of an SCC that needs a spectrum decides the route and
+    the SCC's settled index: one forward pass for all its spectra where
+    ``pass_beats_orbits`` says so, which stops at the largest settled index
+    of the SCC's backward layers, else each vertex's own layers (index
+    ``math.inf``: each finds its own).  A vertex on no closed walk has the
+    empty spectrum and no layers.  Both routes build spectra through one
+    table, so equal spectra are one object, built once, whose shortest
+    violation of each S+1 is found once: the diagonal sets, the battery and
+    the chain check's bound work per distinct spectrum.  The battery runs
+    vertex by vertex and once per distinct length set S.  A vertex's
+    backward layers give its witness walks, one per distinct shortest
+    violation, which every spec with that violation shares.  Dinf tails
+    descend the levels.
     """
 
     def __init__(self, g: Graph):
@@ -236,18 +240,18 @@ class GraphAnalysis:
         self._spectra: list[UPSet | None] = [None] * g.n
         self._sets: dict[UPSet | None, VertexSet] = {}
         self._shortest: dict[tuple[UPSet, UPSet], int | None] = {}  # by (spectrum, S+1)
-        self._routed: set[CyclicClasses] = set()  # the SCCs whose spectra route is decided
+        self._made: dict = {}  # the spectra, by (p, settled index, hits) and by themselves
+        self._settled: dict[CyclicClasses, float] = {}  # per routed SCC: the pass's stop, or inf
 
     @cached_property
     def classes(self) -> list[CyclicClasses | None]:
         """Per vertex, its SCC's cyclic classes if a closed walk passes through it, else None."""
         rows, rev = self.g.rows, self.transposed_rows
         found: list[CyclicClasses | None] = [None] * self.g.n
-        made: dict = {}  # the spectra, which every SCC's classes build into
         for levels in strongly_connected_components(self.g, rev):
             v = levels[0].bit_length() - 1  # the root, alone at level 0
             if len(levels) > 1 or rows[v] >> v & 1:
-                classes = CyclicClasses(rev, levels, made)
+                classes = CyclicClasses(rev, levels)
                 for v in bits_of(classes.comp):
                     found[v] = classes
         return found
@@ -280,13 +284,35 @@ class GraphAnalysis:
             self._spectra = [self.spectrum(v) for v in range(self.g.n)]
         return self._spectra
 
+    @cached_property
+    def _holders(self) -> dict[UPSet, int]:
+        """Each distinct spectrum, with the mask of the vertices that have it."""
+        holders: dict[UPSet, int] = {}
+        for v, sp in enumerate(self.spectra):
+            holders[sp] = holders.get(sp, 0) | 1 << v
+        return holders
+
     def _route(self, classes: CyclicClasses) -> None:
-        """Once per SCC: its spectra and a settled index from a forward pass, if priced lower."""
-        if classes not in self._routed:
-            self._routed.add(classes)
+        """Once per SCC: its spectra and settled index from a forward pass, if priced lower."""
+        if classes not in self._settled:
+            settled = math.inf
             if pass_beats_orbits(self.g.rows, classes.comp):
-                for u, spectrum in forward_pass(self.g.rows, classes).items():
-                    self._spectra[u] = spectrum
+                settled, hits = forward_pass(self.g.rows, classes)
+                for u, h in hits.items():
+                    self._spectra[u] = self._spectrum_at(classes, settled, h)
+            self._settled[classes] = settled
+
+    def _spectrum_at(self, classes: CyclicClasses, settled: int, hits: Sequence[int]) -> UPSet:
+        """The closed-walk lengths ``hits`` below a settled index, then every multiple of p.
+
+        Built once per (p, settled index, hits), and once per value: equal spectra are one object.
+        """
+        key = (classes.period, max(settled, 1), tuple(hits))
+        if key not in self._made:
+            p, start, lengths = key
+            made = UPSet(start, p, frozenset({0}), frozenset(lengths))
+            self._made[key] = self._made.setdefault(made, made)
+        return self._made[key]
 
     def _violation(self, spectrum: UPSet, walks: UPSet) -> int | None:
         """The least length in both a spectrum and S+1, or None: one ``min_common`` per pair."""
@@ -305,9 +331,9 @@ class GraphAnalysis:
     def _diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         n = self.g.n
         if spec.kind != "Dinf":
-            spectra = self.spectra
-            kept = {sp for sp in set(spectra) if self._violation(sp, spec.walk_lengths) is None}
-            return VertexSet(n, sum(1 << v for v, sp in enumerate(spectra) if sp in kept))
+            walks = spec.walk_lengths
+            kept = (m for sp, m in self._holders.items() if self._violation(sp, walks) is None)
+            return VertexSet(n, sum(kept))
         scc_route = self.canreach_cycle.complement()
         matrix_route = VertexSet(n, long_walk_starts(self.g, self.transposed_rows)).complement()
         if scc_route != matrix_route:
@@ -317,8 +343,8 @@ class GraphAnalysis:
             )
         return scc_route
 
-    def _vertex(self, v: int, specs: Sequence[DiagonalSpec]) -> tuple[UPSet | None, list, list]:
-        """v's spectrum, and per spec its shortest violation, or None, and its witness.
+    def _vertex(self, v: int, specs: Sequence[DiagonalSpec]) -> tuple[UPSet | None, list]:
+        """v's spectrum, and per spec its witness, from its shortest violation, or None.
 
         Specs with one shortest violation at v share one witness object.
         """
@@ -330,10 +356,13 @@ class GraphAnalysis:
         if needed and classes is not None:
             self._route(classes)
         # Made after the route, whose forward pass may give a settled index.
-        layers = None if classes is None else BackLayers(v, classes)
+        settled = self._settled.get(classes, math.inf)
+        layers = None if classes is None else BackLayers(v, classes, settled)
         spectrum = self._spectra[v]
         if needed and spectrum is None:
-            spectrum = self._spectra[v] = _NO_CLOSED_WALK if layers is None else layers.hits()
+            spectrum = self._spectra[v] = (
+                _NO_CLOSED_WALK if layers is None else self._spectrum_at(classes, *layers.hits())
+            )
         shortest = []
         for spec in specs:
             if spec.kind == "Dinf":  # its violation is an infinite walk
@@ -341,15 +370,12 @@ class GraphAnalysis:
             else:  # a closed walk with a length in S+1
                 shortest.append(self._violation(spectrum, spec.walk_lengths))
         made = {m: self._witness(v, m, layers) for m in dict.fromkeys(shortest)}
-        return spectrum, shortest, [made[m] for m in shortest]
-
-    def variant_witness(self, v: int, spec: DiagonalSpec) -> Witness:
-        """Witness by the three-way case split; for D = D_S({0}), v itself: the fixed point."""
-        return self._vertex(v, (spec,))[2][0]
+        return spectrum, [made[m] for m in shortest]
 
     def _witness(self, v: int, length: float | None, layers: BackLayers | None) -> Witness:
         """v's witness, given its shortest violation and its backward layers.
 
+        The three-way case split: for D = D_S({0}), v itself, the fixed point.
         ``length`` is None when v is in the diagonal, ``math.inf`` for an
         infinite walk (a Dinf violation), else a closed-walk length.
         """
@@ -390,8 +416,8 @@ class GraphAnalysis:
 
         Each vertex is read once per distinct length set S (None for Dinf),
         not per spec: specs that share S, such as D and DS({0}), share its
-        shortest violations, its set and its witnesses.  Each spec still
-        validates every witness against its own set.
+        shortest violations, its set (read through ``diagonal_set``) and its
+        witnesses.  Each spec still validates every witness against its own set.
         """
         specs = list(specs)
         g = self.g
@@ -399,12 +425,11 @@ class GraphAnalysis:
         for spec in specs:
             firsts.setdefault(spec.lengths, spec)
         keys = list(firsts.values())
-        _, shortest, witnesses = zip(*(self._vertex(v, keys) for v in range(g.n)))
-        columns = {}
-        for spec, lengths, column in zip(keys, zip(*shortest), zip(*witnesses)):
-            unviolated = sum(1 << v for v, m in enumerate(lengths) if m is None)
-            dx = self._sets.setdefault(spec.lengths, VertexSet(g.n, unviolated))
-            columns[spec.lengths] = dx, column
+        witnesses = [self._vertex(v, keys)[1] for v in range(g.n)]
+        columns = {
+            spec.lengths: (self.diagonal_set(spec), column)
+            for spec, column in zip(keys, zip(*witnesses))
+        }
         results = []
         for spec in specs:
             dx, column = columns[spec.lengths]
@@ -444,7 +469,7 @@ class GraphAnalysis:
             if not s.is_finite():
                 bound = max(
                     max(sp.threshold, s.threshold + 1) + math.lcm(sp.period, s.period)
-                    for sp in set(self.spectra)
+                    for sp in self._holders
                 )
             # A finite S lies below its threshold.
             samples.append((spec, list(s.members_upto(bound or s.threshold)), bound))

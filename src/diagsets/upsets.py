@@ -111,10 +111,6 @@ class UPSet:
     def empty(cls) -> UPSet:
         return cls(0, 1)
 
-    @classmethod
-    def naturals(cls) -> UPSet:
-        return cls(0, 1, frozenset({0}))
-
     def member(self, m: int) -> bool:
         if m < 0:
             return False

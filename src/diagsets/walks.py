@@ -24,7 +24,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graph import Graph, bits_of
 from .upsets import UPSet
@@ -120,7 +120,8 @@ def mat_mul_bool(a: Graph, b: Graph) -> Graph:
     # The block tables cost 255 ORs to build each of the ceil(n/8) tables,
     # then ceil(n/8) lookups per row.
     blocked = _NAIVE_OR_COST * sum(map(int.bit_count, a.rows)) >= (n + 255) * -(-n // 8)
-    return Graph(n, tuple(map(frontier_step(b.rows, (1 << n) - 1, blocked), a.rows)))
+    # The rows of b never leave [0, n), so the mask -1 keeps every column.
+    return Graph(n, tuple(map(frontier_step(b.rows, -1, blocked), a.rows)))
 
 
 def mat_pow_bool(a: Graph, exponent: int) -> Graph:
@@ -240,17 +241,12 @@ class CyclicClasses:
     congruent mod its period p, so every edge u -> w of C has p dividing
     d(w) + 1 - d(u), and p is the gcd of these gaps (Denardo, 1977).  Class
     c holds the vertices with d = -c (mod p), so every edge leads from one
-    class to the next.  ``start`` is ``math.inf`` until :func:`forward_pass`
-    records the first multiple of p where each of its rows fills its class;
-    for every k >= ``start``, the vertices of C with a length-k walk to v
-    are then the whole class (class(v) - k) mod p.  ``made`` is the table of
-    spectra that :meth:`spectrum` fills, shared by the SCCs of one analysis.
+    class to the next.
     """
 
-    def __init__(self, rev: Sequence[int], levels: Sequence[int], made: dict):
+    def __init__(self, rev: Sequence[int], levels: Sequence[int]):
         self.comp = comp = sum(levels)
         self._rev = rev
-        self._made = made
         depth = {u: d for d, level in enumerate(levels) for u in bits_of(level)}
         into = frontier_step(rev, comp, False)  # u is in into({w}) for each edge u -> w
         # An edge into level d comes from level d + 1 (gap 0) or nearer.
@@ -265,7 +261,6 @@ class CyclicClasses:
             classes[-d % p] |= level
         self.classes = tuple(classes)
         self.class_of = {u: -d % p for u, d in depth.items()}
-        self.start: float = math.inf
 
     @property
     def period(self) -> int:
@@ -280,22 +275,6 @@ class CyclicClasses:
         """The class (class(v) - k) mod p: the vertices with a length-k walk to v, for k large."""
         return self.classes[(self.class_of[v] - k) % len(self.classes)]
 
-    def spectrum(self, settled: int, hits: Iterable[int]) -> UPSet:
-        """The spectrum of a vertex whose layers settle at ``settled``.
-
-        ``hits`` are its closed-walk lengths from 1 to settled - 1; from
-        the settled index on, its layer at k holds it exactly when p divides k.
-        The table ``made`` returns the UPSet built for an earlier (p, settled
-        index, hits), and the first of equal UPSets built from other ones,
-        so equal spectra in one table are one object, built once.
-        """
-        key = (self.period, max(settled, 1), tuple(hits))
-        if key not in self._made:
-            p, start, lengths = key
-            made = UPSet(start, p, frozenset({0}), frozenset(lengths))
-            self._made[key] = self._made.setdefault(made, made)
-        return self._made[key]
-
 
 class BackLayers:
     """v's backward layers B_k, the vertices of its SCC C with a length-k walk to v.
@@ -305,18 +284,19 @@ class BackLayers:
     layer: a full class steps to the full class before it.  So the layers
     are stepped and stored only as far as read, up to the first one that
     equals its class (the ``settled`` index), and read off the classes from
-    there on; C's ``start``, where known, is a settled index already.  A
-    layer that repeated before it filled its class would stay periodic and
-    never fill it, so the layers first repeat exactly at (settled, p).
+    there on.  ``settled`` starts as any index known to be settled already,
+    such as a forward pass's stop, else ``math.inf``.  A layer that
+    repeated before it filled its class would stay periodic and never fill
+    it, so the layers first repeat exactly at (settled, p).
     """
 
     __slots__ = ("v", "classes", "items", "settled")
 
-    def __init__(self, v: int, classes: CyclicClasses):
+    def __init__(self, v: int, classes: CyclicClasses, settled: float):
         self.v = v
         self.classes = classes
         self.items = [1 << v]
-        self.settled = classes.start
+        self.settled = settled
 
     def _settle(self, k: float) -> None:
         """Store layers up to index k, or stop at the first one that equals its class."""
@@ -336,29 +316,27 @@ class BackLayers:
             return self.items[k]
         return self.classes.layer(self.v, k)
 
-    def hits(self) -> UPSet:
-        """{k >= 1 : v in B_k}: the hits below the settled index, then every multiple of p."""
+    def hits(self) -> tuple[int, list[int]]:
+        """The settled index, and below it the k >= 1 with v in B_k: the rest are p's multiples."""
         self._settle(math.inf)
         items, v = self.items, self.v
-        return self.classes.spectrum(
-            self.settled, (k for k in range(1, self.settled) if items[k] >> v & 1)
-        )
+        return self.settled, [k for k in range(1, self.settled) if items[k] >> v & 1]
 
 
-def forward_pass(rows: Sequence[int], classes: CyclicClasses) -> dict[int, UPSet]:
-    """Every spectrum of a cyclic SCC from one pass, which records where it settles as ``start``.
+def forward_pass(rows: Sequence[int], classes: CyclicClasses) -> tuple[int, dict[int, list[int]]]:
+    """Where a cyclic SCC's layers settle, and each vertex's hits below it, from one pass.
 
     X_k[u], the vertices of the SCC C that u reaches by a walk of length k, is
     X_0[u] = {u} and X_(k+1)[u] = OR of X_k[w] over the successors w of u in
-    C.  At a multiple k of the period p, X_k[u] lies in u's own class, and a
-    row that fills its class stays full, so the pass stops at the first
-    multiple s of p where every row has as many vertices as its class.  From
-    s on, X_k follows the cyclic classes, so s is the first multiple of p
-    at which every backward layer of C is settled.  A closed walk has a
-    length divisible by p, so the diagonal is read only at the multiples of
-    p below s: a plain cycle, whose classes are single vertices, takes no
-    step.  Each step is a C-level gather per out-degree slot: vertices are
-    sorted by out-degree, so slot j serves a prefix of them.
+    C.  X_k[u] lies in the class (class(u) + k) mod p, and a row that fills
+    its class stays full, so the pass stops at the first step s where every
+    row has as many vertices as its class.  Since v is in X_k[u] exactly
+    when u is in v's backward layer B_k, s is the largest settled index of
+    C's layers.  A closed walk has a length divisible by p, so the diagonal
+    is read only at the multiples of p below s: a plain cycle, whose
+    classes are single vertices, takes no step.  Each step is a C-level
+    gather per out-degree slot: vertices are sorted by out-degree, so slot
+    j serves a prefix of them.
     """
     comp, p = classes.comp, classes.period
     vs = sorted(bits_of(comp), key=lambda v: -(rows[v] & comp).bit_count())
@@ -373,21 +351,19 @@ def forward_pass(rows: Sequence[int], classes: CyclicClasses) -> dict[int, UPSet
     x = [1 << i for i in range(m)] + [0]
     unit, everyone = x, range(m)
     sizes = [c.bit_count() for c in classes.classes]
-    full = [sizes[classes.class_of[v]] for v in vs]
+    own = [classes.class_of[v] for v in vs]
     hits: list[list[int]] = [[] for _ in vs]
     s = 0
-    while not all(map(operator.eq, map(int.bit_count, x), full)):
-        if s:
+    while not all(map(operator.eq, map(int.bit_count, x), (sizes[(c + s) % p] for c in own))):
+        if s and not s % p:
             for i in itertools.compress(everyone, map(operator.and_, x, unit)):
                 hits[i].append(s)
-        for _ in range(p):
-            nxt = list(first(x))
-            for gather, c in zip(others, prefixes):
-                nxt[:c] = map(operator.or_, nxt[:c], gather(x))
-            x = nxt
-        s += p
-    classes.start = s
-    return {v: classes.spectrum(s, h) for v, h in zip(vs, hits)}
+        nxt = list(first(x))
+        for gather, c in zip(others, prefixes):
+            nxt[:c] = map(operator.or_, nxt[:c], gather(x))
+        x = nxt
+        s += 1
+    return s, dict(zip(vs, hits))
 
 
 def strongly_connected_components(g: Graph, rev: Sequence[int]) -> list[list[int]]:

@@ -78,9 +78,9 @@ def _count_layer_starts(monkeypatch):
     class CountedLayers(walks.BackLayers):
         __slots__ = ()
 
-        def __init__(self, v, classes):
+        def __init__(self, v, classes, settled):
             starts.append(1 << v)
-            super().__init__(v, classes)
+            super().__init__(v, classes, settled)
 
     monkeypatch.setattr(diagonals, "BackLayers", CountedLayers)
     return starts
@@ -163,7 +163,7 @@ def test_dinf_alone_builds_no_spectrum(monkeypatch):
     witnesses = analysis.verify_unequal(DiagonalSpec.dinf())
     assert witnesses[0].evidence.vertices == (1, 2)  # 0's tail goes from level 1 to level 0
     assert analysis.cycle_levels == [0b11100, 0b00010, 0b00001]
-    assert analysis.variant_witness(0, DiagonalSpec.dinf()) == witnesses[0]
+    assert analysis.verify_unequal(DiagonalSpec.dinf())[0] == witnesses[0]
     # Kosaraju's second pass sums levels once per SCC ({0}, {1}, {2, 3}
     # and {4}), and the cycles' levels are searched once.
     assert calls == {"bfs_levels": 5}
@@ -267,7 +267,7 @@ def test_ds_set_and_witness_lengths_read_the_shortest_violations(g):
             v for v, m in enumerate(shortest) if m is None
         ]
         for v in range(g.n):
-            w = analysis.variant_witness(v, spec)
+            w = analysis.verify_unequal(spec)[v]
             if g.has_edge(v, v) or shortest[v] is None or w.evidence is None:
                 continue
             assert w.side is Side.OUT_MINUS_DX
@@ -348,7 +348,7 @@ def test_one_witness_and_at_most_one_descent_per_vertex_and_length(monkeypatch, 
 def test_witness_of_a_looped_vertex_follows_its_length():
     g = make_graph(2, [(0, 0), (0, 1)])
     analysis = GraphAnalysis(g)
-    layers = walks.BackLayers(0, analysis.classes[0])
+    layers = walks.BackLayers(0, analysis.classes[0], math.inf)
     tail = analysis._witness(0, math.inf, layers)
     assert tail == Witness(0, Side.OUT_MINUS_DX, 0, Evidence((0,), infinite_tail=True))
     pumped = analysis._witness(0, 3, layers)

@@ -27,6 +27,7 @@ PATH3 = make_graph(3, [(0, 1), (1, 2)])
 LOOP1 = make_graph(1, [(0, 0)])
 K3_LOOPED = make_graph(3, [(u, w) for u in range(3) for w in range(3)])
 EVENS = UPSet(0, 2, frozenset({0}))
+NATURALS = UPSet(0, 1, frozenset({0}))
 
 
 def cantor_witness(g, v):
@@ -110,7 +111,7 @@ def test_diagonal_S_of_naturals_is_the_acyclic_walk_set(g):
     expected = VertexSet.from_indices(
         g.n, (v for v in range(g.n) if spectra[v].is_empty())
     )
-    assert GraphAnalysis(g).diagonal_set(DiagonalSpec.ds(UPSet.naturals())) == expected
+    assert GraphAnalysis(g).diagonal_set(DiagonalSpec.ds(NATURALS)) == expected
 
 
 @given(graphs(max_order=6), st.sets(st.integers(0, 5), min_size=1))
@@ -159,12 +160,12 @@ def test_d_is_ds_of_zero_with_the_cantor_witnesses(g):
     analysis = GraphAnalysis(g)
     for v in range(g.n):
         for spec in (DiagonalSpec.d(), DiagonalSpec.ds(zero)):
-            assert cantor_witness(g, v) == analysis.variant_witness(v, spec)
+            assert cantor_witness(g, v) == analysis.verify_unequal(spec)[v]
 
 
 def test_variant_witness_case_unlooped_outside_diagonal():
     g = make_graph(2, [(0, 1), (1, 1)])
-    w = GraphAnalysis(g).variant_witness(0, DiagonalSpec.dinf())
+    w = GraphAnalysis(g).verify_unequal(DiagonalSpec.dinf())[0]
     assert (w.vertex, w.side) == (1, Side.OUT_MINUS_DX)
     assert w.evidence.infinite_tail
     assert w.evidence.vertices == (1,)
@@ -224,7 +225,7 @@ def test_dinf_tail_where_breadth_first_discovery_is_not_ascending():
     # both lead to a cycle in one step; the tail takes the smaller first step.
     edges = [(8, 0), (0, 1), (0, 2), (1, 5), (2, 3), (5, 6), (6, 7), (7, 6), (3, 4), (4, 4)]
     g = make_graph(9, edges)
-    w = GraphAnalysis(g).variant_witness(8, DiagonalSpec.dinf())
+    w = GraphAnalysis(g).verify_unequal(DiagonalSpec.dinf())[8]
     assert (w.vertex, w.side) == (0, Side.OUT_MINUS_DX)
     assert w.evidence.vertices == (0, 1, 5, 6)
     assert reference_tail(g, GraphAnalysis(g).cyclic, 0) == (0, 1, 5, 6)
@@ -232,7 +233,7 @@ def test_dinf_tail_where_breadth_first_discovery_is_not_ascending():
 
 
 def test_variant_witness_case_unlooped_inside_diagonal():
-    w = GraphAnalysis(C3).variant_witness(0, DiagonalSpec.dn(1))
+    w = GraphAnalysis(C3).verify_unequal(DiagonalSpec.dn(1))[0]
     assert (w.vertex, w.side) == (0, Side.DX_MINUS_OUT)
     assert w.evidence is None
 
@@ -243,13 +244,13 @@ def test_variant_witness_case_looped_pumps_the_loop():
         (DiagonalSpec.ds(parse_upset("up(t=4,d=3,r=2)")), 7),  # least member 5
         (DiagonalSpec.ds(parse_upset("up(t=4,d=3,r=2,f=1)")), 3),  # least member the exceptional 1
     ):
-        w = GraphAnalysis(LOOP1).variant_witness(0, spec)
+        w = GraphAnalysis(LOOP1).verify_unequal(spec)[0]
         assert (w.vertex, w.side) == (0, Side.OUT_MINUS_DX)
         assert w.evidence.vertices == (0,) * copies
 
 
 def test_variant_witness_rotates_a_violating_closed_walk():
-    w = GraphAnalysis(C3).variant_witness(0, DiagonalSpec.dn(2))
+    w = GraphAnalysis(C3).verify_unequal(DiagonalSpec.dn(2))[0]
     assert (w.vertex, w.side) == (1, Side.OUT_MINUS_DX)
     assert w.evidence.vertices == (1, 2, 0, 1)
 
@@ -257,13 +258,13 @@ def test_variant_witness_rotates_a_violating_closed_walk():
 def test_variant_witness_for_plain_diagonal_spec_is_the_cantor_witness():
     for g in (C3, LOOP1, make_graph(2, [(0, 1), (1, 1)])):
         for v in range(g.n):
-            assert GraphAnalysis(g).variant_witness(v, DiagonalSpec.d()) == cantor_witness(g, v)
+            assert GraphAnalysis(g).verify_unequal(DiagonalSpec.d())[v] == cantor_witness(g, v)
 
 
 def test_variant_witness_with_huge_n_omits_evidence_but_validates():
     two_cycle = make_graph(2, [(0, 1), (1, 0)])
     spec = DiagonalSpec.dn(10**9 + 1)  # n+1 is even: every vertex violates
-    w = GraphAnalysis(two_cycle).variant_witness(0, spec)
+    w = GraphAnalysis(two_cycle).verify_unequal(spec)[0]
     assert (w.vertex, w.side) == (1, Side.OUT_MINUS_DX)
     assert w.evidence is None
     dx = GraphAnalysis(two_cycle).diagonal_set(DiagonalSpec.dn(10**9 + 1))
@@ -282,7 +283,7 @@ def test_closed_walk_witness_is_the_least_first_step_by_the_trace(g):
     for spec in specs:
         shortest = [sp.min_common(spec.walk_lengths) for sp in analysis.spectra]
         for v in range(g.n):
-            w = analysis.variant_witness(v, spec)
+            w = analysis.verify_unequal(spec)[v]
             if g.has_edge(v, v) or w.side is not Side.OUT_MINUS_DX:
                 continue
             back = trace.power(shortest[v] - 1)

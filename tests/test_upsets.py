@@ -12,6 +12,7 @@ from strategies import periodic_parts, raw_upset_parts, upsets
 
 EVENS = UPSet(0, 2, frozenset({0}))
 ODDS = UPSet(0, 2, frozenset({1}))
+NATURALS = UPSet(0, 1, frozenset({0}))
 # {2} together with every n >= 5 congruent to 1 mod 3, i.e. {2, 7, 10, 13, ...}
 MIXED = UPSet(5, 3, frozenset({1}), frozenset({2}))
 
@@ -96,7 +97,7 @@ def test_normalize_halves_redundant_period():
 
 def test_normalize_collapses_saturated_prefix_to_naturals():
     s = UPSet(3, 1, {0}, {0, 1, 2})
-    assert s == UPSet.naturals()
+    assert s == NATURALS
     assert (s.threshold, s.period) == (0, 1)
 
 
@@ -111,11 +112,11 @@ def test_normalize_keeps_disagreeing_prefix():
 
 
 def test_min_element():
-    assert UPSet.empty().min_common(UPSet.naturals()) is None
-    assert EVENS.min_common(UPSet.naturals()) == 0
-    assert ODDS.min_common(UPSet.naturals()) == 1
-    assert MIXED.min_common(UPSet.naturals()) == 2
-    assert UPSet(4, 3, frozenset({1})).min_common(UPSet.naturals()) == 4
+    assert UPSet.empty().min_common(NATURALS) is None
+    assert EVENS.min_common(NATURALS) == 0
+    assert ODDS.min_common(NATURALS) == 1
+    assert MIXED.min_common(NATURALS) == 2
+    assert UPSet(4, 3, frozenset({1})).min_common(NATURALS) == 4
 
 
 def test_members_upto():
@@ -249,7 +250,7 @@ def test_min_common_matches_enumeration(a_parts, b_parts):
     expected = next((m for m in range(horizon) if a.member(m) and b.member(m)), None)
     assert a.min_common(b) == expected
     assert b.min_common(a) == expected
-    assert a.intersect(b).min_common(UPSet.naturals()) == expected
+    assert a.intersect(b).min_common(NATURALS) == expected
 
 
 @given(upsets(max_threshold=12, max_period=12), st.integers(2, 3), st.integers(0, 4), st.integers(0, 4))
@@ -263,7 +264,7 @@ def test_equal_sets_hash_equally_by_every_route(x, k, extra, shift):
         x.exceptional | {m for m in range(t, t + extra) if x.member(m)},
     )
     groups = [
-        [x, padded, x.intersect(padded), x.intersect(UPSet.naturals()), parse_upset(x.literal())],
+        [x, padded, x.intersect(padded), x.intersect(NATURALS), parse_upset(x.literal())],
         [x.shift(shift), padded.shift(shift), parse_upset(padded.shift(shift).literal())],
         [UPSet.from_finite(x.members_upto(t + d)), x.intersect(UPSet.from_finite(range(t + d + 1)))],
     ]

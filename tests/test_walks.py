@@ -181,9 +181,9 @@ def test_one_vertex_spectrum_runs_only_its_own_orbit(monkeypatch):
     class CountedLayers(diagonals.BackLayers):
         __slots__ = ()
 
-        def __init__(self, v, classes):
+        def __init__(self, v, classes, settled):
             built.append(1 << v)
-            super().__init__(v, classes)
+            super().__init__(v, classes, settled)
 
     monkeypatch.setattr(diagonals, "BackLayers", CountedLayers)
     assert GraphAnalysis(g).spectrum(5) == expected
@@ -506,7 +506,7 @@ def test_back_layers_settle_into_cyclic_classes(g):
     full = (1 << n) - 1
     rev = transpose_rows(g)
     [levels] = strongly_connected_components(g, rev)
-    classes = CyclicClasses(rev, levels, {})
+    classes = CyclicClasses(rev, levels)
     p = classes.period
     # The classes partition the SCC, and every edge leads from a class to the next.
     assert sum(classes.classes) == full
@@ -520,14 +520,13 @@ def test_back_layers_settle_into_cyclic_classes(g):
     spectra = spectra_from_trace(power_trace(g))
     lengths = [m for sp in spectra for m in sp.members_upto(sp.threshold + 2 * sp.period)]
     assert p == math.gcd(*lengths)
-    passed = CyclicClasses(rev, levels, {})
-    forward_pass(g.rows, passed)
+    start, _ = forward_pass(g.rows, classes)
     step = frontier_step(rev, full, False)
     settled = []
     for v in range(n):
-        layers = BackLayers(v, classes)
-        settled_spectrum = layers.hits()
-        settled.append(layers.settled)
+        layers = BackLayers(v, classes, math.inf)
+        settled_index, hits = layers.hits()
+        settled.append(settled_index)
         # The hashed orbit of the same layers first repeats at (settled, p).
         assert _first_repeat(1 << v, step) == (layers.settled, p)
         direct = [1 << v]
@@ -535,13 +534,38 @@ def test_back_layers_settle_into_cyclic_classes(g):
             direct.append(step(direct[-1]))
         # Fresh layers read backwards, so the first read steps the furthest,
         # and layers that know the pass's settled index.
-        fresh, from_pass = BackLayers(v, classes), BackLayers(v, passed)
+        fresh, from_pass = BackLayers(v, classes, math.inf), BackLayers(v, classes, start)
         for k in reversed(range(len(direct))):
             assert layers[k] == fresh[k] == from_pass[k] == direct[k]
         assert fresh.settled == layers.settled
-        assert settled_spectrum == spectra[v]
-    # The forward pass stops at the first multiple of p where every layer is settled.
-    assert passed.start == p * math.ceil(max(settled) / p)
+        assert UPSet(max(settled_index, 1), p, frozenset({0}), frozenset(hits)) == spectra[v]
+    # The forward pass stops at the first step where every layer is settled.
+    assert start == max(settled)
+
+
+@st.composite
+def _periodic_blowups(draw):
+    """A blow-up of a cycle of period 2 to 12, with classes of 1 to 3 vertices and maybe a chord."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=12))
+    n = sum(sizes)
+    chord = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    return _blowup(tuple(sizes), draw(st.integers(0, 2**16)), chord)
+
+
+@given(st.one_of(graphs(max_order=10), _periodic_blowups()))
+@settings(max_examples=150)
+def test_forward_pass_stops_at_the_largest_settled_index_and_both_routes_match_the_trace(g):
+    spectra = spectra_from_trace(power_trace(g))
+    for classes in set(GraphAnalysis(g).classes) - {None}:
+        start, passed = forward_pass(g.rows, classes)
+        p, members = classes.period, list(bits_of(classes.comp))
+        layered = {v: BackLayers(v, classes, math.inf).hits() for v in members}
+        assert start == max(settled for settled, _ in layered.values())
+        for v in members:
+            for settled, hits in (layered[v], (start, passed[v])):
+                assert UPSet(max(settled, 1), p, frozenset({0}), frozenset(hits)) == spectra[v]
+    for use_pass in (True, False):
+        assert _by_route(g, use_pass, [])[0] == spectra
 
 
 def _pass_steps(g):
@@ -576,10 +600,11 @@ def test_forward_pass_steps_until_every_row_fills_its_class():
     spectra, steps = _pass_steps(make_graph(n, [(v, (v + 1) % n) for v in range(n)]))
     assert steps == 0
     assert spectra == [UPSet(1, n, frozenset({0}))] * n
-    # A blow-up with every edge from a class to the next: X_p is full, X_0 is not.
-    p, c = 7, 3
-    pairs = list(itertools.product(range(c), repeat=2))
-    edges = [(g * c + a, (g + 1) % p * c + b) for g in range(p) for a, b in pairs]
-    spectra, steps = _pass_steps(make_graph(p * c, edges))
-    assert steps == p
-    assert spectra == [UPSet(1, p, frozenset({0}))] * (p * c)
+    # Blow-ups with every edge from a class to the next: X_1 is full, X_0 is
+    # not, whatever the period.
+    for p, c in ((7, 3), (1000, 4)):
+        pairs = list(itertools.product(range(c), repeat=2))
+        edges = [(g * c + a, (g + 1) % p * c + b) for g in range(p) for a, b in pairs]
+        spectra, steps = _pass_steps(make_graph(p * c, edges))
+        assert steps == 1
+        assert spectra == [UPSet(1, p, frozenset({0}))] * (p * c)
