@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, VertexSet, bits_of
 from .upsets import UPSet
@@ -34,7 +34,6 @@ from .walks import (
     long_walk_starts,
     mat_mul_bool,
     mat_pow_bool,
-    pass_beats_orbits,
     strongly_connected_components,
     transpose_rows,
 )
@@ -45,6 +44,17 @@ EVIDENCE_CAP = 10_000
 
 # The spectrum of every vertex that no closed walk passes through.
 _NO_CLOSED_WALK = UPSet.empty()
+
+
+class _Memo(dict):
+    """A dict that makes each missing value once, as ``make(key)``."""
+
+    def __init__(self, make: Callable):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class TheoremViolationError(RuntimeError):
@@ -212,36 +222,34 @@ class GraphAnalysis:
     Each fact is computed on first read and kept: the transposed rows,
     the cyclic SCCs and their cyclic classes (one Kosaraju pass, whose
     levels give both), the cyclic set and the levels of one
-    breadth-first search back from it, each SCC's route and settled index,
-    the spectra, the vertices of each distinct spectrum and the diagonal
-    set of every length set S (None for Dinf).  No matrix
-    power is kept: the chain check makes the ones it reads in one walk and
-    drops them.  The independent routes run once per analysis: Dinf by
-    the levels and by the zero rows of A^|V|, and in the chain check D_n
-    and D_S from the spectra and from the loops of powers.
+    breadth-first search back from it, each SCC's settled index, the
+    spectra, the vertices of each distinct spectrum and the diagonal set
+    of every length set S (None for Dinf).  No matrix power is kept: the
+    chain check makes the ones it reads in one walk and drops them.  The
+    independent routes run once per analysis: Dinf by the levels and by
+    the zero rows of A^|V|, and in the chain check D_n and D_S from the
+    spectra and from the loops of powers.
 
-    The first vertex of an SCC that needs a spectrum decides the route and
-    the SCC's settled index: one forward pass for all its spectra where
-    ``pass_beats_orbits`` says so, which stops at the largest settled index
-    of the SCC's backward layers, else each vertex's own layers (index
-    ``math.inf``: each finds its own).  A vertex on no closed walk has the
-    empty spectrum and no layers.  Both routes build spectra through one
-    table, so equal spectra are one object, built once, whose shortest
-    violation of each S+1 is found once: the diagonal sets, the battery and
-    the chain check's bound work per distinct spectrum.  The battery runs
-    vertex by vertex and once per distinct length set S.  A vertex's
-    backward layers give its witness walks, one per distinct shortest
-    violation, which every spec with that violation shares.  Dinf tails
-    descend the levels.
+    The first vertex of an SCC that needs a spectrum runs the SCC's one
+    ``forward_pass``: every spectrum of the SCC, and its settled index, the
+    largest of its backward layers.  A vertex on no closed walk has the
+    empty spectrum and no layers.  Equal spectra are one object, built
+    once, whose shortest violation of each S+1 is found once: the diagonal
+    sets, the battery and the chain check's bound work per distinct
+    spectrum.  The battery runs vertex by vertex and once per distinct
+    length set S.  A vertex's backward layers, from the settled index, give
+    its witness walks, one per distinct shortest violation, which every
+    spec with that violation shares.  Dinf tails descend the levels.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self._spectra: list[UPSet | None] = [None] * g.n
         self._sets: dict[UPSet | None, VertexSet] = {}
-        self._shortest: dict[tuple[UPSet, UPSet], int | None] = {}  # by (spectrum, S+1)
+        # By S+1, then by spectrum: the least length in both, or None.
+        self._shortest = _Memo(lambda walks: _Memo(lambda sp: sp.min_common(walks)))
         self._made: dict = {}  # the spectra, by (p, settled index, hits) and by themselves
-        self._settled: dict[CyclicClasses, float] = {}  # per routed SCC: the pass's stop, or inf
+        self._settled: dict[CyclicClasses, int] = {}  # per passed SCC: the pass's stop
 
     @cached_property
     def classes(self) -> list[CyclicClasses | None]:
@@ -275,7 +283,7 @@ class GraphAnalysis:
         return VertexSet(self.g.n, sum(self.cycle_levels))
 
     def spectrum(self, v: int) -> UPSet:
-        """{L >= 1 : a closed walk of length L passes through v}, off v's backward layers."""
+        """{L >= 1 : a closed walk of length L passes through v}, off its SCC's forward pass."""
         return self._vertex(v, ())[0]
 
     @property
@@ -292,16 +300,6 @@ class GraphAnalysis:
             holders[sp] = holders.get(sp, 0) | 1 << v
         return holders
 
-    def _route(self, classes: CyclicClasses) -> None:
-        """Once per SCC: its spectra and settled index from a forward pass, if priced lower."""
-        if classes not in self._settled:
-            settled = math.inf
-            if pass_beats_orbits(self.g.rows, classes.comp):
-                settled, hits = forward_pass(self.g.rows, classes)
-                for u, h in hits.items():
-                    self._spectra[u] = self._spectrum_at(classes, settled, h)
-            self._settled[classes] = settled
-
     def _spectrum_at(self, classes: CyclicClasses, settled: int, hits: Sequence[int]) -> UPSet:
         """The closed-walk lengths ``hits`` below a settled index, then every multiple of p.
 
@@ -314,26 +312,18 @@ class GraphAnalysis:
             self._made[key] = self._made.setdefault(made, made)
         return self._made[key]
 
-    def _violation(self, spectrum: UPSet, walks: UPSet) -> int | None:
-        """The least length in both a spectrum and S+1, or None: one ``min_common`` per pair."""
-        key = (spectrum, walks)
-        shortest = self._shortest.get(key, key)  # key itself marks a miss: no value is a tuple
-        if shortest is key:
-            shortest = self._shortest[key] = spectrum.min_common(walks)
-        return shortest
-
     def diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         """The diagonal set of spec, kept per length set S: D and DS({0}) share one."""
-        if spec.lengths not in self._sets:
-            self._sets[spec.lengths] = self._diagonal_set(spec)
-        return self._sets[spec.lengths]
+        dx = self._sets.get(spec.lengths)
+        if dx is None:
+            dx = self._sets[spec.lengths] = self._diagonal_set(spec)
+        return dx
 
     def _diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         n = self.g.n
         if spec.kind != "Dinf":
-            walks = spec.walk_lengths
-            kept = (m for sp, m in self._holders.items() if self._violation(sp, walks) is None)
-            return VertexSet(n, sum(kept))
+            shortest = self._shortest[spec.walk_lengths]
+            return VertexSet(n, sum(m for sp, m in self._holders.items() if shortest[sp] is None))
         scc_route = self.canreach_cycle.complement()
         matrix_route = VertexSet(n, long_walk_starts(self.g, self.transposed_rows)).complement()
         if scc_route != matrix_route:
@@ -343,32 +333,30 @@ class GraphAnalysis:
             )
         return scc_route
 
-    def _vertex(self, v: int, specs: Sequence[DiagonalSpec]) -> tuple[UPSet | None, list]:
-        """v's spectrum, and per spec its witness, from its shortest violation, or None.
+    def _vertex(self, v: int, tables: Sequence[_Memo | None]) -> tuple[UPSet | None, list]:
+        """v's spectrum, and per S+1's ``_shortest`` table (None for Dinf) its witness, or None.
 
-        Specs with one shortest violation at v share one witness object.
+        Tables with one shortest violation at v share one witness object.
         """
         self.g._check_vertex(v)  # a negative v would index another vertex's classes
-        needed = self._spectra[v] is None and (
-            not specs or any(spec.kind != "Dinf" for spec in specs)
-        )
         classes = self.classes[v]  # None: no closed walk passes through v
-        if needed and classes is not None:
-            self._route(classes)
-        # Made after the route, whose forward pass may give a settled index.
-        settled = self._settled.get(classes, math.inf)
-        layers = None if classes is None else BackLayers(v, classes, settled)
+        if self._spectra[v] is None and (not tables or any(t is not None for t in tables)):
+            if classes is None:
+                self._spectra[v] = _NO_CLOSED_WALK
+            else:  # the SCC's one pass gives all its spectra and its settled index
+                settled, hits = forward_pass(self.g.rows, classes)
+                for u, h in hits.items():
+                    self._spectra[u] = self._spectrum_at(classes, settled, h)
+                self._settled[classes] = settled
         spectrum = self._spectra[v]
-        if needed and spectrum is None:
-            spectrum = self._spectra[v] = (
-                _NO_CLOSED_WALK if layers is None else self._spectrum_at(classes, *layers.hits())
-            )
+        settled = self._settled.get(classes)  # None: Dinf alone runs no pass, reads no layer
+        layers = None if settled is None else BackLayers(v, classes, settled)
         shortest = []
-        for spec in specs:
-            if spec.kind == "Dinf":  # its violation is an infinite walk
-                shortest.append(None if v in self.diagonal_set(spec) else math.inf)
+        for table in tables:
+            if table is None:  # Dinf: its violation is an infinite walk
+                shortest.append(None if v in self.diagonal_set(DiagonalSpec.dinf()) else math.inf)
             else:  # a closed walk with a length in S+1
-                shortest.append(self._violation(spectrum, spec.walk_lengths))
+                shortest.append(table[spectrum])
         made = {m: self._witness(v, m, layers) for m in dict.fromkeys(shortest)}
         return spectrum, [made[m] for m in shortest]
 
@@ -425,7 +413,8 @@ class GraphAnalysis:
         for spec in specs:
             firsts.setdefault(spec.lengths, spec)
         keys = list(firsts.values())
-        witnesses = [self._vertex(v, keys)[1] for v in range(g.n)]
+        tables = [None if s.lengths is None else self._shortest[s.walk_lengths] for s in keys]
+        witnesses = [self._vertex(v, tables)[1] for v in range(g.n)]
         columns = {
             spec.lengths: (self.diagonal_set(spec), column)
             for spec, column in zip(keys, zip(*witnesses))

@@ -3,15 +3,15 @@
 Entry (u, w) of A^L is 1 exactly when a walk of length L from u to w
 exists; boolean products realize walk concatenation.  A closed walk
 through v never leaves its strongly connected component (SCC) C, so v's
-spectrum {k >= 1 : v in B_k} and its witness walks come from the backward
-layers B_0 = {v}, B_(k+1) = In(B_k) & C, whatever the period of the whole
-graph.  The SCCs come from bitset row ORs (Kosaraju's two passes), whose
-second pass gives each SCC's :class:`CyclicClasses`; :class:`BackLayers`
-steps v's layers only until one equals its class.  An SCC's spectra come
-from one of two routes, whichever :func:`pass_beats_orbits` prices lower:
-each vertex's own layers, or one :func:`forward_pass` of A_C^k for all of
-C.  ``diagonals.GraphAnalysis`` composes these kernels into each vertex's
-SCC mask and spectrum, once per graph.
+spectrum and its witness walks are found inside C, whatever the period of
+the whole graph.  The SCCs come from bitset row ORs (Kosaraju's two
+passes), whose second pass gives each SCC's :class:`CyclicClasses`.  One
+:func:`forward_pass` per SCC finds every spectrum of C and where C's
+backward layers settle; it steps by slot gathers or by block tables,
+whichever :func:`_gathers_beat_tables` prices lower.  :class:`BackLayers`
+steps v's layers below that index for its witness walks.
+``diagonals.GraphAnalysis`` composes these kernels into each vertex's SCC
+mask and spectrum, once per graph.
 
 :class:`PowerTrace`, the periodicity certificate of the whole power
 sequence A^1, A^2, ..., is kept only as an independent oracle for them.
@@ -37,10 +37,10 @@ _BLOCK_TABLE_MIN_SCC = 8
 # costs about three table lookups (measured at orders 8 to 512 in
 # CPython 3.11).
 _NAIVE_OR_COST = 3
-# A forward pass costs about two block-table lookups per edge of the SCC
-# and step, counting its set-up; an orbit step costs about eight lookups on
-# top of its table reads.  Fitted to the faster route on random, Wielandt,
-# cycle and blow-up SCCs of 9 to 512 vertices (CPython 3.11).
+# A forward pass's gather step costs about two block-table lookups per edge
+# of the SCC, counting its set-up; its table step costs about eight lookups
+# per row on top of the row's table reads.  Fitted to the faster kernel on
+# random, Wielandt, cycle and blow-up SCCs of 9 to 512 vertices (CPython 3.11).
 _PASS_EDGE_COST = 2
 _ORBIT_STEP_LOOKUPS = 8
 
@@ -93,13 +93,13 @@ def orbit_step(rows: Sequence[int], comp: int) -> Callable[[int], int]:
     return frontier_step(rows, comp, comp.bit_count() > _BLOCK_TABLE_MIN_SCC)
 
 
-def pass_beats_orbits(rows: Sequence[int], comp: int) -> bool:
-    """Whether one ``forward_pass`` over the SCC ``comp`` costs less than an orbit per vertex.
+def _gathers_beat_tables(rows: Sequence[int], comp: int) -> bool:
+    """Whether a ``forward_pass`` over the SCC ``comp`` steps faster by slot gathers than by tables.
 
-    Per step, the pass gathers and ORs one row per edge of the SCC, and each
-    of the |C| orbits reads ceil(|C|/8) block tables.  Up to
-    _BLOCK_TABLE_MIN_SCC vertices the orbits step by row ORs, and the pass's
-    fixed costs outweigh what it saves.
+    Per step, the gathers OR one row per edge of the SCC, and the tables
+    read ceil(|C|/8) block tables for each of the |C| rows.  Up to
+    _BLOCK_TABLE_MIN_SCC vertices the table step ORs rows, and the gathers'
+    fixed costs outweigh what they save.
     """
     m = comp.bit_count()
     if m <= _BLOCK_TABLE_MIN_SCC:
@@ -281,13 +281,9 @@ class BackLayers:
 
     B_0 = {v} and B_(k+1) = In(B_k) & C.  B_k lies in the class
     (class(v) - k) mod p, and once it is that whole class, so is every later
-    layer: a full class steps to the full class before it.  So the layers
-    are stepped and stored only as far as read, up to the first one that
-    equals its class (the ``settled`` index), and read off the classes from
-    there on.  ``settled`` starts as any index known to be settled already,
-    such as a forward pass's stop, else ``math.inf``.  A layer that
-    repeated before it filled its class would stay periodic and never fill
-    it, so the layers first repeat exactly at (settled, p).
+    layer.  From ``settled``, the stop of C's ``forward_pass``, on, witness
+    walks read the classes; below it the layers are stepped only as far as
+    read, up to the first one that equals its class, where ``settled`` drops.
     """
 
     __slots__ = ("v", "classes", "items", "settled")
@@ -298,7 +294,7 @@ class BackLayers:
         self.items = [1 << v]
         self.settled = settled
 
-    def _settle(self, k: float) -> None:
+    def _settle(self, k: int) -> None:
         """Store layers up to index k, or stop at the first one that equals its class."""
         items, classes, step = self.items, self.classes, self.classes.back_step
         i = len(items) - 1
@@ -316,40 +312,56 @@ class BackLayers:
             return self.items[k]
         return self.classes.layer(self.v, k)
 
-    def hits(self) -> tuple[int, list[int]]:
-        """The settled index, and below it the k >= 1 with v in B_k: the rest are p's multiples."""
-        self._settle(math.inf)
-        items, v = self.items, self.v
-        return self.settled, [k for k in range(1, self.settled) if items[k] >> v & 1]
+
+def _pass_step(
+    rows: Sequence[int], comp: int
+) -> tuple[list[int], list[int], Callable[[list[int]], list[int]]]:
+    """C's vertices in row order, X_0 and the step X_k -> X_(k+1) of C's ``forward_pass``.
+
+    Block tables step each row by ``orbit_step`` over the forward rows.
+    Slot gathers work on local indices: with vertices sorted by out-degree,
+    out-degree slot j serves a prefix of them.  X ends with a 0 for no
+    vertex, and each column with its index, so every gather returns a tuple.
+    """
+    if not _gathers_beat_tables(rows, comp):
+        step = orbit_step(rows, comp)
+        vs = list(bits_of(comp))
+        return vs, [1 << v for v in vs], lambda x: list(map(step, x))
+    vs = sorted(bits_of(comp), key=lambda v: -(rows[v] & comp).bit_count())
+    m = len(vs)
+    local = {v: i for i, v in enumerate(vs)}
+    succ = [[local[w] for w in bits_of(rows[v] & comp)] for v in vs]
+    columns = [[js[slot] for js in succ if len(js) > slot] + [m] for slot in range(len(succ[0]))]
+    first, *others = [operator.itemgetter(*col) for col in columns]
+    prefixes = [len(col) - 1 for col in columns[1:]]
+
+    def gather(x: list[int]) -> list[int]:
+        nxt = list(first(x))
+        for slot, c in zip(others, prefixes):
+            nxt[:c] = map(operator.or_, nxt[:c], slot(x))
+        return nxt
+
+    return vs, [1 << i for i in range(m)] + [0], gather
 
 
 def forward_pass(rows: Sequence[int], classes: CyclicClasses) -> tuple[int, dict[int, list[int]]]:
     """Where a cyclic SCC's layers settle, and each vertex's hits below it, from one pass.
 
     X_k[u], the vertices of the SCC C that u reaches by a walk of length k, is
-    X_0[u] = {u} and X_(k+1)[u] = OR of X_k[w] over the successors w of u in
-    C.  X_k[u] lies in the class (class(u) + k) mod p, and a row that fills
+    X_0[u] = {u} and X_(k+1)[u] = Out(X_k[u]) & C, stepped by slot gathers
+    or by block tables, whichever ``_gathers_beat_tables`` prices lower.
+    X_k[u] lies in the class (class(u) + k) mod p, and a row that fills
     its class stays full, so the pass stops at the first step s where every
     row has as many vertices as its class.  Since v is in X_k[u] exactly
     when u is in v's backward layer B_k, s is the largest settled index of
-    C's layers.  A closed walk has a length divisible by p, so the diagonal
-    is read only at the multiples of p below s: a plain cycle, whose
-    classes are single vertices, takes no step.  Each step is a C-level
-    gather per out-degree slot: vertices are sorted by out-degree, so slot
-    j serves a prefix of them.
+    C's layers.  A closed walk has a length divisible by p, so the diagonal,
+    X_s[u] & X_0[u] in either step's bit layout, is read only at the
+    multiples of p below s.  A plain cycle's classes are single vertices,
+    so its pass takes no step.
     """
-    comp, p = classes.comp, classes.period
-    vs = sorted(bits_of(comp), key=lambda v: -(rows[v] & comp).bit_count())
-    m = len(vs)
-    local = {v: i for i, v in enumerate(vs)}
-    succ = [[local[w] for w in bits_of(rows[v] & comp)] for v in vs]
-    # X carries a last entry 0 for a vertex with no walks.  Each column ends
-    # with its index, so every gather returns a tuple, even for one vertex.
-    columns = [[js[slot] for js in succ if len(js) > slot] + [m] for slot in range(len(succ[0]))]
-    first, *others = [operator.itemgetter(*col) for col in columns]
-    prefixes = [len(col) - 1 for col in columns[1:]]
-    x = [1 << i for i in range(m)] + [0]
-    unit, everyone = x, range(m)
+    p = classes.period
+    vs, x, step = _pass_step(rows, classes.comp)
+    unit, everyone = x, range(len(vs))
     sizes = [c.bit_count() for c in classes.classes]
     own = [classes.class_of[v] for v in vs]
     hits: list[list[int]] = [[] for _ in vs]
@@ -358,10 +370,7 @@ def forward_pass(rows: Sequence[int], classes: CyclicClasses) -> tuple[int, dict
         if s and not s % p:
             for i in itertools.compress(everyone, map(operator.and_, x, unit)):
                 hits[i].append(s)
-        nxt = list(first(x))
-        for gather, c in zip(others, prefixes):
-            nxt[:c] = map(operator.or_, nxt[:c], gather(x))
-        x = nxt
+        x = step(x)
         s += 1
     return s, dict(zip(vs, hits))
 

@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from diagsets import cli, diagonals
+from diagsets import cli, walks
 from diagsets.diagonals import (
     DiagonalSpec,
     GraphAnalysis,
@@ -106,16 +106,17 @@ def test_spectra_match_closed_forms(name):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_forward_pass_and_orbits_give_the_same_spectra_and_long_witnesses(name):
-    # Each route forced on every SCC, whatever the cost rule picks.
+    # Each step kernel of the forward pass, slot gathers or ``orbit_step``'s
+    # block tables, forced on every SCC, whatever the cost rule picks.
     g, expected = CORPUS[name]()
     specs = [DiagonalSpec.dn(BIG_N), DiagonalSpec.dn(10**18)]
-    routes = []
-    for use_pass in (True, False):
-        with mock.patch.object(diagonals, "pass_beats_orbits", lambda rows, comp: use_pass):
+    kernels = []
+    for gathers in (True, False):
+        with mock.patch.object(walks, "_gathers_beat_tables", lambda rows, comp: gathers):
             analysis = GraphAnalysis(g)
-            routes.append((analysis.spectra, analysis.verify_battery(specs)))
-    assert routes[0] == routes[1]
-    assert routes[0][0] == expected
+            kernels.append((analysis.spectra, analysis.verify_battery(specs)))
+    assert kernels[0] == kernels[1]
+    assert kernels[0][0] == expected
 
 
 @pytest.mark.parametrize("name", TRACTABLE)

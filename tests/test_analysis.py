@@ -36,7 +36,7 @@ TWO_CYCLES = make_graph(
 )
 
 # A 20-cycle with the chord 19 -> 1: one SCC of 20 vertices and 21 edges,
-# which the cost rule gives to one forward pass.
+# whose forward pass the cost rule steps by slot gathers.
 CHORDED_CYCLE = make_graph(20, [(i, (i + 1) % 20) for i in range(20)] + [(19, 1)])
 
 
@@ -90,16 +90,9 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     g = TWO_CYCLES
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "strongly_connected_components")
-    _count_calls(monkeypatch, calls, "pass_beats_orbits")
+    _count_calls(monkeypatch, calls, "forward_pass")
     _count_orbit_steps(monkeypatch, calls)
     starts = _count_layer_starts(monkeypatch)
-    hits = walks.BackLayers.hits
-
-    def counted_hits(self):
-        calls["BackLayers.hits"] += 1
-        return hits(self)
-
-    monkeypatch.setattr(walks.BackLayers, "hits", counted_hits)
     _count_calls(monkeypatch, calls, "transpose_rows")
     _count_calls(monkeypatch, calls, "mat_mul_bool")
     _count_calls(monkeypatch, calls, "mat_pow_bool")
@@ -110,14 +103,14 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
 
     assert report["chain"]["ok"]
     assert calls["strongly_connected_components"] == 1
-    assert calls["pass_beats_orbits"] == 3  # once per SCC: {0, 1}, {2, 3, 4} and {6}
-    # One spectrum and one set of backward layers per cyclic vertex; the
+    # One forward pass per cyclic SCC gives all its spectra: {0, 1},
+    # {2, 3, 4} and {6}.  One set of backward layers per cyclic vertex; the
     # acyclic vertices 5 and 7 take the empty spectrum and make no layers.
+    assert calls["forward_pass"] == 3
     cyclic = [0, 1, 2, 3, 4, 6]
-    assert calls["BackLayers.hits"] == len(cyclic)
     assert sorted(starts) == [1 << v for v in cyclic]
-    # One step function per SCC whose layers settle for a spectrum: {0, 1},
-    # {2, 3, 4} and {6}.  Each is a plain cycle, settled at B_0 with no step.
+    # One step function per SCC, its pass's table step, and none for the
+    # layers.  Each SCC is a plain cycle, settled at X_0 with no step.
     assert calls["orbit_step"] == 3
     assert calls["transpose_rows"] == 1
     # A^2, ..., A^9 for the chain, one product each; the evens stop at
@@ -125,8 +118,8 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     # A^k twice, or by squaring, breaks this count.
     assert calls["mat_mul_bool"] == 8
     assert calls["mat_pow_bool"] == 0
-    # Each vertex's layers are stepped once, for its spectrum, and every
-    # witness walk reads them without a step of its own.  The Dinf tails
+    # The passes step as often as for the spectra alone, and every witness
+    # walk reads the layers without a step of its own.  The Dinf tails
     # descend the cycle levels: 7's tail 5 -> 6 goes from level 1 to 0.
     analyze_steps = calls["orbit steps"]
     GraphAnalysis(g).spectra
@@ -142,7 +135,7 @@ def test_a_plain_cycle_steps_no_layer(monkeypatch):
     calls: Counter = Counter()
     _count_orbit_steps(monkeypatch, calls)
     analysis = GraphAnalysis(g)
-    assert not walks.pass_beats_orbits(g.rows, (1 << 5) - 1)  # the layers' own route
+    assert not walks._gathers_beat_tables(g.rows, (1 << 5) - 1)  # the pass's table step
     battery = analysis.verify_battery([*default_spec_battery(), DiagonalSpec.dn(10**9 + 4)])
     assert analysis.spectra == [UPSet(1, 5, frozenset({0}))] * 5
     assert battery[-1][2][0].evidence is None  # past the evidence cap
@@ -151,13 +144,13 @@ def test_a_plain_cycle_steps_no_layer(monkeypatch):
 
 
 def test_dinf_alone_builds_no_spectrum(monkeypatch):
-    # Dinf reads no closed-walk length, so it decides no SCC's route and
+    # Dinf reads no closed-walk length, so it runs no SCC's forward pass and
     # steps no orbit: its tails descend the levels of one breadth-first
     # search back from the cycles.
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 2), (4, 4)])
     calls: Counter = Counter()
     _count_orbit_steps(monkeypatch, calls)
-    _count_calls(monkeypatch, calls, "pass_beats_orbits")
+    _count_calls(monkeypatch, calls, "forward_pass")
     _count_calls(monkeypatch, calls, "bfs_levels")
     analysis = GraphAnalysis(g)
     witnesses = analysis.verify_unequal(DiagonalSpec.dinf())
@@ -170,9 +163,9 @@ def test_dinf_alone_builds_no_spectrum(monkeypatch):
 
 
 def test_forward_pass_route_reads_orbits_only_below_its_start(monkeypatch):
-    # Wielandt-16: one SCC of 16 vertices and 17 edges, where the cost rule
-    # picks one forward pass over 16 orbits.  Its classes take over from
-    # walk length 226 = 15^2 + 1 on.
+    # Wielandt-16: one SCC of 16 vertices and 17 edges, whose forward pass
+    # the cost rule steps by slot gathers.  Its classes take over from walk
+    # length 226 = 15^2 + 1 on.
     g = make_graph(16, [(i, i + 1) for i in range(15)] + [(15, 0), (15, 1)])
     calls: Counter = Counter()
     _count_orbit_steps(monkeypatch, calls)
@@ -180,8 +173,8 @@ def test_forward_pass_route_reads_orbits_only_below_its_start(monkeypatch):
     analysis = GraphAnalysis(g)
     huge = analysis.verify_unequal(DiagonalSpec.dn(10**9 + 7))
     assert calls["forward_pass"] == 1
-    # The spectra come from the pass and each first step from a class, so
-    # no vertex's orbit is made.
+    # The spectra come from the gathers and each first step from a class,
+    # so no vertex's orbit is made.
     assert calls["orbit_step"] == 0
     assert [w.vertex for w in huge] == [*range(1, 16), 0]  # the least successor: 0 for v = 15
     # The shortest odd closed walks, of length 15 (31 through vertex 0),
@@ -438,11 +431,10 @@ def test_an_analysis_builds_each_spectrum_once_and_keeps_it_only_itself(monkeypa
 @pytest.mark.parametrize("first", ["spectrum", "spectra", "verify_battery"])
 def test_an_sccs_route_is_decided_once_whatever_is_called_first(monkeypatch, first):
     g = CHORDED_CYCLE
-    assert walks.pass_beats_orbits(g.rows, (1 << g.n) - 1)
+    assert walks._gathers_beat_tables(g.rows, (1 << g.n) - 1)
     expected = spectra_from_trace(power_trace(g))
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "forward_pass")
-    _count_calls(monkeypatch, calls, "pass_beats_orbits")
     _count_orbit_steps(monkeypatch, calls)
     analysis = GraphAnalysis(g)
     entry_points = {
@@ -451,13 +443,13 @@ def test_an_sccs_route_is_decided_once_whatever_is_called_first(monkeypatch, fir
         "verify_battery": lambda: analysis.verify_battery(default_spec_battery()),
     }
     entry_points[first]()
-    assert calls["forward_pass"] == calls["pass_beats_orbits"] == 1
+    assert calls["forward_pass"] == 1
     if first != "verify_battery":  # whose descents read orbits below the pass's start
-        assert calls["orbit_step"] == 0  # no spectrum came from an orbit
+        assert calls["orbit_step"] == 0  # the pass gathers, and no layer steps
     for call in entry_points.values():
         call()
     assert [analysis.spectrum(v) for v in range(g.n)] == analysis.spectra == expected
-    assert calls["forward_pass"] == calls["pass_beats_orbits"] == 1
+    assert calls["forward_pass"] == 1
 
 
 def test_d_and_ds_of_zero_share_one_set():

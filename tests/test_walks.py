@@ -1,8 +1,6 @@
 import itertools
 import math
-import operator
 import random
-import types
 from unittest import mock
 
 import pytest
@@ -171,23 +169,33 @@ def test_spectrum_of_edgeless_vertex_is_empty():
     assert GraphAnalysis(g).spectrum(1).is_empty()
 
 
-def test_one_vertex_spectrum_runs_only_its_own_orbit(monkeypatch):
-    # Dense enough that 5's SCC takes the orbit route: each vertex's own layers.
-    g = gen_random(16, 0.5, 1, "allow")
-    assert not walks.pass_beats_orbits(g.rows, GraphAnalysis(g).classes[5].comp)
-    expected = GraphAnalysis(g).spectra[5]
-    built = []
+def test_one_vertex_spectrum_runs_only_its_own_sccs_pass(monkeypatch):
+    # A dense 16-vertex SCC, whose pass takes the table step, and an edge
+    # from it into a 20-cycle with a chord, whose pass gathers.
+    dense = gen_random(16, 0.5, 1, "allow")
+    edges = [(u, w) for u in range(16) for w in bits_of(dense.rows[u])]
+    edges += [(16 + i, 16 + (i + 1) % 20) for i in range(20)] + [(35, 17), (0, 16)]
+    g = make_graph(36, edges)
+    expected = spectra_from_trace(power_trace(g))
+    classes = GraphAnalysis(g).classes
+    assert not walks._gathers_beat_tables(g.rows, classes[5].comp)
+    assert walks._gathers_beat_tables(g.rows, classes[20].comp)
+    passed = []
 
-    class CountedLayers(diagonals.BackLayers):
-        __slots__ = ()
+    def recorded(rows, classes):
+        passed.append(classes.comp)
+        return forward_pass(rows, classes)
 
-        def __init__(self, v, classes, settled):
-            built.append(1 << v)
-            super().__init__(v, classes, settled)
-
-    monkeypatch.setattr(diagonals, "BackLayers", CountedLayers)
-    assert GraphAnalysis(g).spectrum(5) == expected
-    assert built == [1 << 5]
+    monkeypatch.setattr(diagonals, "forward_pass", recorded)
+    analysis = GraphAnalysis(g)
+    for v, comp in ((5, classes[5].comp), (20, classes[20].comp)):
+        assert analysis.spectrum(v) == expected[v]
+        assert passed[-1] == comp
+        # The pass gives every spectrum of v's SCC, and none outside it.
+        assert [u for u, sp in enumerate(analysis._spectra) if sp is not None] == [
+            u for u in range(g.n) if sum(passed) >> u & 1
+        ]
+    assert len(passed) == 2
 
 
 @given(graphs(max_order=6))
@@ -444,9 +452,14 @@ def test_long_walk_starts_peel_equals_the_round_by_round_loop_at_order_2000(reve
     assert 0 < starts.bit_count() < n
 
 
-def _by_route(g, use_pass, specs):
-    """Spectra and battery of g with every SCC's spectra forced through one route."""
-    with mock.patch.object(diagonals, "pass_beats_orbits", lambda rows, comp: use_pass):
+def _kernel(gathers):
+    """Every forward pass forced onto one step kernel: slot gathers, else block tables."""
+    return mock.patch.object(walks, "_gathers_beat_tables", lambda rows, comp: gathers)
+
+
+def _by_kernel(g, gathers, specs):
+    """Spectra and battery of g with every SCC's forward pass forced onto one step kernel."""
+    with _kernel(gathers):
         analysis = GraphAnalysis(g)
         return analysis.spectra, analysis.verify_battery(specs)
 
@@ -482,9 +495,19 @@ def _blowup(sizes, seed, chord=None):
 @example(_blowup((3, 3, 3), 5, chord=(0, 1)))  # class 0 to class 0: period 3 becomes 1
 @example(_blowup((2, 2, 2, 2), 6, chord=(0, 6)))  # class 0 to class 3: period 4 becomes 2
 def test_forward_pass_and_orbits_agree_on_spectra_and_witnesses(g):
-    by_pass = _by_route(g, True, LONG_SPECS)
-    assert by_pass == _by_route(g, False, LONG_SPECS)
-    assert by_pass[0] == spectra_from_trace(power_trace(g))
+    # The gather step against ``orbit_step``'s block tables, on every SCC.
+    by_gathers = _by_kernel(g, True, LONG_SPECS)
+    assert by_gathers == _by_kernel(g, False, LONG_SPECS)
+    assert by_gathers[0] == spectra_from_trace(power_trace(g))
+
+
+def _own_settle(v, classes):
+    """v's own settled index and its hits below it, off its layers read from ``math.inf``."""
+    layers = BackLayers(v, classes, math.inf)
+    bound = classes.comp.bit_count() ** 2  # past every settled index: Wielandt's (n-1)^2 + 1
+    layers[bound]
+    assert layers.settled <= bound
+    return layers, [k for k in range(1, layers.settled) if layers[k] >> v & 1]
 
 
 def _first_repeat(start, step):
@@ -524,9 +547,8 @@ def test_back_layers_settle_into_cyclic_classes(g):
     step = frontier_step(rev, full, False)
     settled = []
     for v in range(n):
-        layers = BackLayers(v, classes, math.inf)
-        settled_index, hits = layers.hits()
-        settled.append(settled_index)
+        layers, hits = _own_settle(v, classes)
+        settled.append(layers.settled)
         # The hashed orbit of the same layers first repeats at (settled, p).
         assert _first_repeat(1 << v, step) == (layers.settled, p)
         direct = [1 << v]
@@ -538,7 +560,7 @@ def test_back_layers_settle_into_cyclic_classes(g):
         for k in reversed(range(len(direct))):
             assert layers[k] == fresh[k] == from_pass[k] == direct[k]
         assert fresh.settled == layers.settled
-        assert UPSet(max(settled_index, 1), p, frozenset({0}), frozenset(hits)) == spectra[v]
+        assert UPSet(max(layers.settled, 1), p, frozenset({0}), frozenset(hits)) == spectra[v]
     # The forward pass stops at the first step where every layer is settled.
     assert start == max(settled)
 
@@ -559,52 +581,70 @@ def test_forward_pass_stops_at_the_largest_settled_index_and_both_routes_match_t
     for classes in set(GraphAnalysis(g).classes) - {None}:
         start, passed = forward_pass(g.rows, classes)
         p, members = classes.period, list(bits_of(classes.comp))
-        layered = {v: BackLayers(v, classes, math.inf).hits() for v in members}
-        assert start == max(settled for settled, _ in layered.values())
+        layered = {v: _own_settle(v, classes) for v in members}
+        assert start == max(layers.settled for layers, _ in layered.values())
         for v in members:
-            for settled, hits in (layered[v], (start, passed[v])):
+            own = (layered[v][0].settled, layered[v][1])
+            for settled, hits in (own, (start, passed[v])):
                 assert UPSet(max(settled, 1), p, frozenset({0}), frozenset(hits)) == spectra[v]
-    for use_pass in (True, False):
-        assert _by_route(g, use_pass, [])[0] == spectra
+    for gathers in (True, False):
+        assert _by_kernel(g, gathers, [])[0] == spectra
 
 
-def _pass_steps(g):
-    """g's spectra, with every SCC forced through one forward pass, and the pass's steps.
+@given(st.one_of(graphs(max_order=10), _periodic_blowups()))
+@example(_blowup((2, 2, 3, 2), 3))
+@example(_blowup((3, 3, 3), 5, chord=(0, 1)))  # period 3 becomes 1
+@example(_blowup((2, 2, 2, 2), 6, chord=(0, 6)))  # period 4 becomes 2
+@settings(max_examples=150)
+def test_both_step_kernels_give_one_pass_and_the_trace_spectra(g):
+    spectra = spectra_from_trace(power_trace(g))
+    for classes in set(GraphAnalysis(g).classes) - {None}:
+        passes = []
+        for gathers in (True, False):
+            with _kernel(gathers):
+                passes.append(forward_pass(g.rows, classes))
+        assert passes[0] == passes[1]
+        start, hits = passes[0]
+        for v in bits_of(classes.comp):
+            spectrum = UPSet(max(start, 1), classes.period, frozenset({0}), frozenset(hits[v]))
+            assert spectrum == spectra[v]
 
-    Each step calls every gather of the pass once; the gathers are counted
-    through the ``operator.itemgetter`` the pass builds them with.
-    """
+
+def _pass_steps(g, gathers):
+    """g's spectra, with every SCC's forward pass forced onto one step kernel, and its steps."""
     calls = []
 
-    def itemgetter(*items):
-        gather = operator.itemgetter(*items)
+    def counted_kernel(*args):
+        vs, x, step = pass_step(*args)
         calls.append(0)
         slot = len(calls) - 1
 
         def counted(x):
             calls[slot] += 1
-            return gather(x)
+            return step(x)
 
-        return counted
+        return vs, x, counted
 
-    counting = types.SimpleNamespace(**{**vars(operator), "itemgetter": itemgetter})
-    with mock.patch.object(walks, "operator", counting):
-        spectra = _by_route(g, True, [])[0]
-    assert len(set(calls)) == 1  # g is strongly connected: one pass, each gather once a step
+    pass_step = walks._pass_step
+    with _kernel(gathers), mock.patch.object(walks, "_pass_step", counted_kernel):
+        spectra = GraphAnalysis(g).spectra
+    assert len(calls) == 1  # g is strongly connected: one pass
     return spectra, calls[0]
 
 
 def test_forward_pass_steps_until_every_row_fills_its_class():
     # Each class of a plain cycle is one vertex, so X_0 has settled.
     n = 3000
-    spectra, steps = _pass_steps(make_graph(n, [(v, (v + 1) % n) for v in range(n)]))
-    assert steps == 0
-    assert spectra == [UPSet(1, n, frozenset({0}))] * n
+    for gathers in (True, False):
+        spectra, steps = _pass_steps(make_graph(n, [(v, (v + 1) % n) for v in range(n)]), gathers)
+        assert steps == 0
+        assert spectra == [UPSet(1, n, frozenset({0}))] * n
     # Blow-ups with every edge from a class to the next: X_1 is full, X_0 is
-    # not, whatever the period.
+    # not, whatever the period and the step kernel.
     for p, c in ((7, 3), (1000, 4)):
         pairs = list(itertools.product(range(c), repeat=2))
         edges = [(g * c + a, (g + 1) % p * c + b) for g in range(p) for a, b in pairs]
-        spectra, steps = _pass_steps(make_graph(p * c, edges))
-        assert steps == 1
-        assert spectra == [UPSet(1, p, frozenset({0}))] * (p * c)
+        for gathers in (True, False):
+            spectra, steps = _pass_steps(make_graph(p * c, edges), gathers)
+            assert steps == 1
+            assert spectra == [UPSet(1, p, frozenset({0}))] * (p * c)
