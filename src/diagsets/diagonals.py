@@ -443,8 +443,11 @@ class GraphAnalysis:
         One ascending walk over the exponents read makes every power, each
         from the one before by one product with A^gap.  The walk keeps A^gap
         from where it passes exponent gap to its last use, and
-        ``mat_pow_bool`` makes only a gap it never passes.  No power
-        outlives the check.
+        ``mat_pow_bool`` makes only a gap it never passes.  The walk passes
+        every exponent up to n_max + 1, and once a gap-1 product returns its
+        input, A^(k+1) = A^k, every later exponent reads A^k: no further
+        product is made.  A primitive A settles at all-ones, a nilpotent one
+        at 0.  No power outlives the check.
         """
         if not isinstance(n_max, int) or isinstance(n_max, bool):
             raise ValueError(f"n_max must be an integer, got {n_max!r}")
@@ -474,7 +477,11 @@ class GraphAnalysis:
             if last_use[gap] > i:
                 steps[gap] = step
             # Powers of A commute; the sparser step goes on the left.
-            power = mat_mul_bool(step, power)
+            product = mat_mul_bool(step, power)
+            if gap == 1 and product == power:  # A^k = A^(k-1): so is every later power
+                unlooped.update(dict.fromkeys(walk[i + 1 :], unlooped[k - 1]))
+                break
+            power = product
             if last_use.get(k, -1) > i:
                 steps[k] = power
             unlooped[k] = power.loops().complement()

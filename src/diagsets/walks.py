@@ -356,10 +356,13 @@ def forward_pass(rows: Sequence[int], classes: CyclicClasses) -> tuple[int, dict
     when u is in v's backward layer B_k, s is the largest settled index of
     C's layers.  A closed walk has a length divisible by p, so the diagonal,
     X_s[u] & X_0[u] in either step's bit layout, is read only at the
-    multiples of p below s.  A plain cycle's classes are single vertices,
-    so its pass takes no step.
+    multiples of p below s.  Where every class is one vertex, a plain cycle
+    or a looped vertex alone, X_0 has settled: the pass returns at s = 0,
+    before it builds a step.
     """
     p = classes.period
+    if p == classes.comp.bit_count():
+        return 0, {v: [] for v in bits_of(classes.comp)}
     vs, x, step = _pass_step(rows, classes.comp)
     unit, everyone = x, range(len(vs))
     sizes = [c.bit_count() for c in classes.classes]

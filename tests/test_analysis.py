@@ -8,6 +8,7 @@ from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagsets import diagonals, walks
 from diagsets.diagonals import (
@@ -109,13 +110,14 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     assert calls["forward_pass"] == 3
     cyclic = [0, 1, 2, 3, 4, 6]
     assert sorted(starts) == [1 << v for v in cyclic]
-    # One step function per SCC, its pass's table step, and none for the
-    # layers.  Each SCC is a plain cycle, settled at X_0 with no step.
-    assert calls["orbit_step"] == 3
+    # Each SCC is a plain cycle, settled at X_0: its pass returns before
+    # it builds a step, and the layers build none.
+    assert calls["orbit_step"] == 0
     assert calls["transpose_rows"] == 1
-    # A^2, ..., A^9 for the chain, one product each; the evens stop at
-    # bound 7, so every power they read is one of those.  Building any
-    # A^k twice, or by squaring, breaks this count.
+    # A^2, ..., A^9 for the chain, one product each: the 2- and 3-cycles
+    # keep the powers changing.  The evens stop at bound 7, so every power
+    # they read is one of those.  Building any A^k twice, or by squaring,
+    # breaks this count.
     assert calls["mat_mul_bool"] == 8
     assert calls["mat_pow_bool"] == 0
     # The passes step as often as for the spectra alone, and every witness
@@ -185,8 +187,9 @@ def test_forward_pass_route_reads_orbits_only_below_its_start(monkeypatch):
 
 
 def test_chain_check_reads_each_power_off_the_previous_one(monkeypatch):
-    g = gen_random(12, 0.3, 3, "allow")
-    analysis = GraphAnalysis(g)
+    # The 2- and 3-cycles make the powers of TWO_CYCLES repeat with period
+    # 6, so no power equals the one before it.
+    analysis = GraphAnalysis(TWO_CYCLES)
     analysis.diagonal_set(DiagonalSpec.dinf())  # no matrix product
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "mat_mul_bool")
@@ -210,8 +213,7 @@ def test_chain_check_builds_its_specs_once_per_process(monkeypatch):
 
 
 def test_chain_check_reads_memoised_powers_for_members_of_s(monkeypatch):
-    g = gen_random(12, 0.3, 3, "allow")
-    analysis = GraphAnalysis(g)
+    analysis = GraphAnalysis(TWO_CYCLES)  # whose powers never settle
     analysis.diagonal_set(DiagonalSpec.dinf())
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "mat_mul_bool")
@@ -360,8 +362,9 @@ def test_dn_matches_the_trace():
 def test_chain_walk_makes_the_gaps_it_never_passes_and_matches_the_trace(monkeypatch):
     # Past A^9 the walk reads A^37 for up(t=30,...) and A^41 for
     # finite(0,40): the gap 28 is no exponent the walk passes, so
-    # mat_pow_bool makes it.
-    g = gen_random(12, 0.3, 11, "allow")
+    # mat_pow_bool makes it.  The powers of TWO_CYCLES never settle, so
+    # the walk reads every one of them.
+    g = TWO_CYCLES
     samples = [parse_upset("finite(0,40)"), parse_upset("up(t=30,d=12,r=0|5)")]
     calls: Counter = Counter()
     _count_calls(monkeypatch, calls, "mat_pow_bool")
@@ -380,8 +383,7 @@ def test_chain_walk_makes_the_gaps_it_never_passes_and_matches_the_trace(monkeyp
 
 
 def test_chain_check_keeps_no_product_alive(monkeypatch):
-    g = gen_random(12, 0.3, 3, "allow")
-    analysis = GraphAnalysis(g)
+    analysis = GraphAnalysis(TWO_CYCLES)  # whose powers never settle
     products = []
     for module in (walks, diagonals):
 
@@ -394,6 +396,66 @@ def test_chain_check_keeps_no_product_alive(monkeypatch):
     analysis.inclusion_chain_check(8, [EVENS, parse_upset("finite(0,40)")])
     assert len(products) > 8
     assert all(ref() is None for ref in products)
+
+
+@pytest.mark.parametrize(
+    ("g", "samples", "products"),
+    [
+        # All-ones: A^2 = A.
+        (make_graph(4, [(a, b) for a in range(4) for b in range(4)]), [], 1),
+        # A 5-vertex path: A^2, ..., A^6 = A^5 = 0, and no product for A^7 to A^9.
+        (make_graph(5, [(i, i + 1) for i in range(4)]), [], 5),
+        (gen_random(12, 0.3, 3, "allow"), [EVENS, parse_upset("finite(0,40)")], 5),
+        # A^4 = A^3, which A^37 and A^42 read too: no gap is made.
+        (gen_random(12, 0.3, 11, "allow"), [parse_upset("up(t=30,d=12,r=0|5)")], 3),
+    ],
+)
+def test_chain_check_stops_multiplying_where_the_powers_settle(monkeypatch, g, samples, products):
+    trace = power_trace(g)
+    assert trace.lam == 1 and trace.mu == products  # A^(mu+1) = A^mu
+    analysis = GraphAnalysis(g)
+    analysis.diagonal_set(DiagonalSpec.dinf())
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls, "mat_mul_bool")
+    _count_calls(monkeypatch, calls, "mat_pow_bool")
+    assert analysis.inclusion_chain_check(8, samples).ok
+    assert calls == {"mat_mul_bool": products}
+
+
+def test_chain_check_settles_only_on_a_gap_1_product():
+    # A 2-cycle's powers alternate.  The walk makes A^11 = A^2 A^9 = A^9 by
+    # a gap of 2, yet A^12 differs from A^11, which the identity reads.
+    g = make_graph(2, [(0, 1), (1, 0)])
+    report = GraphAnalysis(g).inclusion_chain_check(8, [UPSet.from_finite([10, 11])])
+    assert report.finite_identities == ("finite(10,11)",)
+
+
+def _toggled(sp, length):
+    """The spectrum sp with the one walk length ``length`` added or removed."""
+    t = max(sp.threshold, length + 1)
+    below = {m for m in range(t) if sp.member(m)} ^ {length}
+    return UPSet(t, sp.period, sp.residues, frozenset(below))
+
+
+def test_chain_check_catches_a_spectrum_planted_wrong_past_the_fixpoint():
+    # The powers of a loopless K_3 settle at A^2 = A^3, all-ones, so A^8 is read off A^2.
+    g = make_graph(3, [(a, b) for a in range(3) for b in range(3) if a != b])
+    analysis = GraphAnalysis(g)
+    assert analysis.spectra[0] == UPSet(2, 1, frozenset({0}))
+    analysis.spectra[0] = _toggled(analysis.spectra[0], 8)
+    with pytest.raises(InternalDisagreementError, match="D_7 routes disagree"):
+        analysis.inclusion_chain_check(8)
+
+
+@given(graphs(max_order=8), st.data())
+@settings(max_examples=80)
+def test_chain_check_catches_one_length_toggled_whether_or_not_the_powers_settle(g, data):
+    v = data.draw(st.integers(0, g.n - 1))
+    length = data.draw(st.integers(1, 9))
+    analysis = GraphAnalysis(g)
+    analysis.spectra[v] = _toggled(analysis.spectra[v], length)
+    with pytest.raises(InternalDisagreementError, match=f"D_{length - 1} routes disagree"):
+        analysis.inclusion_chain_check(8)
 
 
 # A 5-cycle blown up 20-fold: 100 vertices with one spectrum, the multiples of 5.

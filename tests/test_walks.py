@@ -611,33 +611,45 @@ def test_both_step_kernels_give_one_pass_and_the_trace_spectra(g):
 
 
 def _pass_steps(g, gathers):
-    """g's spectra, with every SCC's forward pass forced onto one step kernel, and its steps."""
-    calls = []
+    """g's spectra, with every SCC's forward pass forced onto one step kernel, and its kernels.
+
+    Each step kernel the pass builds is listed as the number of steps it takes.
+    """
+    passes, kernels = [], []
+
+    def counted_pass(*args):
+        passes.append(args)
+        return forward_pass(*args)
 
     def counted_kernel(*args):
         vs, x, step = pass_step(*args)
-        calls.append(0)
-        slot = len(calls) - 1
+        kernels.append(0)
+        slot = len(kernels) - 1
 
         def counted(x):
-            calls[slot] += 1
+            kernels[slot] += 1
             return step(x)
 
         return vs, x, counted
 
     pass_step = walks._pass_step
-    with _kernel(gathers), mock.patch.object(walks, "_pass_step", counted_kernel):
+    with (
+        _kernel(gathers),
+        mock.patch.object(walks, "_pass_step", counted_kernel),
+        mock.patch.object(diagonals, "forward_pass", counted_pass),
+    ):
         spectra = GraphAnalysis(g).spectra
-    assert len(calls) == 1  # g is strongly connected: one pass
-    return spectra, calls[0]
+    assert len(passes) == 1  # g is strongly connected: one pass
+    return spectra, kernels
 
 
 def test_forward_pass_steps_until_every_row_fills_its_class():
-    # Each class of a plain cycle is one vertex, so X_0 has settled.
+    # Each class of a plain cycle is one vertex, so X_0 has settled: the
+    # pass returns before it builds a step kernel.
     n = 3000
     for gathers in (True, False):
-        spectra, steps = _pass_steps(make_graph(n, [(v, (v + 1) % n) for v in range(n)]), gathers)
-        assert steps == 0
+        spectra, kernels = _pass_steps(make_graph(n, [(v, (v + 1) % n) for v in range(n)]), gathers)
+        assert kernels == []
         assert spectra == [UPSet(1, n, frozenset({0}))] * n
     # Blow-ups with every edge from a class to the next: X_1 is full, X_0 is
     # not, whatever the period and the step kernel.
@@ -645,6 +657,6 @@ def test_forward_pass_steps_until_every_row_fills_its_class():
         pairs = list(itertools.product(range(c), repeat=2))
         edges = [(g * c + a, (g + 1) % p * c + b) for g in range(p) for a, b in pairs]
         for gathers in (True, False):
-            spectra, steps = _pass_steps(make_graph(p * c, edges), gathers)
-            assert steps == 1
+            spectra, kernels = _pass_steps(make_graph(p * c, edges), gathers)
+            assert kernels == [1]
             assert spectra == [UPSet(1, p, frozenset({0}))] * (p * c)
