@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import random
 import re
+from functools import reduce
+from itertools import compress, count, repeat
+from operator import ne, or_
 
 from .graph import Graph
 
 # The characters at which str.splitlines ends a line ("\r\n" ends one too).
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+# emit_edge_list's form: "#" lines, the header, then bare "<u> <v>" lines, checked
+# a block at a time, since one match over the whole body holds state for every line.
+_BARE_HEAD = re.compile(f"(?:#[^{_LINE_BREAKS}]*\n)*n ([1-9][0-9]*)\n")
+_BARE_LINES = re.compile("(?:[0-9]+ [0-9]+\n)*")
+_BLOCK_CHARS = 1 << 16
 
 
 class EdgeListError(ValueError):
@@ -23,6 +31,42 @@ class EdgeListError(ValueError):
 
 
 def parse_edge_list(text: str) -> Graph:
+    return _parse_bare(text) or _parse_lines(text)
+
+
+def _parse_bare(text: str) -> Graph | None:
+    """The graph of a document in ``emit_edge_list``'s form, read by C-level calls, else None."""
+    head = _BARE_HEAD.match(text)
+    if head is None:
+        return None
+    order = int(head[1])
+    rows: list[int] = []
+    pos = head.end()
+    while pos < len(text):
+        end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
+        block, pos = text[pos:end], end
+        if not _BARE_LINES.fullmatch(block):
+            return None
+        tokens = block.split()
+        distinct = set(tokens)
+        ids = dict(zip(distinct, map(int, distinct)))
+        if max(ids.values()) >= order:
+            return None
+        nums = list(map(ids.__getitem__, tokens))
+        sources, targets = nums[::2], nums[1::2]
+        # Each run of one source's targets starts where the source changes.
+        starts = [0, *compress(count(1), map(ne, sources[1:], sources))]
+        runs = map(targets.__getitem__, map(slice, starts, starts[1:] + [len(sources)]))
+        masks = map(reduce, repeat(or_), map(map, repeat((1).__lshift__), runs))
+        rows += [0] * (max(sources) + 1 - len(rows))  # every id is below the order
+        for u, mask in zip(map(sources.__getitem__, starts), masks):
+            rows[u] |= mask
+    rows += [0] * (order - len(rows))
+    return Graph(order, tuple(rows))
+
+
+def _parse_lines(text: str) -> Graph:
+    """Any document, line by line; the only path that raises ``EdgeListError``."""
     order: int | None = None
     # Adjacency rows, grown to the largest source id read: nothing is sized
     # by the declared order before the whole document has parsed.
@@ -72,10 +116,12 @@ def parse_edge_list(text: str) -> Graph:
 def emit_edge_list(g: Graph, seed: int | None = None) -> str:
     """Render a graph as an edge-list document; reparsing yields an equal graph.
 
-    A ``seed`` is written as ``# seed N``, which reads back only if N >= 0.
+    A ``seed``, a nonnegative int, is written as ``# seed N``.
     """
     lines = []
     if seed is not None:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an int, got {seed!r}")
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
         lines.append(f"# seed {seed}")

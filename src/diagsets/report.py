@@ -31,13 +31,13 @@ def _evidence_dict(ev: Evidence | None) -> dict | None:
     return {key: list(ev.vertices)}
 
 
-def _witness_row(w: Witness) -> dict:
-    return {
-        "v": w.against,
-        "u": w.vertex,
-        "side": w.side.value,
-        "evidence": _evidence_dict(w.evidence),
-    }
+class _Row(dict):
+    """A witness row, keyed ``v``, ``u``, ``side``, ``evidence``: ``_encode`` fills a template."""
+    __slots__ = ()  # a plain dict's size
+
+
+def _witness_row(w: Witness) -> _Row:
+    return _Row(v=w.against, u=w.vertex, side=w.side.value, evidence=_evidence_dict(w.evidence))
 
 
 def analyze_graph(
@@ -125,6 +125,17 @@ def _float(x: float) -> str:
 
 def _encode(value: object, pad: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at indent ``pad``."""
+    if type(value) is _Row:  # the bytes of json.dumps(indent=2) for the row's fixed shape
+        v, u, side, evidence = value.values()
+        text = "null"
+        if evidence is not None:  # one key, and at least one vertex
+            ((key, vertices),) = evidence.items()
+            body = (",\n" + pad + "      ").join(map(int.__repr__, vertices))
+            text = f"{{\n{pad}    {_string(key)}: [\n{pad}      {body}\n{pad}    ]\n{pad}  }}"
+        return (
+            f'{{\n{pad}  "v": {v},\n{pad}  "u": {u},\n{pad}  "side": {_string(side)},'
+            f'\n{pad}  "evidence": {text}\n{pad}}}'
+        )
     if isinstance(value, str):
         return _string(value)
     if value is None:
@@ -159,7 +170,7 @@ def report_json(report: dict) -> str:
     """The report as ``json.dumps(report, indent=2)`` plus a newline, byte for byte.
 
     The json module falls back to its pure-Python encoder whenever it
-    indents; this writer joins each container's items once instead.  Keys
-    must be strings, as every report key is.
+    indents; this writer joins each container's items once and fills a
+    template per witness row.  Keys must be strings, as every report key is.
     """
     return _encode(report, "") + "\n"

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diagsets import graphio
 from diagsets.graph import make_graph
 from diagsets.graphio import (
     EdgeListError,
@@ -96,6 +99,52 @@ def edge_list_documents(draw):
     return "".join(line + sep for line, sep in zip(lines, seps)) + last
 
 
+# Arabic-Indic digits: decimal to str.isdecimal and int, but outside [0-9].
+_ARABIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_CHANGES = [
+    "none",
+    "past order",
+    "leading zero",
+    "arabic",
+    "duplicate",
+    "shuffle",
+    "no final break",
+    "tab",
+    "comment",
+    "second header",
+]
+
+
+@st.composite
+def emitted_documents(draw):
+    """``emit_edge_list`` output of a random graph, changed in at most one way."""
+    g = draw(graphs(max_order=12))
+    text = emit_edge_list(g, seed=draw(st.none() | st.integers(0, 99)))
+    head, header, body = text.partition(f"n {g.n}\n")
+    lines = body.splitlines()
+    change = draw(st.sampled_from(_CHANGES))
+    i = draw(st.integers(0, len(lines)))  # where a line goes in, or the edge line changed
+    if i < len(lines):
+        ids = lines[i].split(" ")
+        if change == "past order":
+            ids[draw(st.integers(0, 1))] = str(g.n + draw(st.integers(0, 3)))
+        elif change == "leading zero":
+            ids[0] = "0" + ids[0]
+        elif change == "arabic":
+            ids[1] = ids[1].translate(_ARABIC)
+        elif change == "duplicate":
+            lines.insert(i, lines[i])
+        lines[i] = ("\t" if change == "tab" else " ").join(ids)
+    if change == "shuffle":
+        lines = draw(st.permutations(lines))
+    elif change == "comment":
+        lines.insert(i, "# among the edges")
+    elif change == "second header":
+        lines.insert(i, f"n {draw(st.integers(0, 13))}")
+    text = head + header + "".join(line + "\n" for line in lines)
+    return text[:-1] if change == "no final break" else text
+
+
 def test_parse_c3_with_header():
     assert parse_edge_list("n 3\n0 1\n1 2\n2 0\n") == C3
 
@@ -163,10 +212,44 @@ def test_parse_reports_format_errors_before_range_errors():
         parse_edge_list("n 2\n0 5\n1 1\n3 0\n")
 
 
-def test_parse_allocates_nothing_by_the_declared_order_before_the_end():
-    # A row list of 10^12 entries would not fit: the format error must come first.
-    with pytest.raises(EdgeListError, match="line 3: expected '<u> <v>'"):
-        parse_edge_list(f"n {10**12}\n0 1\nx\n")
+@pytest.mark.parametrize("edges", [1, 20_000])
+def test_parse_allocates_nothing_by_the_declared_order_before_the_end(edges):
+    # A row list of 10^12 entries would not fit: the format error must come
+    # first, also after the blocks of bare lines before it.
+    body = "".join(f"{i % 1000} {i % 997}\n" for i in range(edges))
+    with pytest.raises(EdgeListError, match=f"line {edges + 2}: expected '<u> <v>'"):
+        parse_edge_list(f"n {10**12}\n{body}x\n")
+
+
+@given(emitted_documents(), st.sampled_from([1, 7, 1 << 16]))
+@settings(max_examples=200)
+def test_parse_agrees_with_the_reference_on_emitted_documents(text, block_chars):
+    # Blocks this small cut even a short document at many places.
+    with mock.patch.object(graphio, "_BLOCK_CHARS", block_chars):
+        assert _outcome(parse_edge_list, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("line", ["x y", "3 20000", "3 4 # note", "3\t4", "3\x1c4", "n 5"])
+def test_a_line_past_the_first_block_gets_the_reference_outcome(line):
+    lines = [f"{i} {i % 50}" for i in range(20_000)]
+    lines[15_000] = line
+    text = "n 20000\n" + "".join(edge + "\n" for edge in lines)
+    assert text.index(f"\n{line}\n") > graphio._BLOCK_CHARS
+    assert _outcome(parse_edge_list, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("block_chars", [7, 1 << 16])
+def test_emitted_documents_take_the_block_path_and_others_the_line_loop(block_chars):
+    g = gen_random(40, 0.3, 5)
+    text = emit_edge_list(g, seed=5)
+    lines = text.splitlines()
+    lines.insert(len(lines) // 2, "# among the edges")
+    commented = "\n".join(lines) + "\n"
+    with mock.patch.object(graphio, "_BLOCK_CHARS", block_chars):
+        assert graphio._parse_bare(text) == g
+        assert graphio._parse_bare(commented) is None
+        assert graphio._parse_bare(text[:-1]) is None  # no final line break
+        assert parse_edge_list(commented) == g
 
 
 @given(edge_list_documents())
@@ -183,6 +266,13 @@ def test_seed_comment_round_trip():
     assert scan_seed_comment(text) == 42
     assert scan_seed_comment(emit_edge_list(C3)) is None
     assert parse_edge_list(text) == C3
+    assert scan_seed_comment(emit_edge_list(C3, seed=0)) == 0
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, "3", -1])
+def test_emit_rejects_a_seed_that_would_not_read_back(seed):
+    with pytest.raises(ValueError, match="seed must be"):
+        emit_edge_list(C3, seed=seed)
 
 
 def test_gen_random_extremes():
