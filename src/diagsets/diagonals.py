@@ -73,6 +73,10 @@ class Side(str, Enum):
     DX_MINUS_OUT = "DxMinusOut"
 
 
+# Read once: each ``Side.X`` read is a Python-level descriptor call.
+_OUT_MINUS_DX, _DX_MINUS_OUT = Side.OUT_MINUS_DX, Side.DX_MINUS_OUT
+
+
 @dataclass(frozen=True)
 class Evidence:
     """Walk evidence: a closed walk, or a finite prefix entering a cycle."""
@@ -237,9 +241,11 @@ class GraphAnalysis:
     once, whose shortest violation of each S+1 is found once: the diagonal
     sets, the battery and the chain check's bound work per distinct
     spectrum.  The battery runs vertex by vertex and once per distinct
-    length set S.  A vertex's backward layers, from the settled index, give
-    its witness walks, one per distinct shortest violation, which every
-    spec with that violation shares.  Dinf tails descend the levels.
+    length set S: one row of shortest violations per (spectrum, in Dinf or
+    not), one check per set and witness column.  A vertex's backward layers,
+    from the settled index, give its witness walks, one per distinct
+    shortest violation, which every spec with that violation shares; a
+    descent reads its layers as one list.  Dinf tails descend the levels.
     """
 
     def __init__(self, g: Graph):
@@ -284,7 +290,7 @@ class GraphAnalysis:
 
     def spectrum(self, v: int) -> UPSet:
         """{L >= 1 : a closed walk of length L passes through v}, off its SCC's forward pass."""
-        return self._vertex(v, ())[0]
+        return self._vertex(v, (), {})[0]
 
     @property
     def spectra(self) -> list[UPSet]:
@@ -333,10 +339,13 @@ class GraphAnalysis:
             )
         return scc_route
 
-    def _vertex(self, v: int, tables: Sequence[_Memo | None]) -> tuple[UPSet | None, list]:
-        """v's spectrum, and per S+1's ``_shortest`` table (None for Dinf) its witness, or None.
+    def _vertex(
+        self, v: int, tables: Sequence[_Memo | None], rows: dict
+    ) -> tuple[UPSet | None, list]:
+        """v's spectrum, and per S+1's ``_shortest`` table (None for Dinf) its witness.
 
-        Tables with one shortest violation at v share one witness object.
+        ``rows`` keeps, per (spectrum, in Dinf or not), the shortest
+        violation per table and their distinct values, one witness each.
         """
         self.g._check_vertex(v)  # a negative v would index another vertex's classes
         classes = self.classes[v]  # None: no closed walk passes through v
@@ -349,15 +358,17 @@ class GraphAnalysis:
                     self._spectra[u] = self._spectrum_at(classes, settled, h)
                 self._settled[classes] = settled
         spectrum = self._spectra[v]
+        if not tables:
+            return spectrum, []
         settled = self._settled.get(classes)  # None: Dinf alone runs no pass, reads no layer
         layers = None if settled is None else BackLayers(v, classes, settled)
-        shortest = []
-        for table in tables:
-            if table is None:  # Dinf: its violation is an infinite walk
-                shortest.append(None if v in self.diagonal_set(DiagonalSpec.dinf()) else math.inf)
-            else:  # a closed walk with a length in S+1
-                shortest.append(table[spectrum])
-        made = {m: self._witness(v, m, layers) for m in dict.fromkeys(shortest)}
+        tail = None if None in tables and v in self.diagonal_set(DiagonalSpec.dinf()) else math.inf
+        row = rows.get((spectrum, tail))
+        if row is None:  # Dinf's violation is an infinite walk, the others' a closed walk
+            shortest = [tail if t is None else t[spectrum] for t in tables]
+            row = rows[spectrum, tail] = shortest, dict.fromkeys(shortest)
+        shortest, distinct = row
+        made = {m: self._witness(v, m, layers) for m in distinct}
         return spectrum, [made[m] for m in shortest]
 
     def _witness(self, v: int, length: float | None, layers: BackLayers | None) -> Witness:
@@ -371,11 +382,11 @@ class GraphAnalysis:
         if g.rows[v] >> v & 1:
             # Looped: v itself, pumped around its loop min(S) + 1 times or forever.
             if length == math.inf:
-                return Witness(v, Side.OUT_MINUS_DX, v, Evidence((v,), infinite_tail=True))
+                return Witness(v, _OUT_MINUS_DX, v, Evidence((v,), infinite_tail=True))
             evidence = Evidence((v,) * (length + 1)) if length + 1 <= EVIDENCE_CAP else None
-            return Witness(v, Side.OUT_MINUS_DX, v, evidence)
+            return Witness(v, _OUT_MINUS_DX, v, evidence)
         if length is None:  # no violation: v is in the diagonal
-            return Witness(v, Side.DX_MINUS_OUT, v, None)
+            return Witness(v, _DX_MINUS_OUT, v, None)
         # Unlooped but outside the diagonal: rotate a violating walk from v.
         if length == math.inf:
             firsts = g.rows[v] & self.canreach_cycle.bits
@@ -386,12 +397,14 @@ class GraphAnalysis:
             d = next(d for d, level in enumerate(levels) if level >> w & 1)
             # Level d's vertices have no successor nearer than level d - 1.
             tail = tuple(_descend(g, levels, w, d))
-            return Witness(w, Side.OUT_MINUS_DX, v, Evidence(tail, infinite_tail=True))
-        walk = _descend(g, layers, v, length)  # a shortest violating closed walk
+            return Witness(w, _OUT_MINUS_DX, v, Evidence(tail, infinite_tail=True))
+        # A shortest violating closed walk; past the cap only its first step is read.
+        kept = length + 1 <= EVIDENCE_CAP
+        walk = _descend(g, layers.first(length) if kept else layers, v, length)
         next(walk)  # v itself
         first = next(walk)
-        evidence = Evidence((first, *walk, first)) if length + 1 <= EVIDENCE_CAP else None
-        return Witness(first, Side.OUT_MINUS_DX, v, evidence)
+        evidence = Evidence((first, *walk, first)) if kept else None
+        return Witness(first, _OUT_MINUS_DX, v, evidence)
 
     def verify_unequal(self, spec: DiagonalSpec) -> list[Witness]:
         """Assert the diagonal differs from every Out(v) and return validated witnesses."""
@@ -405,7 +418,8 @@ class GraphAnalysis:
         Each vertex is read once per distinct length set S (None for Dinf),
         not per spec: specs that share S, such as D and DS({0}), share its
         shortest violations, its set (read through ``diagonal_set``) and its
-        witnesses.  Each spec still validates every witness against its own set.
+        witnesses.  The first spec of each distinct length set checks them:
+        the checks read nothing of a spec but S.
         """
         specs = list(specs)
         g = self.g
@@ -414,20 +428,16 @@ class GraphAnalysis:
             firsts.setdefault(spec.lengths, spec)
         keys = list(firsts.values())
         tables = [None if s.lengths is None else self._shortest[s.walk_lengths] for s in keys]
-        witnesses = [self._vertex(v, tables)[1] for v in range(g.n)]
-        columns = {
-            spec.lengths: (self.diagonal_set(spec), column)
-            for spec, column in zip(keys, zip(*witnesses))
-        }
-        results = []
-        for spec in specs:
-            dx, column = columns[spec.lengths]
+        rows: dict = {}  # this battery's own, as its tables are
+        witnesses = [self._vertex(v, tables, rows)[1] for v in range(g.n)]
+        columns = dict(zip(firsts, zip(*witnesses)))  # by length set
+        for spec in keys:
+            dx = self.diagonal_set(spec)
             if dx.bits in g.rows:
                 raise TheoremViolationError(f"{spec.label()} equals Out({g.rows.index(dx.bits)})")
-            for w in column:
+            for w in columns[spec.lengths]:
                 validate_witness(g, spec, dx, w, self.cyclic)
-            results.append((spec, dx, list(column)))
-        return results
+        return [(spec, self.diagonal_set(spec), list(columns[spec.lengths])) for spec in specs]
 
     def inclusion_chain_check(self, n_max: int, s_samples: Iterable[UPSet] = ()) -> ChainReport:
         """Check Dinf <= Dn <= D for n in 1..n_max and the intersection identities.
@@ -526,15 +536,17 @@ def validate_witness(
 ) -> None:
     """Re-check every claim a witness makes; a Dinf tail must end in ``cyclic``."""
     u, v = witness.vertex, witness.against
-    g._check_vertex(v)
+    if not 0 <= v < g.n:
+        g._check_vertex(v)
     in_out_v = 0 <= u < g.n and g.rows[v] >> u & 1
-    if witness.side is Side.OUT_MINUS_DX:
-        if not in_out_v or u in dx:
+    # Bit tests: a VertexSet's bits lie below its width.
+    if witness.side is _OUT_MINUS_DX:
+        if not in_out_v or dx.bits >> u & 1:
             raise TheoremViolationError(
                 f"{spec.label()}: witness {u} not in Out({v}) \\ diagonal"
             )
     else:
-        if u not in dx or in_out_v:
+        if not (u >= 0 and dx.bits >> u & 1) or in_out_v:
             raise TheoremViolationError(
                 f"{spec.label()}: witness {u} not in diagonal \\ Out({v})"
             )
@@ -553,7 +565,7 @@ def validate_witness(
     if ev.infinite_tail:
         if spec.kind != "Dinf":
             raise TheoremViolationError(f"{spec.label()}: infinite-tail evidence is Dinf-only")
-        if verts[-1] not in cyclic:
+        if not cyclic.bits >> verts[-1] & 1:
             raise TheoremViolationError(
                 f"{spec.label()}: tail prefix ends at non-cyclic vertex {verts[-1]}"
             )

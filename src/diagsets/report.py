@@ -36,6 +36,9 @@ class _Row(dict):
     __slots__ = ()  # a plain dict's size
 
 
+_ROW_KEYS = ("v", "u", "side", "evidence")
+
+
 def _witness_row(w: Witness) -> _Row:
     return _Row(v=w.against, u=w.vertex, side=w.side.value, evidence=_evidence_dict(w.evidence))
 
@@ -123,19 +126,33 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
+def _row_text(row: _Row, pad: str) -> str | None:
+    """The bytes of json.dumps(indent=2) for a row still in the engine's shape, else None."""
+    if tuple(row) != _ROW_KEYS:
+        return None
+    v, u, side, evidence = row.values()
+    if type(v) is not int or type(u) is not int or type(side) is not str:
+        return None
+    text = "null"
+    if evidence is not None:
+        if type(evidence) is not dict or len(evidence) != 1:
+            return None
+        ((key, vertices),) = evidence.items()
+        # At least one vertex, each an int: json.dumps writes a bool as true.
+        if type(key) is not str or type(vertices) is not list or set(map(type, vertices)) != {int}:
+            return None
+        body = (",\n" + pad + "      ").join(map(int.__repr__, vertices))
+        text = f"{{\n{pad}    {_string(key)}: [\n{pad}      {body}\n{pad}    ]\n{pad}  }}"
+    return (
+        f'{{\n{pad}  "v": {v},\n{pad}  "u": {u},\n{pad}  "side": {_string(side)},'
+        f'\n{pad}  "evidence": {text}\n{pad}}}'
+    )
+
+
 def _encode(value: object, pad: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at indent ``pad``."""
-    if type(value) is _Row:  # the bytes of json.dumps(indent=2) for the row's fixed shape
-        v, u, side, evidence = value.values()
-        text = "null"
-        if evidence is not None:  # one key, and at least one vertex
-            ((key, vertices),) = evidence.items()
-            body = (",\n" + pad + "      ").join(map(int.__repr__, vertices))
-            text = f"{{\n{pad}    {_string(key)}: [\n{pad}      {body}\n{pad}    ]\n{pad}  }}"
-        return (
-            f'{{\n{pad}  "v": {v},\n{pad}  "u": {u},\n{pad}  "side": {_string(side)},'
-            f'\n{pad}  "evidence": {text}\n{pad}}}'
-        )
+    if type(value) is _Row and (text := _row_text(value, pad)) is not None:
+        return text  # an edited row is written as the dict it is
     if isinstance(value, str):
         return _string(value)
     if value is None:

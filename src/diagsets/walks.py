@@ -33,10 +33,10 @@ from .upsets import UPSet
 # it the table build costs more than it saves.
 _BLOCK_TABLE_MIN_SCC = 8
 # A product ORs rows one set bit of the left factor at a time while that
-# is cheaper than building block tables, at every order.  One such OR
-# costs about three table lookups (measured at orders 8 to 512 in
-# CPython 3.11).
-_NAIVE_OR_COST = 3
+# is cheaper than building block tables, at every order.  One such OR costs
+# about three table lookups, and the tables about 300 lookups of set-up per
+# product (measured at orders 8 to 512 in CPython 3.11).
+_NAIVE_OR_COST, _TABLE_SET_UP = 3, 300
 # A forward pass's gather step costs about two block-table lookups per edge
 # of the SCC, counting its set-up; its table step costs about eight lookups
 # per row on top of the row's table reads.  Fitted to the faster kernel on
@@ -118,8 +118,9 @@ def mat_mul_bool(a: Graph, b: Graph) -> Graph:
         raise ValueError(f"order mismatch: {a.n} != {b.n}")
     n = a.n
     # The block tables cost 255 ORs to build each of the ceil(n/8) tables,
-    # then ceil(n/8) lookups per row.
-    blocked = _NAIVE_OR_COST * sum(map(int.bit_count, a.rows)) >= (n + 255) * -(-n // 8)
+    # then ceil(n/8) lookups per row, and their set-up.
+    tables = (n + 255) * -(-n // 8) + _TABLE_SET_UP
+    blocked = _NAIVE_OR_COST * sum(map(int.bit_count, a.rows)) >= tables
     # The rows of b never leave [0, n), so the mask -1 keeps every column.
     return Graph(n, tuple(map(frontier_step(b.rows, -1, blocked), a.rows)))
 
@@ -284,6 +285,7 @@ class BackLayers:
     layer.  From ``settled``, the stop of C's ``forward_pass``, on, witness
     walks read the classes; below it the layers are stepped only as far as
     read, up to the first one that equals its class, where ``settled`` drops.
+    A descent reads its layers as one list, from ``first``.
     """
 
     __slots__ = ("v", "classes", "items", "settled")
@@ -311,6 +313,15 @@ class BackLayers:
         if k < len(self.items):
             return self.items[k]
         return self.classes.layer(self.v, k)
+
+    def first(self, length: int) -> list[int]:
+        """B_0, ..., B_(length-1) for length >= 1: the stored layers, then the classes, period p."""
+        stored = min(length, self.settled)  # stepped as far as read, as by index
+        if len(self.items) < stored:
+            self._settle(stored - 1)
+        layers = self.items[:length]  # then the classes, read as ``CyclicClasses.layer`` reads them
+        classes, c = self.classes.classes, self.classes.class_of[self.v]
+        return layers + [classes[(c - k) % len(classes)] for k in range(len(layers), length)]
 
 
 def _pass_step(

@@ -287,6 +287,50 @@ def test_vertex_major_battery_equals_one_spec_at_a_time(g):
     assert by_label["DS(finite(1))"] == by_label["Dn(1)"]
 
 
+def test_a_wrong_witness_in_a_shared_column_names_the_first_spec_of_its_length_set(monkeypatch):
+    # D and DS(finite(0)) share the length set {0}, its set and its column,
+    # which the battery checks once, under D, the first spec that has it.
+    vertex = GraphAnalysis._vertex
+    flipped = {Side.OUT_MINUS_DX: Side.DX_MINUS_OUT, Side.DX_MINUS_OUT: Side.OUT_MINUS_DX}
+
+    def planted(self, v, *args):
+        spectrum, witnesses = vertex(self, v, *args)
+        if v == 2 and witnesses:  # column 0 is D's, the first length set
+            w = witnesses[0]
+            witnesses = [Witness(w.vertex, flipped[w.side], w.against, w.evidence), *witnesses[1:]]
+        return spectrum, witnesses
+
+    monkeypatch.setattr(GraphAnalysis, "_vertex", planted)
+    specs = default_spec_battery()
+    assert specs[0] == DiagonalSpec.d() and DiagonalSpec.ds(UPSet.from_finite([0])) in specs
+    with pytest.raises(diagonals.TheoremViolationError, match=r"^D: witness 2 not in Out\(2\)"):
+        GraphAnalysis(TWO_CYCLES).verify_battery(specs)
+
+
+@given(graphs(max_order=8))
+@settings(max_examples=40)
+def test_a_spec_listed_twice_gets_two_equal_entries(g):
+    d, dn2 = DiagonalSpec.d(), DiagonalSpec.dn(2)
+    first, second, third = GraphAnalysis(g).verify_battery([d, dn2, d])
+    fresh = GraphAnalysis(g)
+    assert first == third == (d, fresh.diagonal_set(d), fresh.verify_unequal(d))
+    assert first[2] is not third[2]  # each entry owns its list
+    assert second == (dn2, *GraphAnalysis(g).verify_battery([dn2])[0][1:])
+
+
+@given(graphs(max_order=10))
+@settings(max_examples=40)
+def test_a_second_battery_on_one_analysis_equals_a_fresh_analysis(g):
+    # The second battery's length sets differ from the first's, and come in
+    # another order, so it must not read the first battery's rows.
+    analysis = GraphAnalysis(g)
+    analysis.verify_battery(default_spec_battery())
+    odds = UPSet(0, 2, frozenset({1}))
+    other = [DiagonalSpec.dinf(), DiagonalSpec.ds(odds), DiagonalSpec.dn(3), DiagonalSpec.d()]
+    assert analysis.verify_battery(other) == GraphAnalysis(g).verify_battery(other)
+    assert analysis.verify_battery(other[:1]) == GraphAnalysis(g).verify_battery(other[:1])
+
+
 def test_specs_with_one_shortest_violation_share_one_witness():
     odds = UPSet(0, 2, frozenset({1}))
     specs = [

@@ -100,3 +100,38 @@ def test_witness_rows_are_json_dumps_indent_2_at_any_depth(witnesses, depth):
             "side": w.side.value,
             "evidence": ev and {"infinite_tail" if ev.infinite_tail else "walk": list(ev.vertices)},
         }
+
+
+def _edit_walk(row, edit):
+    (walk,) = row["evidence"].values()
+    edit(walk)
+
+
+# Each edit leaves a row that the template must not write: json.dumps writes it as a dict.
+_ROW_EDITS = {
+    "a value of another type": lambda row: row.update(v="x"),
+    "a fifth key": lambda row: row.update(note="edited"),
+    "the keys in another order": lambda row: row.update(v=row.pop("v")),
+    "a bool vertex": lambda row: row.update(u=True),
+    "a side that is no string": lambda row: row.update(side=None),
+    "evidence with a second key": lambda row: row["evidence"].update(more=[1]),
+    "evidence that is no dict": lambda row: row.update(evidence=[1, 2]),
+    "an empty walk": lambda row: _edit_walk(row, list.clear),
+    "a bool in the walk": lambda row: _edit_walk(row, lambda walk: walk.append(False)),
+    "a string in the walk": lambda row: _edit_walk(row, lambda walk: walk.append("x")),
+    "a walk that is a tuple": lambda row: row["evidence"].update(walk=(5, 5)),
+}
+
+
+def test_report_json_writes_an_edited_witness_row_as_json_dumps():
+    for name, edit in _ROW_EDITS.items():
+        report = analyze_graph(_EVERY_ROW_FORM)
+        d_rows = report["specs"][0]["witnesses"]
+        assert d_rows[5]["evidence"] == {"walk": [5, 5]}  # the looped vertex 5
+        edit(d_rows[5])
+        text = report_json(report)
+        assert text == json.dumps(report, indent=2) + "\n", name
+        assert json.loads(text)["specs"][0]["witnesses"][5] == json.loads(json.dumps(d_rows[5]))
+    report = analyze_graph(_EVERY_ROW_FORM)
+    report["specs"][0]["witnesses"][0]["v"] = "x"
+    assert '"v": "x"' in report_json(report)

@@ -344,7 +344,7 @@ def _product_by_steps(a, b, blocked):
 
 def test_blocked_and_naive_products_agree():
     # Order 80, and every order from 1 to 24 (most not multiples of 8),
-    # sparse to dense: the cost model picks block tables at any order.
+    # sparse to dense: both kernels, and whichever the cost model picks.
     cases = [(80, 0.08, 11)] + [
         (order, p, order) for order in range(1, 25) for p in (0.05, 0.2, 0.5, 0.9)
     ]
@@ -383,6 +383,13 @@ def test_product_kernel_follows_the_left_factors_density(monkeypatch):
     assert builds == [80, 64]
     assert mat_mul_bool(sparse64, dense64) == sparse_dense64
     assert builds == [80, 64]
+    # Up to order 16 the tables' set-up outweighs what they save: row ORs
+    # even for a complete left factor.  At order 24 a dense one takes tables.
+    complete16 = make_graph(16, [(u, w) for u in range(16) for w in range(16)])
+    assert mat_mul_bool(complete16, complete16) == complete16
+    dense24 = gen_random(24, 0.9, 1, "allow")
+    assert mat_mul_bool(dense24, dense24) == _product_by_steps(dense24, dense24, False)
+    assert builds == [80, 64, 24]
 
 
 def _nonzero_rows(g):
@@ -563,6 +570,30 @@ def test_back_layers_settle_into_cyclic_classes(g):
         assert UPSet(max(layers.settled, 1), p, frozenset({0}), frozenset(hits)) == spectra[v]
     # The forward pass stops at the first step where every layer is settled.
     assert start == max(settled)
+
+
+def _wielandt(k):
+    """A k-cycle plus the chord k-1 -> 1: one SCC whose layers settle late, near (k-1)^2."""
+    return make_graph(k, [(i, i + 1) for i in range(k - 1)] + [(k - 1, 0), (k - 1, 1)])
+
+
+@given(graphs(max_order=8) | st.integers(2, 10).map(_wielandt))
+@settings(max_examples=100)
+def test_back_layers_hand_a_descent_its_layers_as_one_list(g):
+    analysis = GraphAnalysis(g)
+    analysis.spectra  # each cyclic SCC's forward pass, and its settled index
+    for v in range(g.n):
+        classes = analysis.classes[v]
+        if classes is None:
+            continue
+        settled = analysis._settled[classes]
+        for length in range(1, settled + 2 * classes.period + 1):
+            listed, indexed = BackLayers(v, classes, settled), BackLayers(v, classes, settled)
+            # A descent by index reads its layers from the last one down.
+            by_index = [indexed[k] for k in reversed(range(length))][::-1]
+            assert listed.first(length) == by_index
+            # Both step the same stored layers and find the same settled index.
+            assert (listed.items, listed.settled) == (indexed.items, indexed.settled)
 
 
 @st.composite
