@@ -22,13 +22,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graph import Graph, VertexSet, bits_of
 from .upsets import UPSet
 from .walks import (
-    BackLayers,
     CyclicClasses,
+    back_layers,
     bfs_levels,
     forward_pass,
     long_walk_starts,
@@ -200,7 +200,7 @@ def inclusion_chain_check(
 
 
 def _descend(
-    g: Graph, layers: BackLayers | Sequence[int], start: int, length: int
+    g: Graph, layers: Sequence[int] | Mapping[int, int], start: int, length: int
 ) -> Iterator[int]:
     """The least walk of the given length from start into layers[0], smallest step first.
 
@@ -242,10 +242,10 @@ class GraphAnalysis:
     sets, the battery and the chain check's bound work per distinct
     spectrum.  The battery runs vertex by vertex and once per distinct
     length set S: one row of shortest violations per (spectrum, in Dinf or
-    not), one check per set and witness column.  A vertex's backward layers,
-    from the settled index, give its witness walks, one per distinct
-    shortest violation, which every spec with that violation shares; a
-    descent reads its layers as one list.  Dinf tails descend the levels.
+    not), one check per set and witness column.  An unlooped vertex lists
+    its backward layers once, to its longest kept walk, and each witness
+    walk descends that list: one per distinct shortest violation, shared by
+    every spec with that violation.  Dinf tails descend the levels.
     """
 
     def __init__(self, g: Graph):
@@ -290,7 +290,16 @@ class GraphAnalysis:
 
     def spectrum(self, v: int) -> UPSet:
         """{L >= 1 : a closed walk of length L passes through v}, off its SCC's forward pass."""
-        return self._vertex(v, (), {})[0]
+        self.g._check_vertex(v)  # a negative v would index another vertex's classes
+        classes = self.classes[v]  # None: no closed walk passes through v
+        if classes is None:
+            return _NO_CLOSED_WALK
+        if self._spectra[v] is None:  # the SCC's one pass gives all its spectra and settled index
+            settled, hits = forward_pass(self.g.rows, classes)
+            for u, h in hits.items():
+                self._spectra[u] = self._spectrum_at(classes, settled, h)
+            self._settled[classes] = settled
+        return self._spectra[v]
 
     @property
     def spectra(self) -> list[UPSet]:
@@ -339,39 +348,29 @@ class GraphAnalysis:
             )
         return scc_route
 
-    def _vertex(
-        self, v: int, tables: Sequence[_Memo | None], rows: dict
-    ) -> tuple[UPSet | None, list]:
-        """v's spectrum, and per S+1's ``_shortest`` table (None for Dinf) its witness.
+    def _vertex(self, v: int, tables: Sequence[_Memo | None], rows: dict) -> list[Witness]:
+        """Per S+1's ``_shortest`` table (None for Dinf), v's witness; Dinf alone reads no spectrum.
 
-        ``rows`` keeps, per (spectrum, in Dinf or not), the shortest
-        violation per table and their distinct values, one witness each.
+        ``rows`` keeps, per (spectrum, in Dinf or not), the shortest violation
+        per table, their distinct values, one witness each, and the longest
+        kept walk, as far as v's backward layers are listed, once.
         """
-        self.g._check_vertex(v)  # a negative v would index another vertex's classes
-        classes = self.classes[v]  # None: no closed walk passes through v
-        if self._spectra[v] is None and (not tables or any(t is not None for t in tables)):
-            if classes is None:
-                self._spectra[v] = _NO_CLOSED_WALK
-            else:  # the SCC's one pass gives all its spectra and its settled index
-                settled, hits = forward_pass(self.g.rows, classes)
-                for u, h in hits.items():
-                    self._spectra[u] = self._spectrum_at(classes, settled, h)
-                self._settled[classes] = settled
-        spectrum = self._spectra[v]
-        if not tables:
-            return spectrum, []
-        settled = self._settled.get(classes)  # None: Dinf alone runs no pass, reads no layer
-        layers = None if settled is None else BackLayers(v, classes, settled)
+        spectrum = self.spectrum(v) if any(t is not None for t in tables) else None
         tail = None if None in tables and v in self.diagonal_set(DiagonalSpec.dinf()) else math.inf
         row = rows.get((spectrum, tail))
         if row is None:  # Dinf's violation is an infinite walk, the others' a closed walk
             shortest = [tail if t is None else t[spectrum] for t in tables]
-            row = rows[spectrum, tail] = shortest, dict.fromkeys(shortest)
-        shortest, distinct = row
+            distinct = dict.fromkeys(shortest)
+            kept = max((m for m in distinct if m is not None and m + 1 <= EVIDENCE_CAP), default=0)
+            row = rows[spectrum, tail] = shortest, distinct, kept
+        shortest, distinct, kept = row
+        classes = self.classes[v]
+        listed = kept and not self.g.rows[v] >> v & 1  # a looped vertex walks its loop
+        layers = back_layers(v, classes, self._settled[classes], kept) if listed else None
         made = {m: self._witness(v, m, layers) for m in distinct}
-        return spectrum, [made[m] for m in shortest]
+        return [made[m] for m in shortest]
 
-    def _witness(self, v: int, length: float | None, layers: BackLayers | None) -> Witness:
+    def _witness(self, v: int, length: float | None, layers: list[int] | None) -> Witness:
         """v's witness, given its shortest violation and its backward layers.
 
         The three-way case split: for D = D_S({0}), v itself, the fixed point.
@@ -400,7 +399,14 @@ class GraphAnalysis:
             return Witness(w, _OUT_MINUS_DX, v, Evidence(tail, infinite_tail=True))
         # A shortest violating closed walk; past the cap only its first step is read.
         kept = length + 1 <= EVIDENCE_CAP
-        walk = _descend(g, layers.first(length) if kept else layers, v, length)
+        if not kept:  # only B_(length-1) is read
+            classes, k = self.classes[v], length - 1
+            settled = self._settled[classes]
+            if k < settled:
+                last = back_layers(v, classes, settled, length)[k]
+            else:  # B_k is a class from the settled index on
+                last = classes.layer(v, k)
+        walk = _descend(g, layers if kept else {length - 1: last}, v, length)
         next(walk)  # v itself
         first = next(walk)
         evidence = Evidence((first, *walk, first)) if kept else None
@@ -429,7 +435,7 @@ class GraphAnalysis:
         keys = list(firsts.values())
         tables = [None if s.lengths is None else self._shortest[s.walk_lengths] for s in keys]
         rows: dict = {}  # this battery's own, as its tables are
-        witnesses = [self._vertex(v, tables, rows)[1] for v in range(g.n)]
+        witnesses = [self._vertex(v, tables, rows) for v in range(g.n)]
         columns = dict(zip(firsts, zip(*witnesses)))  # by length set
         for spec in keys:
             dx = self.diagonal_set(spec)

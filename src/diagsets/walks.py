@@ -8,7 +8,7 @@ the whole graph.  The SCCs come from bitset row ORs (Kosaraju's two
 passes), whose second pass gives each SCC's :class:`CyclicClasses`.  One
 :func:`forward_pass` per SCC finds every spectrum of C and where C's
 backward layers settle; it steps by slot gathers or by block tables,
-whichever :func:`_gathers_beat_tables` prices lower.  :class:`BackLayers`
+whichever :func:`_gathers_beat_tables` prices lower.  :func:`back_layers`
 steps v's layers below that index for its witness walks.
 ``diagonals.GraphAnalysis`` composes these kernels into each vertex's SCC
 mask and spectrum, once per graph.
@@ -277,51 +277,25 @@ class CyclicClasses:
         return self.classes[(self.class_of[v] - k) % len(self.classes)]
 
 
-class BackLayers:
-    """v's backward layers B_k, the vertices of its SCC C with a length-k walk to v.
+def back_layers(v: int, classes: CyclicClasses, settled: float, length: int) -> list[int]:
+    """v's backward layers B_0, ..., B_(length-1), length >= 1: B_0 = {v}, B_(k+1) = In(B_k) & C.
 
-    B_0 = {v} and B_(k+1) = In(B_k) & C.  B_k lies in the class
-    (class(v) - k) mod p, and once it is that whole class, so is every later
-    layer.  From ``settled``, the stop of C's ``forward_pass``, on, witness
-    walks read the classes; below it the layers are stepped only as far as
-    read, up to the first one that equals its class, where ``settled`` drops.
-    A descent reads its layers as one list, from ``first``.
+    B_k, the vertices of v's SCC C with a length-k walk to v, lies in the
+    class (class(v) - k) mod p, and once it is that whole class, so is every
+    later layer.  So the layers are stepped up to the first one that equals
+    its class, and never to ``settled``, the stop of C's ``forward_pass``.
     """
-
-    __slots__ = ("v", "classes", "items", "settled")
-
-    def __init__(self, v: int, classes: CyclicClasses, settled: float):
-        self.v = v
-        self.classes = classes
-        self.items = [1 << v]
-        self.settled = settled
-
-    def _settle(self, k: int) -> None:
-        """Store layers up to index k, or stop at the first one that equals its class."""
-        items, classes, step = self.items, self.classes, self.classes.back_step
-        i = len(items) - 1
-        while items[i] != classes.layer(self.v, i):
-            if i >= k:
-                return
-            items.append(step(items[i]))
-            i += 1
-        self.settled = i
-
-    def __getitem__(self, k: int) -> int:
-        if len(self.items) <= k < self.settled:
-            self._settle(k)
-        if k < len(self.items):
-            return self.items[k]
-        return self.classes.layer(self.v, k)
-
-    def first(self, length: int) -> list[int]:
-        """B_0, ..., B_(length-1) for length >= 1: the stored layers, then the classes, period p."""
-        stored = min(length, self.settled)  # stepped as far as read, as by index
-        if len(self.items) < stored:
-            self._settle(stored - 1)
-        layers = self.items[:length]  # then the classes, read as ``CyclicClasses.layer`` reads them
-        classes, c = self.classes.classes, self.classes.class_of[self.v]
-        return layers + [classes[(c - k) % len(classes)] for k in range(len(layers), length)]
+    cycle, c = classes.classes, classes.class_of[v]  # c: the class of the last layer
+    p, layer, step = len(cycle), 1 << v, None
+    layers = [layer]
+    for _ in range(min(length, settled) - 1):
+        if layer == cycle[c]:
+            break
+        step = step or classes.back_step  # built by the first layer that steps
+        layer = step(layer)
+        layers.append(layer)
+        c = (c - 1) % p
+    return layers + [cycle[(c - k) % p] for k in range(1, length - len(layers) + 1)]
 
 
 def _pass_step(

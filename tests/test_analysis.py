@@ -73,17 +73,15 @@ def _count_orbit_steps(monkeypatch, calls):
 
 
 def _count_layer_starts(monkeypatch):
-    """B_0 of every vertex's backward layers the analysis makes, in order."""
+    """B_0 of every list of backward layers the analysis makes, in order."""
     starts = []
+    original = walks.back_layers
 
-    class CountedLayers(walks.BackLayers):
-        __slots__ = ()
+    def counted(v, *args):
+        starts.append(1 << v)
+        return original(v, *args)
 
-        def __init__(self, v, classes, settled):
-            starts.append(1 << v)
-            super().__init__(v, classes, settled)
-
-    monkeypatch.setattr(diagonals, "BackLayers", CountedLayers)
+    monkeypatch.setattr(diagonals, "back_layers", counted)
     return starts
 
 
@@ -105,11 +103,11 @@ def test_analyze_graph_computes_each_per_graph_fact_once(monkeypatch):
     assert report["chain"]["ok"]
     assert calls["strongly_connected_components"] == 1
     # One forward pass per cyclic SCC gives all its spectra: {0, 1},
-    # {2, 3, 4} and {6}.  One set of backward layers per cyclic vertex; the
-    # acyclic vertices 5 and 7 take the empty spectrum and make no layers.
+    # {2, 3, 4} and {6}.  One list of backward layers per unlooped cyclic
+    # vertex; the looped 6 walks its loop, and the acyclic vertices 5 and 7
+    # take the empty spectrum and list no layers.
     assert calls["forward_pass"] == 3
-    cyclic = [0, 1, 2, 3, 4, 6]
-    assert sorted(starts) == [1 << v for v in cyclic]
+    assert sorted(starts) == [1 << v for v in range(5)]
     # Each SCC is a plain cycle, settled at X_0: its pass returns before
     # it builds a step, and the layers build none.
     assert calls["orbit_step"] == 0
@@ -294,11 +292,11 @@ def test_a_wrong_witness_in_a_shared_column_names_the_first_spec_of_its_length_s
     flipped = {Side.OUT_MINUS_DX: Side.DX_MINUS_OUT, Side.DX_MINUS_OUT: Side.OUT_MINUS_DX}
 
     def planted(self, v, *args):
-        spectrum, witnesses = vertex(self, v, *args)
+        witnesses = vertex(self, v, *args)
         if v == 2 and witnesses:  # column 0 is D's, the first length set
             w = witnesses[0]
             witnesses = [Witness(w.vertex, flipped[w.side], w.against, w.evidence), *witnesses[1:]]
-        return spectrum, witnesses
+        return witnesses
 
     monkeypatch.setattr(GraphAnalysis, "_vertex", planted)
     specs = default_spec_battery()
@@ -387,13 +385,43 @@ def test_one_witness_and_at_most_one_descent_per_vertex_and_length(monkeypatch, 
 def test_witness_of_a_looped_vertex_follows_its_length():
     g = make_graph(2, [(0, 0), (0, 1)])
     analysis = GraphAnalysis(g)
-    layers = walks.BackLayers(0, analysis.classes[0], math.inf)
-    tail = analysis._witness(0, math.inf, layers)
+    tail = analysis._witness(0, math.inf, None)  # a looped vertex reads no layer
     assert tail == Witness(0, Side.OUT_MINUS_DX, 0, Evidence((0,), infinite_tail=True))
-    pumped = analysis._witness(0, 3, layers)
+    pumped = analysis._witness(0, 3, None)
     assert pumped == Witness(0, Side.OUT_MINUS_DX, 0, Evidence((0, 0, 0, 0)))
     for spec, w in ((DiagonalSpec.dinf(), tail), (DiagonalSpec.dn(2), pumped)):
         diagonals.validate_witness(g, spec, analysis.diagonal_set(spec), w, analysis.cyclic)
+
+
+def test_walks_past_the_evidence_cap_keep_their_first_step(monkeypatch):
+    # Wielandt-k, a k-cycle with the chord k-1 -> 1, settles at (k-1)^2 + 1:
+    # 65 for k = 9 and 530 for k = 24.  Under a cap of 30, Dn(n) for n up to
+    # 118 walks past the cap both below and at or above the settled index.
+    chords = [(k, [(i, (i + 1) % k) for i in range(k)] + [(k - 1, 1)]) for k in (9, 13, 24)]
+    wielandt = [make_graph(k, edges) for k, edges in chords]
+    randoms = [gen_random(n, 0.15, seed, "allow") for n, seed in zip(range(12, 32, 2), range(10))]
+    specs = [DiagonalSpec.dn(n) for n in range(1, 120, 3)]
+    below = set()  # per walk past the cap from an unlooped vertex: is B_(length-1) stepped?
+    for g in wielandt + randoms:
+        real = GraphAnalysis(g).verify_battery(specs)
+        with monkeypatch.context() as patch:
+            patch.setattr(diagonals, "EVIDENCE_CAP", 30)
+            analysis = GraphAnalysis(g)
+            capped = analysis.verify_battery(specs)
+        for (spec, dx, witnesses), (_, real_dx, real_witnesses) in zip(capped, real):
+            length = spec.n + 1  # of every violating closed walk
+            assert dx == real_dx
+            for w, r in zip(witnesses, real_witnesses):
+                assert (w.vertex, w.side, w.against) == (r.vertex, r.side, r.against)
+                diagonals.validate_witness(g, spec, dx, w, analysis.cyclic)
+                closed = w.side is Side.OUT_MINUS_DX
+                assert (w.evidence is None) == (not closed or length + 1 > 30)
+                if w.evidence is not None:
+                    assert w.evidence == r.evidence
+                elif closed and not g.has_edge(w.against, w.against):
+                    classes = analysis.classes[w.against]
+                    below.add(length - 1 < analysis._settled[classes])
+    assert below == {True, False}
 
 
 def test_dn_matches_the_trace():

@@ -14,9 +14,9 @@ from diagsets.graph import Graph, VertexSet, bits_of, make_graph
 from diagsets.graphio import gen_random
 from diagsets.upsets import UPSet
 from diagsets.walks import (
-    BackLayers,
     CyclicClasses,
     TraceCapError,
+    back_layers,
     bfs_levels,
     forward_pass,
     frontier_step,
@@ -509,12 +509,11 @@ def test_forward_pass_and_orbits_agree_on_spectra_and_witnesses(g):
 
 
 def _own_settle(v, classes):
-    """v's own settled index and its hits below it, off its layers read from ``math.inf``."""
-    layers = BackLayers(v, classes, math.inf)
+    """v's own settled index, the first k whose B_k equals its class, and its hits below it."""
     bound = classes.comp.bit_count() ** 2  # past every settled index: Wielandt's (n-1)^2 + 1
-    layers[bound]
-    assert layers.settled <= bound
-    return layers, [k for k in range(1, layers.settled) if layers[k] >> v & 1]
+    layers = back_layers(v, classes, math.inf, bound + 1)
+    settled = next(k for k, layer in enumerate(layers) if layer == classes.layer(v, k))
+    return settled, [k for k in range(1, settled) if layers[k] >> v & 1]
 
 
 def _first_repeat(start, step):
@@ -554,20 +553,17 @@ def test_back_layers_settle_into_cyclic_classes(g):
     step = frontier_step(rev, full, False)
     settled = []
     for v in range(n):
-        layers, hits = _own_settle(v, classes)
-        settled.append(layers.settled)
+        own, hits = _own_settle(v, classes)
+        settled.append(own)
         # The hashed orbit of the same layers first repeats at (settled, p).
-        assert _first_repeat(1 << v, step) == (layers.settled, p)
+        assert _first_repeat(1 << v, step) == (own, p)
         direct = [1 << v]
-        for _ in range(layers.settled + 3 * p):
+        for _ in range(own + 3 * p):
             direct.append(step(direct[-1]))
-        # Fresh layers read backwards, so the first read steps the furthest,
-        # and layers that know the pass's settled index.
-        fresh, from_pass = BackLayers(v, classes, math.inf), BackLayers(v, classes, start)
-        for k in reversed(range(len(direct))):
-            assert layers[k] == fresh[k] == from_pass[k] == direct[k]
-        assert fresh.settled == layers.settled
-        assert UPSet(max(layers.settled, 1), p, frozenset({0}), frozenset(hits)) == spectra[v]
+        # Layers listed without a settled index, and up to the pass's.
+        for bound in (math.inf, start):
+            assert back_layers(v, classes, bound, len(direct)) == direct
+        assert UPSet(max(own, 1), p, frozenset({0}), frozenset(hits)) == spectra[v]
     # The forward pass stops at the first step where every layer is settled.
     assert start == max(settled)
 
@@ -582,18 +578,19 @@ def _wielandt(k):
 def test_back_layers_hand_a_descent_its_layers_as_one_list(g):
     analysis = GraphAnalysis(g)
     analysis.spectra  # each cyclic SCC's forward pass, and its settled index
+    rev = analysis.transposed_rows
     for v in range(g.n):
         classes = analysis.classes[v]
         if classes is None:
             continue
         settled = analysis._settled[classes]
-        for length in range(1, settled + 2 * classes.period + 1):
-            listed, indexed = BackLayers(v, classes, settled), BackLayers(v, classes, settled)
-            # A descent by index reads its layers from the last one down.
-            by_index = [indexed[k] for k in reversed(range(length))][::-1]
-            assert listed.first(length) == by_index
-            # Both step the same stored layers and find the same settled index.
-            assert (listed.items, listed.settled) == (indexed.items, indexed.settled)
+        # Plain frontier steps from {v}, with no classes and no settled index.
+        step, direct = frontier_step(rev, classes.comp, False), [1 << v]
+        while len(direct) < settled + 2 * classes.period:
+            direct.append(step(direct[-1]))
+        for length in range(1, len(direct) + 1):
+            for bound in (math.inf, settled):
+                assert back_layers(v, classes, bound, length) == direct[:length]
 
 
 @st.composite
@@ -613,10 +610,9 @@ def test_forward_pass_stops_at_the_largest_settled_index_and_both_routes_match_t
         start, passed = forward_pass(g.rows, classes)
         p, members = classes.period, list(bits_of(classes.comp))
         layered = {v: _own_settle(v, classes) for v in members}
-        assert start == max(layers.settled for layers, _ in layered.values())
+        assert start == max(own for own, _ in layered.values())
         for v in members:
-            own = (layered[v][0].settled, layered[v][1])
-            for settled, hits in (own, (start, passed[v])):
+            for settled, hits in (layered[v], (start, passed[v])):
                 assert UPSet(max(settled, 1), p, frozenset({0}), frozenset(hits)) == spectra[v]
     for gathers in (True, False):
         assert _by_kernel(g, gathers, [])[0] == spectra
