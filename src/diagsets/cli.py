@@ -61,7 +61,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     t0 = perf_counter()
     g = parse_edge_list(text)
     parse_ms = (perf_counter() - t0) * 1000.0
-    n_values = _parse_n_list(args.n) if args.n else []
+    n_values = _parse_n_list(args.n) if args.n is not None else []
     s_sets = [parse_upset(lit) for lit in args.s or []]
     for s in s_sets:
         if s.is_empty():
@@ -85,11 +85,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.random < 0:
         raise ValueError(f"--random expects a graph count of at least 0, got {args.random}")
-    if args.random:
-        lo, hi = _parse_size_range(args.size)
-        ps = _parse_p_list(args.p)
-        if args.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {args.seed}")
+    lo, hi = _parse_size_range(args.size)
+    ps = _parse_p_list(args.p)
+    if args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     failures = 0
     report = exhaustive_sweep(order_max=args.order_max)
     print(f"exhaustive sweep: orders 1..{args.order_max}, {report.graphs_checked} graphs")

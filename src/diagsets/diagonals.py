@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, VertexSet, bits_of
 from .upsets import UPSet
@@ -199,9 +199,7 @@ def inclusion_chain_check(
     return GraphAnalysis(g).inclusion_chain_check(n_max, s_samples)
 
 
-def _descend(
-    g: Graph, layers: Sequence[int] | Mapping[int, int], start: int, length: int
-) -> Iterator[int]:
+def _descend(g: Graph, layers: Sequence[int], start: int, length: int) -> Iterator[int]:
     """The least walk of the given length from start into layers[0], smallest step first.
 
     ``layers[k]`` holds the vertices with a length-k walk into layers[0].
@@ -397,20 +395,19 @@ class GraphAnalysis:
             # Level d's vertices have no successor nearer than level d - 1.
             tail = tuple(_descend(g, levels, w, d))
             return Witness(w, _OUT_MINUS_DX, v, Evidence(tail, infinite_tail=True))
-        # A shortest violating closed walk; past the cap only its first step is read.
-        kept = length + 1 <= EVIDENCE_CAP
-        if not kept:  # only B_(length-1) is read
-            classes, k = self.classes[v], length - 1
-            settled = self._settled[classes]
-            if k < settled:
-                last = back_layers(v, classes, settled, length)[k]
-            else:  # B_k is a class from the settled index on
-                last = classes.layer(v, k)
-        walk = _descend(g, layers if kept else {length - 1: last}, v, length)
-        next(walk)  # v itself
-        first = next(walk)
-        evidence = Evidence((first, *walk, first)) if kept else None
-        return Witness(first, _OUT_MINUS_DX, v, evidence)
+        # A shortest violating closed walk, rotated to start at its first step.
+        if length + 1 <= EVIDENCE_CAP:
+            _, first, *rest = _descend(g, layers, v, length)
+            return Witness(first, _OUT_MINUS_DX, v, Evidence((first, *rest, first)))
+        # Past the cap only the first step is read, a length-1 descent into B_(length-1).
+        classes, k = self.classes[v], length - 1
+        settled = self._settled[classes]
+        if k < settled:
+            last = back_layers(v, classes, settled, length)[k]
+        else:  # B_k is a class from the settled index on
+            last = classes.layer(v, k)
+        _, first = _descend(g, [last], v, 1)
+        return Witness(first, _OUT_MINUS_DX, v, None)
 
     def verify_unequal(self, spec: DiagonalSpec) -> list[Witness]:
         """Assert the diagonal differs from every Out(v) and return validated witnesses."""
@@ -546,17 +543,21 @@ def validate_witness(
         g._check_vertex(v)
     in_out_v = 0 <= u < g.n and g.rows[v] >> u & 1
     # Bit tests: a VertexSet's bits lie below its width.
-    if witness.side is _OUT_MINUS_DX:
+    side, ev = witness.side, witness.evidence
+    if side is _OUT_MINUS_DX:
         if not in_out_v or dx.bits >> u & 1:
             raise TheoremViolationError(
                 f"{spec.label()}: witness {u} not in Out({v}) \\ diagonal"
             )
-    else:
+    elif side is _DX_MINUS_OUT:
         if not (u >= 0 and dx.bits >> u & 1) or in_out_v:
             raise TheoremViolationError(
                 f"{spec.label()}: witness {u} not in diagonal \\ Out({v})"
             )
-    ev = witness.evidence
+        if ev is not None:
+            raise TheoremViolationError(f"{spec.label()}: DxMinusOut witness {u} carries evidence")
+    else:
+        raise TheoremViolationError(f"{spec.label()}: witness side {side!r} is not a Side")
     if ev is None:
         return
     verts = ev.vertices

@@ -15,7 +15,6 @@ from . import __version__
 from .diagonals import (
     CHAIN_N_MAX,
     DiagonalSpec,
-    Evidence,
     GraphAnalysis,
     Witness,
     distinct_out_count,
@@ -24,23 +23,14 @@ from .graph import Graph
 from .upsets import UPSet
 
 
-def _evidence_dict(ev: Evidence | None) -> dict | None:
-    if ev is None:
-        return None
-    key = "infinite_tail" if ev.infinite_tail else "walk"
-    return {key: list(ev.vertices)}
-
-
-class _Row(dict):
-    """A witness row, keyed ``v``, ``u``, ``side``, ``evidence``: ``_encode`` fills a template."""
-    __slots__ = ()  # a plain dict's size
-
-
 _ROW_KEYS = ("v", "u", "side", "evidence")
 
 
-def _witness_row(w: Witness) -> _Row:
-    return _Row(v=w.against, u=w.vertex, side=w.side.value, evidence=_evidence_dict(w.evidence))
+def _witness_row(w: Witness) -> dict:
+    row = {"v": w.against, "u": w.vertex, "side": w.side.value, "evidence": None}
+    if (ev := w.evidence) is not None:
+        row["evidence"] = {"infinite_tail" if ev.infinite_tail else "walk": list(ev.vertices)}
+    return row
 
 
 def analyze_graph(
@@ -126,8 +116,8 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _row_text(row: _Row, pad: str) -> str | None:
-    """The bytes of json.dumps(indent=2) for a row still in the engine's shape, else None."""
+def _row_text(row: dict, pad: str) -> str | None:
+    """The bytes of json.dumps(indent=2) for a dict in a witness row's shape, else None."""
     if tuple(row) != _ROW_KEYS:
         return None
     v, u, side, evidence = row.values()
@@ -151,8 +141,8 @@ def _row_text(row: _Row, pad: str) -> str | None:
 
 def _encode(value: object, pad: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at indent ``pad``."""
-    if type(value) is _Row and (text := _row_text(value, pad)) is not None:
-        return text  # an edited row is written as the dict it is
+    if type(value) is dict and len(value) == 4 and (text := _row_text(value, pad)) is not None:
+        return text  # a dict of another shape is written as below
     if isinstance(value, str):
         return _string(value)
     if value is None:

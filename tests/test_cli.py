@@ -284,6 +284,21 @@ def test_verify_random_arguments_are_checked_before_the_sweep(capsys, bad):
     assert captured.err.startswith("error: ")
 
 
+def test_analyze_with_an_empty_n_list_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "c3.edges", C3_TEXT)
+    assert cli.main(["analyze", "--input", path, "--n="]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n expects positive integers, got ''")
+
+
+def test_verify_checks_the_random_arguments_without_random_graphs(capsys):
+    assert cli.main(["verify", "--size", "nonsense", "--p", "7", "--seed", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --size expects MIN..MAX, got 'nonsense'\n"
+
+
 def test_report_example_is_current(tmp_path, capsys):
     example = Path(__file__).resolve().parents[1] / "docs" / "report.example.json"
     committed = example.read_text()

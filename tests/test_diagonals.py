@@ -407,6 +407,25 @@ def test_validate_witness_rejects_wrong_claims():
         validate_witness(g, DiagonalSpec.dinf(), dinf, short, on_cycle)
 
 
+@pytest.mark.parametrize("side", ["OutMinusDx", "nonsense"])
+def test_validate_witness_rejects_a_side_that_is_not_a_side_member(side):
+    g = make_graph(2, [(0, 1)])
+    d = GraphAnalysis(g).diagonal_set(DiagonalSpec.d())
+    # 0 is in D \ Out(1), but the witness does not claim that side.
+    no_cycle = VertexSet(2, 0)
+    with pytest.raises(TheoremViolationError, match="is not a Side"):
+        validate_witness(g, DiagonalSpec.d(), d, Witness(0, side, 1, None), no_cycle)
+    validate_witness(g, DiagonalSpec.d(), d, Witness(0, Side.DX_MINUS_OUT, 1, None), no_cycle)
+
+
+def test_validate_witness_rejects_evidence_on_a_dx_minus_out_witness():
+    g = make_graph(2, [(0, 1)])
+    d = GraphAnalysis(g).diagonal_set(DiagonalSpec.d())
+    w = Witness(0, Side.DX_MINUS_OUT, 1, Evidence((0,)))
+    with pytest.raises(TheoremViolationError, match="carries evidence"):
+        validate_witness(g, DiagonalSpec.d(), d, w, VertexSet(2, 0))
+
+
 def test_a_diagonal_equal_to_an_outgoing_set_is_a_theorem_violation():
     analysis = GraphAnalysis(C3)
     spec = DiagonalSpec.d()

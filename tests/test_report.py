@@ -91,15 +91,23 @@ def test_witness_rows_are_json_dumps_indent_2_at_any_depth(witnesses, depth):
     for _ in range(depth):
         value = {"nested": [value]}
     assert report_json(value) == json.dumps(value, indent=2) + "\n"
+    literals = []
     for row, w in zip(rows, witnesses):
         assert report_json(row) == json.dumps(row, indent=2) + "\n"
         ev = w.evidence
-        assert row == {
+        literal = {
             "v": w.against,
             "u": w.vertex,
             "side": w.side.value,
             "evidence": ev and {"infinite_tail" if ev.infinite_tail else "walk": list(ev.vertices)},
         }
+        assert row == literal
+        literals.append(literal)
+    # Rows built as dict literals, not by _witness_row, are written the same way.
+    value = {"rows": literals}
+    for _ in range(depth):
+        value = {"nested": [value]}
+    assert report_json(value) == json.dumps(value, indent=2) + "\n"
 
 
 def _edit_walk(row, edit):
