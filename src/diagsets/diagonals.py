@@ -24,7 +24,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graph import Graph, VertexSet, bits_of
+from .graph import Graph, VertexSet
 from .upsets import UPSet
 from .walks import (
     CyclicClasses,
@@ -264,7 +264,7 @@ class GraphAnalysis:
             v = levels[0].bit_length() - 1  # the root, alone at level 0
             if len(levels) > 1 or rows[v] >> v & 1:
                 classes = CyclicClasses(rev, levels)
-                for v in bits_of(classes.comp):
+                for v in classes.class_of:
                     found[v] = classes
         return found
 
@@ -399,13 +399,11 @@ class GraphAnalysis:
         if length + 1 <= EVIDENCE_CAP:
             _, first, *rest = _descend(g, layers, v, length)
             return Witness(first, _OUT_MINUS_DX, v, Evidence((first, *rest, first)))
-        # Past the cap only the first step is read, a length-1 descent into B_(length-1).
+        # Past the cap only the first step is read, a length-1 descent into
+        # B_(length-1), for which C stands from the settled index on.
         classes, k = self.classes[v], length - 1
         settled = self._settled[classes]
-        if k < settled:
-            last = back_layers(v, classes, settled, length)[k]
-        else:  # B_k is a class from the settled index on
-            last = classes.layer(v, k)
+        last = back_layers(v, classes, settled, length)[k] if k < settled else classes.comp
         _, first = _descend(g, [last], v, 1)
         return Witness(first, _OUT_MINUS_DX, v, None)
 

@@ -235,14 +235,14 @@ def spectra_from_trace(trace: PowerTrace) -> list[UPSet]:
 
 
 class CyclicClasses:
-    """A cyclic SCC's period and cyclic classes, read off the levels of a backward search.
+    """A cyclic SCC's period and class sizes, read off the levels of a backward search.
 
     ``levels[d]`` holds the vertices of the SCC C whose shortest walk to its
     root has d edges.  Two walks between the same vertices of C have lengths
     congruent mod its period p, so every edge u -> w of C has p dividing
     d(w) + 1 - d(u), and p is the gcd of these gaps (Denardo, 1977).  Class
     c holds the vertices with d = -c (mod p), so every edge leads from one
-    class to the next.
+    class to the next, and only the class sizes are kept.
     """
 
     def __init__(self, rev: Sequence[int], levels: Sequence[int]):
@@ -256,25 +256,16 @@ class CyclicClasses:
             for d, (level, farther) in enumerate(zip(levels, [*levels[1:], 0]))
             for u in bits_of(into(level) & ~farther)
         )
-        p = functools.reduce(math.gcd, gaps, 0)
-        classes = [0] * p
+        self.period = p = functools.reduce(math.gcd, gaps, 0)
+        self.sizes = [0] * p
         for d, level in enumerate(levels):
-            classes[-d % p] |= level
-        self.classes = tuple(classes)
+            self.sizes[-d % p] += level.bit_count()
         self.class_of = {u: -d % p for u, d in depth.items()}
-
-    @property
-    def period(self) -> int:
-        return len(self.classes)
 
     @functools.cached_property
     def back_step(self) -> Callable[[int], int]:
         """F -> In(F) & C, by ``orbit_step``: built once, by the first layer that steps."""
         return orbit_step(self._rev, self.comp)
-
-    def layer(self, v: int, k: int) -> int:
-        """The class (class(v) - k) mod p: the vertices with a length-k walk to v, for k large."""
-        return self.classes[(self.class_of[v] - k) % len(self.classes)]
 
 
 def back_layers(v: int, classes: CyclicClasses, settled: float, length: int) -> list[int]:
@@ -282,20 +273,22 @@ def back_layers(v: int, classes: CyclicClasses, settled: float, length: int) -> 
 
     B_k, the vertices of v's SCC C with a length-k walk to v, lies in the
     class (class(v) - k) mod p, and once it is that whole class, so is every
-    later layer.  So the layers are stepped up to the first one that equals
+    later layer.  So the layers are stepped up to the first one as large as
     its class, and never to ``settled``, the stop of C's ``forward_pass``.
+    C stands for each later layer: every edge of C leads to the next class,
+    so a descent reads the same successors in C as in the full class.
     """
-    cycle, c = classes.classes, classes.class_of[v]  # c: the class of the last layer
-    p, layer, step = len(cycle), 1 << v, None
+    sizes, c = classes.sizes, classes.class_of[v]  # c: the class of the last layer
+    layer, step = 1 << v, None
     layers = [layer]
     for _ in range(min(length, settled) - 1):
-        if layer == cycle[c]:
+        if layer.bit_count() == sizes[c]:
             break
         step = step or classes.back_step  # built by the first layer that steps
         layer = step(layer)
         layers.append(layer)
-        c = (c - 1) % p
-    return layers + [cycle[(c - k) % p] for k in range(1, length - len(layers) + 1)]
+        c = (c - 1) % classes.period
+    return layers + [classes.comp] * (length - len(layers))
 
 
 def _pass_step(
@@ -345,12 +338,11 @@ def forward_pass(rows: Sequence[int], classes: CyclicClasses) -> tuple[int, dict
     or a looped vertex alone, X_0 has settled: the pass returns at s = 0,
     before it builds a step.
     """
-    p = classes.period
-    if p == classes.comp.bit_count():
-        return 0, {v: [] for v in bits_of(classes.comp)}
+    p, sizes = classes.period, classes.sizes
+    if p == len(classes.class_of):
+        return 0, {v: [] for v in classes.class_of}
     vs, x, step = _pass_step(rows, classes.comp)
     unit, everyone = x, range(len(vs))
-    sizes = [c.bit_count() for c in classes.classes]
     own = [classes.class_of[v] for v in vs]
     hits: list[list[int]] = [[] for _ in vs]
     s = 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -508,12 +509,40 @@ def test_forward_pass_and_orbits_agree_on_spectra_and_witnesses(g):
     assert by_gathers[0] == spectra_from_trace(power_trace(g))
 
 
-def _own_settle(v, classes):
-    """v's own settled index, the first k whose B_k equals its class, and its hits below it."""
-    bound = classes.comp.bit_count() ** 2  # past every settled index: Wielandt's (n-1)^2 + 1
-    layers = back_layers(v, classes, math.inf, bound + 1)
-    settled = next(k for k, layer in enumerate(layers) if layer == classes.layer(v, k))
+def _own_settle(v, classes, rev):
+    """v's own settled index, the first k where |B_k| is its class's size, and its hits below it.
+
+    The layers are plain frontier steps from {v}, with no settled index.
+    """
+    step, layers = frontier_step(rev, classes.comp, False), [1 << v]
+    c, p = classes.class_of[v], classes.period
+    while layers[-1].bit_count() != classes.sizes[(c - len(layers) + 1) % p]:
+        layers.append(step(layers[-1]))
+    settled = len(layers) - 1
     return settled, [k for k in range(1, settled) if layers[k] >> v & 1]
+
+
+def _class_masks(classes):
+    """Each cyclic class as a mask, built from ``class_of``."""
+    masks = [0] * classes.period
+    for u, c in classes.class_of.items():
+        masks[c] |= 1 << u
+    return masks
+
+
+def _assert_listed_layers(g, classes, v, own, direct, bound, length):
+    """``back_layers`` against ``direct``, the plain frontier steps from {v}, longer than ``length``.
+
+    Below v's own settled index each entry is the plain step; later ones are
+    the plain step or C, and a descent step from any vertex of the plain
+    B_(k+1) reads the same successors in entry k as in B_k.
+    """
+    layers = back_layers(v, classes, bound, length)
+    assert len(layers) == length
+    for k, layer in enumerate(layers):
+        assert layer == direct[k] or (k >= own and layer == classes.comp)
+        for u in bits_of(direct[k + 1]):
+            assert g.rows[u] & layer == g.rows[u] & direct[k]
 
 
 def _first_repeat(start, step):
@@ -536,12 +565,11 @@ def test_back_layers_settle_into_cyclic_classes(g):
     rev = transpose_rows(g)
     [levels] = strongly_connected_components(g, rev)
     classes = CyclicClasses(rev, levels)
-    p = classes.period
+    p, masks = classes.period, _class_masks(classes)
     # The classes partition the SCC, and every edge leads from a class to the next.
-    assert sum(classes.classes) == full
-    assert sum(c.bit_count() for c in classes.classes) == n and all(classes.classes)
-    for c, members in enumerate(classes.classes):
-        assert all(classes.class_of[u] == c for u in bits_of(members))
+    assert classes.comp == full and sorted(classes.class_of) == list(range(n))
+    assert sum(masks) == full and all(masks)
+    assert [m.bit_count() for m in masks] == classes.sizes
     for u in range(n):
         for w in bits_of(g.rows[u]):
             assert classes.class_of[w] == (classes.class_of[u] + 1) % p
@@ -553,19 +581,37 @@ def test_back_layers_settle_into_cyclic_classes(g):
     step = frontier_step(rev, full, False)
     settled = []
     for v in range(n):
-        own, hits = _own_settle(v, classes)
+        own, hits = _own_settle(v, classes, rev)
         settled.append(own)
-        # The hashed orbit of the same layers first repeats at (settled, p).
+        # The hashed orbit of the same layers first repeats at (settled, p),
+        # where B_k is its whole class.
         assert _first_repeat(1 << v, step) == (own, p)
         direct = [1 << v]
-        for _ in range(own + 3 * p):
+        for _ in range(own + 3 * p + 1):
             direct.append(step(direct[-1]))
+        assert direct[own] == masks[(classes.class_of[v] - own) % p]
         # Layers listed without a settled index, and up to the pass's.
         for bound in (math.inf, start):
-            assert back_layers(v, classes, bound, len(direct)) == direct
+            _assert_listed_layers(g, classes, v, own, direct, bound, len(direct) - 1)
         assert UPSet(max(own, 1), p, frozenset({0}), frozenset(hits)) == spectra[v]
     # The forward pass stops at the first step where every layer is settled.
     assert start == max(settled)
+
+
+def test_cyclic_classes_of_a_long_cycle_keep_no_class_masks():
+    # A 10,000-cycle has 10,000 one-vertex classes: as masks of up to
+    # 10,000 bits, they would take 8 MB.
+    n = 10_000
+    analysis = GraphAnalysis(make_graph(n, [(v, (v + 1) % n) for v in range(n)]))
+    analysis.transposed_rows  # made before the measure
+    tracemalloc.start()
+    try:
+        classes = analysis.classes
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert classes[0].sizes == [1] * n
+    assert kept < 2_000_000
 
 
 def _wielandt(k):
@@ -583,14 +629,14 @@ def test_back_layers_hand_a_descent_its_layers_as_one_list(g):
         classes = analysis.classes[v]
         if classes is None:
             continue
-        settled = analysis._settled[classes]
+        settled, (own, _) = analysis._settled[classes], _own_settle(v, classes, rev)
         # Plain frontier steps from {v}, with no classes and no settled index.
         step, direct = frontier_step(rev, classes.comp, False), [1 << v]
-        while len(direct) < settled + 2 * classes.period:
+        while len(direct) <= settled + 2 * classes.period:
             direct.append(step(direct[-1]))
-        for length in range(1, len(direct) + 1):
+        for length in range(1, len(direct)):
             for bound in (math.inf, settled):
-                assert back_layers(v, classes, bound, length) == direct[:length]
+                _assert_listed_layers(g, classes, v, own, direct, bound, length)
 
 
 @st.composite
@@ -606,10 +652,11 @@ def _periodic_blowups(draw):
 @settings(max_examples=150)
 def test_forward_pass_stops_at_the_largest_settled_index_and_both_routes_match_the_trace(g):
     spectra = spectra_from_trace(power_trace(g))
-    for classes in set(GraphAnalysis(g).classes) - {None}:
+    analysis = GraphAnalysis(g)
+    for classes in set(analysis.classes) - {None}:
         start, passed = forward_pass(g.rows, classes)
         p, members = classes.period, list(bits_of(classes.comp))
-        layered = {v: _own_settle(v, classes) for v in members}
+        layered = {v: _own_settle(v, classes, analysis.transposed_rows) for v in members}
         assert start == max(own for own, _ in layered.values())
         for v in members:
             for settled, hits in (layered[v], (start, passed[v])):
