@@ -5,7 +5,10 @@ extends walks one edge at a time, reading edges through ``Graph.has_edge``
 once per vertex pair: no bitset algebra, no matrix products, no
 periodicity traces.  They are the ground truth the engine is compared
 against, and they are deliberately guarded so nobody mistakes them for a
-scalable path.
+scalable path.  ``diagonal_S_bf``, ``diagonal_inf_bf`` and
+``closed_walk_lengths_bf`` read a ``walk_table``: each vertex's walk-end
+sets, stepped one edge at a time.  Called without one, each builds its
+own; the sweep builds one per graph and hands it to every oracle call.
 
 ``exhaustive_sweep`` runs every engine-vs-oracle comparison and every
 theorem over *all* digraphs up to a given order (2 + 16 + 512 = 530
@@ -39,6 +42,9 @@ MAX_ORACLE_WALK = 12
 MAX_ORACLE_SPECTRUM = 128
 SWEEP_SPECTRUM_LEN = 40
 
+# Per vertex, the end sets of its walks of 0, 1, 2, ... edges.
+WalkTable = list[list[frozenset[int]]]
+
 
 class OracleGuardError(ValueError):
     """An oracle call exceeded its tractability guard."""
@@ -66,6 +72,39 @@ def _walk_ends(succ: list[list[int]], v: int) -> Iterator[set[int]]:
         ends = {y for x in ends for y in succ[x]}
 
 
+def walk_table(g: Graph, length: int) -> WalkTable:
+    """Per vertex v, the end sets of v's walks of 0, 1, ..., `length` edges.
+
+    Each vertex pair is read once, through ``has_edge``, and each distinct
+    end set is stepped once, however many rows reach it.
+    """
+    _guard(g)
+    if length > MAX_ORACLE_SPECTRUM:
+        raise OracleGuardError(f"oracle walk table limited to length <= {MAX_ORACLE_SPECTRUM}")
+    succ = _successors(g)
+    step: dict[frozenset[int], frozenset[int]] = {}
+    table = []
+    for v in range(g.n):
+        ends = frozenset((v,))
+        row = [ends]
+        for _ in range(length):
+            if ends not in step:
+                step[ends] = frozenset(y for x in ends for y in succ[x])
+            ends = step[ends]
+            row.append(ends)
+        table.append(row)
+    return table
+
+
+def _table_for(g: Graph, table: WalkTable | None, length: int) -> WalkTable:
+    """The given walk table, checked to reach `length` edges, or a new one for this call."""
+    if table is None:
+        return walk_table(g, length)
+    if len(table) != g.n or len(table[0]) <= length:
+        raise ValueError(f"walk table must list {g.n} vertices' walks of up to {length} edges")
+    return table
+
+
 def walk_exists_bf(g: Graph, u: int, w: int, length: int) -> bool:
     """Extend u's walks to `length` edges; true iff one ends at w."""
     _guard(g, length)
@@ -85,14 +124,16 @@ def walk_from_exists_bf(g: Graph, v: int, length: int) -> bool:
     return bool(next(islice(_walk_ends(_successors(g), v), length, None)))
 
 
-def closed_walk_lengths_bf(g: Graph, v: int, max_len: int) -> set[int]:
+def closed_walk_lengths_bf(
+    g: Graph, v: int, max_len: int, table: WalkTable | None = None
+) -> set[int]:
     """Lengths L in [1, max_len] of closed walks through v, by endpoint sets."""
     _guard(g)
     g._check_vertex(v)
     if max_len > MAX_ORACLE_SPECTRUM:
         raise OracleGuardError(f"oracle spectrum limited to length <= {MAX_ORACLE_SPECTRUM}")
-    longer = islice(_walk_ends(_successors(g), v), 1, None)
-    return {length for length, ends in zip(range(1, max_len + 1), longer) if v in ends}
+    ends = _table_for(g, table, max(max_len, 0))[v]
+    return {length for length in range(1, max_len + 1) if v in ends[length]}
 
 
 def diagonal_n_bf(g: Graph, n: int) -> VertexSet:
@@ -102,7 +143,7 @@ def diagonal_n_bf(g: Graph, n: int) -> VertexSet:
     return diagonal_S_bf(g, [n])
 
 
-def diagonal_inf_bf(g: Graph) -> VertexSet:
+def diagonal_inf_bf(g: Graph, table: WalkTable | None = None) -> VertexSet:
     """Literal evaluation of the no-infinite-walk set.
 
     A finite graph admits an infinite walk from v iff it admits one of
@@ -110,17 +151,17 @@ def diagonal_inf_bf(g: Graph) -> VertexSet:
     checking every length 1..|V|.
     """
     _guard(g, g.n)
-    succ = _successors(g)
-    # Per vertex, the end sets of its walks of 0..|V| edges.
-    ends = [list(islice(_walk_ends(succ, v), g.n + 1)) for v in range(g.n)]
+    ends = _table_for(g, table, g.n)
     via_full = {v for v in range(g.n) if not ends[v][g.n]}
-    via_all = {v for v in range(g.n) if not all(ends[v][1:])}
+    via_all = {v for v in range(g.n) if not all(ends[v][1 : g.n + 1])}
     if via_full != via_all:
         raise RuntimeError("length-|V| reduction failed its enumeration re-check")
     return VertexSet.from_indices(g.n, via_full)
 
 
-def diagonal_S_bf(g: Graph, s_values: Iterable[int]) -> VertexSet:
+def diagonal_S_bf(
+    g: Graph, s_values: Iterable[int], table: WalkTable | None = None
+) -> VertexSet:
     """Literal two-clause evaluation of the selective diagonal, for finite S."""
     values = sorted(set(s_values))
     if not values:
@@ -128,13 +169,12 @@ def diagonal_S_bf(g: Graph, s_values: Iterable[int]) -> VertexSet:
     if any(v < 0 for v in values):
         raise ValueError("S values must be nonnegative")
     _guard(g, max(values) + 1)
-    succ = _successors(g)
+    ends = _table_for(g, table, max(values) + 1)  # walks of 0..max(S)+1 edges
 
     def excluded(v: int) -> bool:
         if 0 in values and g.has_edge(v, v):
             return True
-        ends = list(islice(_walk_ends(succ, v), max(values) + 2))  # walks of 0..max(S)+1 edges
-        return any(v in ends[n + 1] for n in values if n > 0)
+        return any(v in ends[v][n + 1] for n in values if n > 0)
 
     return VertexSet.from_indices(g.n, (v for v in range(g.n) if not excluded(v)))
 
@@ -184,6 +224,8 @@ def exhaustive_sweep(order_max: int = 3) -> SweepReport:
     Each graph's theorems take one ``verify_battery`` call.  If it raises,
     ``verify_unequal`` reruns them spec by spec, so each failing spec is
     named with its own message and every other spec still passes.
+    Each graph gets one ``walk_table`` of ``SWEEP_SPECTRUM_LEN`` edges, and
+    every oracle call on it reads that table.
     Failures are recorded, never raised; callers assert the report is clean.
     Order 4 adds 65536 graphs to the 530 of orders 1 to 3.
     """
@@ -232,6 +274,7 @@ def exhaustive_sweep(order_max: int = 3) -> SweepReport:
             checked += 1
             per_order[order] += 1
             analysis = GraphAnalysis(g)
+            table = walk_table(g, SWEEP_SPECTRUM_LEN)
             try:
                 analysis.verify_battery(specs)
             except Exception:  # rerun spec by spec to name each failure
@@ -245,19 +288,21 @@ def exhaustive_sweep(order_max: int = 3) -> SweepReport:
                 check(
                     name,
                     g,
-                    lambda s=spec, o=oracle: assert_eq(analysis.diagonal_set(s), o(g), s),
+                    lambda s=spec, o=oracle: assert_eq(
+                        analysis.diagonal_set(s), o(g, table=table), s
+                    ),
                 )
-            check("spectrum", g, lambda: _check_spectra(analysis))
+            check("spectrum", g, lambda: _check_spectra(analysis, table))
             check("pigeonhole", g, lambda: _check_pigeonhole(g))
     return SweepReport(checked, per_order, list(results.values()))
 
 
-def _check_spectra(analysis: GraphAnalysis) -> None:
+def _check_spectra(analysis: GraphAnalysis, table: WalkTable) -> None:
     g, spectra = analysis.g, analysis.spectra
     if spectra != spectra_from_trace(power_trace(g)):
-        raise AssertionError("frontier spectra differ from the power-trace spectra")
+        raise AssertionError("engine spectra differ from the power-trace spectra")
     for v in range(g.n):
-        truth = closed_walk_lengths_bf(g, v, SWEEP_SPECTRUM_LEN)
+        truth = closed_walk_lengths_bf(g, v, SWEEP_SPECTRUM_LEN, table=table)
         for length in range(1, SWEEP_SPECTRUM_LEN + 1):
             if spectra[v].member(length) != (length in truth):
                 raise AssertionError(f"spectrum of {v} wrong at length {length}")

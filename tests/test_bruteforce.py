@@ -2,7 +2,11 @@ import pytest
 
 from diagsets import diagonals, graph
 from diagsets.bruteforce import (
+    MAX_ORACLE_ORDER,
+    SWEEP_SPECTRUM_LEN,
     OracleGuardError,
+    _successors,
+    _walk_ends,
     closed_walk_lengths_bf,
     diagonal_S_bf,
     diagonal_inf_bf,
@@ -11,9 +15,11 @@ from diagsets.bruteforce import (
     exhaustive_sweep,
     walk_exists_bf,
     walk_from_exists_bf,
+    walk_table,
 )
 from diagsets.diagonals import GraphAnalysis
 from diagsets.graph import make_graph
+from diagsets.graphio import gen_random
 
 C3 = make_graph(3, [(0, 1), (1, 2), (2, 0)])
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
@@ -140,11 +146,55 @@ def test_walk_oracle_reads_each_vertex_pair_once(monkeypatch):
     assert len(calls) == 9
 
 
-def test_sweep_oracles_read_the_graph_once_per_call(monkeypatch):
+def test_sweep_oracles_read_the_graph_once_per_graph(monkeypatch):
     calls = _count_has_edge(monkeypatch)
     assert exhaustive_sweep(order_max=3).ok()
-    # One read per (vertex, n) took 175,056 calls over the order-3 sweep.
-    assert len(calls) <= 175_056 // 2
+    # One walk table per graph reads its n^2 vertex pairs once; the 0-clauses
+    # of D, DS(finite(0)) and DS(finite(0,2)) read each loop once more. One
+    # read per (vertex, n) took 175,056 calls, one per oracle call 70,078.
+    assert len(calls) == sum(
+        (1 << order * order) * (order * order + 3 * order) for order in range(1, 4)
+    )
+    assert len(calls) == 9_384
+
+
+def _table_test_graphs():
+    for order in range(1, 4):
+        yield from enumerate_graphs(order)
+    for seed in range(40):
+        yield gen_random(4 + seed % (MAX_ORACLE_ORDER - 3), 0.1 + seed % 7 * 0.1, seed)
+
+
+def test_walk_table_equals_the_per_call_enumeration_and_every_oracle_reads_it():
+    for g in _table_test_graphs():
+        table = walk_table(g, SWEEP_SPECTRUM_LEN)
+        succ = _successors(g)
+        for v in range(g.n):
+            row = list(zip(range(SWEEP_SPECTRUM_LEN + 1), _walk_ends(succ, v)))
+            assert table[v] == [ends for _, ends in row]
+            assert closed_walk_lengths_bf(g, v, SWEEP_SPECTRUM_LEN, table=table) == (
+                closed_walk_lengths_bf(g, v, SWEEP_SPECTRUM_LEN)
+            )
+        assert diagonal_inf_bf(g, table=table) == diagonal_inf_bf(g)
+        for s in ([0], [1], [0, 2], [3], [1, 5, 11]):
+            assert diagonal_S_bf(g, s, table=table) == diagonal_S_bf(g, s)
+
+
+def test_a_walk_table_too_short_for_the_call_is_refused():
+    table = walk_table(C3, 2)
+    assert diagonal_S_bf(C3, [1], table=table).to_list() == [0, 1, 2]
+    with pytest.raises(ValueError, match="walk table"):
+        diagonal_S_bf(C3, [2], table=table)
+    with pytest.raises(ValueError, match="walk table"):
+        diagonal_inf_bf(C3, table=table)
+    with pytest.raises(ValueError, match="walk table"):
+        closed_walk_lengths_bf(C3, 0, 3, table=table)
+    with pytest.raises(ValueError, match="walk table"):
+        diagonal_inf_bf(PATH3, table=walk_table(C3, 3)[:2])
+    with pytest.raises(OracleGuardError):
+        walk_table(C3, 129)
+    with pytest.raises(OracleGuardError):
+        walk_table(make_graph(9, []), 1)
 
 
 def test_enumerate_graphs_counts():

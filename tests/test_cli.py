@@ -231,7 +231,7 @@ def test_s_with_a_period_past_a_million_exits_zero(tmp_path, capsys):
 def test_resource_caps_exit_three(monkeypatch, capsys, error, target, prop):
     # The name is kept from when cli.main mapped these two caps to exit 3. Only the
     # sweep raises them, and it records each as a counterexample, so verify exits 1.
-    def capped(g):
+    def capped(g, table=None):
         raise error("planted cap")
 
     monkeypatch.setattr(bruteforce, target, capped)
