@@ -5,10 +5,11 @@ extends walks one edge at a time, reading edges through ``Graph.has_edge``
 once per vertex pair: no bitset algebra, no matrix products, no
 periodicity traces.  They are the ground truth the engine is compared
 against, and they are deliberately guarded so nobody mistakes them for a
-scalable path.  ``diagonal_S_bf``, ``diagonal_inf_bf`` and
-``closed_walk_lengths_bf`` read a ``walk_table``: each vertex's walk-end
-sets, stepped one edge at a time.  Called without one, each builds its
-own; the sweep builds one per graph and hands it to every oracle call.
+scalable path.  Every oracle, the two walk oracles included, reads a
+``walk_table``: each vertex's walk-end sets, stepped one edge at a time.
+``walk_exists_bf`` and ``walk_from_exists_bf`` build one per call; the
+others take one, or build their own without it.  The sweep builds one per
+graph and hands it to every oracle call.
 
 ``exhaustive_sweep`` runs every engine-vs-oracle comparison and every
 theorem over *all* digraphs up to a given order (2 + 16 + 512 = 530
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from typing import Iterable, Iterator
 
 from .diagonals import (
@@ -59,19 +59,6 @@ def _guard(g: Graph, walk_len: int | None = None) -> None:
         )
 
 
-def _successors(g: Graph) -> list[list[int]]:
-    """Per vertex, its successors: each vertex pair read once, through ``has_edge``."""
-    return [[y for y in range(g.n) if g.has_edge(x, y)] for x in range(g.n)]
-
-
-def _walk_ends(succ: list[list[int]], v: int) -> Iterator[set[int]]:
-    """End vertices of v's walks of 0, 1, 2, ... edges, endlessly."""
-    ends = {v}
-    while True:
-        yield ends
-        ends = {y for x in ends for y in succ[x]}
-
-
 def walk_table(g: Graph, length: int) -> WalkTable:
     """Per vertex v, the end sets of v's walks of 0, 1, ..., `length` edges.
 
@@ -81,7 +68,7 @@ def walk_table(g: Graph, length: int) -> WalkTable:
     _guard(g)
     if length > MAX_ORACLE_SPECTRUM:
         raise OracleGuardError(f"oracle walk table limited to length <= {MAX_ORACLE_SPECTRUM}")
-    succ = _successors(g)
+    succ = [[y for y in range(g.n) if g.has_edge(x, y)] for x in range(g.n)]
     step: dict[frozenset[int], frozenset[int]] = {}
     table = []
     for v in range(g.n):
@@ -112,7 +99,7 @@ def walk_exists_bf(g: Graph, u: int, w: int, length: int) -> bool:
     g._check_vertex(w)
     if length < 0:
         raise ValueError("walk length must be nonnegative")
-    return w in next(islice(_walk_ends(_successors(g), u), length, None))
+    return w in walk_table(g, length)[u][length]
 
 
 def walk_from_exists_bf(g: Graph, v: int, length: int) -> bool:
@@ -121,7 +108,7 @@ def walk_from_exists_bf(g: Graph, v: int, length: int) -> bool:
     g._check_vertex(v)
     if length < 0:
         raise ValueError("walk length must be nonnegative")
-    return bool(next(islice(_walk_ends(_successors(g), v), length, None)))
+    return bool(walk_table(g, length)[v][length])
 
 
 def closed_walk_lengths_bf(
@@ -303,11 +290,10 @@ def _check_spectra(analysis: GraphAnalysis, table: WalkTable) -> None:
         raise AssertionError("engine spectra differ from the power-trace spectra")
     for v in range(g.n):
         truth = closed_walk_lengths_bf(g, v, SWEEP_SPECTRUM_LEN, table=table)
-        for length in range(1, SWEEP_SPECTRUM_LEN + 1):
-            if spectra[v].member(length) != (length in truth):
-                raise AssertionError(f"spectrum of {v} wrong at length {length}")
-        if spectra[v].member(0):
-            raise AssertionError(f"spectrum of {v} contains 0")
+        member = spectra[v].member
+        engine = {length for length in range(SWEEP_SPECTRUM_LEN + 1) if member(length)}
+        if engine != truth:
+            raise AssertionError(f"spectrum of {v} wrong at length {min(engine ^ truth)}")
 
 
 def _check_pigeonhole(g: Graph) -> None:

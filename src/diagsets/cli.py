@@ -112,7 +112,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             try:
                 analysis.verify_battery(battery)
                 analysis.inclusion_chain_check(CHAIN_N_MAX, s_samples)
-            except (TheoremViolationError, InternalDisagreementError) as exc:
+            except (MemoryError, OverflowError):
+                raise
+            except Exception as exc:  # any other fault is this graph's counterexample
                 random_failures += 1
                 print(f"  FAIL seed={args.seed + i} order={order} p={p} loops={loops}: {exc}")
         print(

@@ -203,7 +203,7 @@ def _descend(g: Graph, layers: Sequence[int], start: int, length: int) -> Iterat
     """The least walk of the given length from start into layers[0], smallest step first.
 
     ``layers[k]`` holds the vertices with a length-k walk into layers[0].
-    The walk is yielded vertex by vertex, so a reader may stop early.
+    The walk is yielded vertex by vertex, start first; every caller reads all of it.
     """
     u = start
     yield u

@@ -172,10 +172,6 @@ class TraceCapError(RuntimeError):
     """The power sequence did not repeat within the configured cap."""
 
 
-def default_trace_cap(n: int) -> int:
-    return max(64, n * n + n + 2)
-
-
 @dataclass(frozen=True)
 class PowerTrace:
     """Eventual-periodicity certificate of A^1, A^2, ...
@@ -188,21 +184,18 @@ class PowerTrace:
     lam: int
     powers: tuple[Graph, ...]
 
-    def reduce_exponent(self, exponent: int) -> int:
+    def power(self, exponent: int) -> Graph:
         if exponent < 1:
             raise ValueError("exponent must be at least 1")
-        if exponent < self.mu:
-            return exponent
-        return self.mu + (exponent - self.mu) % self.lam
-
-    def power(self, exponent: int) -> Graph:
-        return self.powers[self.reduce_exponent(exponent) - 1]
+        if exponent >= self.mu:
+            exponent = self.mu + (exponent - self.mu) % self.lam
+        return self.powers[exponent - 1]
 
 
 def power_trace(g: Graph, cap: int | None = None) -> PowerTrace:
     """Find minimal (mu, lam) with A^(mu+lam) = A^mu by hashing powers."""
     if cap is None:
-        cap = default_trace_cap(g.n)
+        cap = max(64, g.n * g.n + g.n + 2)
     if cap < 2:
         raise ValueError("cap must be at least 2")
     seen: dict[Graph, int] = {}

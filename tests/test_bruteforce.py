@@ -1,14 +1,10 @@
-from itertools import islice
-
 import pytest
 
-from diagsets import diagonals, graph
+from diagsets import bruteforce, diagonals, graph
 from diagsets.bruteforce import (
     MAX_ORACLE_ORDER,
     SWEEP_SPECTRUM_LEN,
     OracleGuardError,
-    _successors,
-    _walk_ends,
     closed_walk_lengths_bf,
     diagonal_S_bf,
     diagonal_inf_bf,
@@ -20,8 +16,9 @@ from diagsets.bruteforce import (
     walk_table,
 )
 from diagsets.diagonals import GraphAnalysis
-from diagsets.graph import make_graph
+from diagsets.graph import bits_of, make_graph
 from diagsets.graphio import gen_random
+from diagsets.walks import mat_mul_bool
 
 C3 = make_graph(3, [(0, 1), (1, 2), (2, 0)])
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
@@ -137,7 +134,10 @@ def _count_has_edge(monkeypatch):
 def test_walk_oracle_reads_each_vertex_pair_once(monkeypatch):
     calls = _count_has_edge(monkeypatch)
     assert walk_exists_bf(K3_LOOPED, 0, 0, 12)
-    assert len(calls) <= 9
+    assert len(calls) == 9
+    calls.clear()
+    assert walk_from_exists_bf(K3_LOOPED, 0, 12)
+    assert len(calls) == 9
     # Every n of S, and every length 1..|V| of Dinf, is served by one read
     # of the 9 vertex pairs; S's 0-clause reads each loop once more.
     calls.clear()
@@ -167,12 +167,15 @@ def _table_test_graphs():
         yield gen_random(4 + seed % (MAX_ORACLE_ORDER - 3), 0.1 + seed % 7 * 0.1, seed)
 
 
-def test_walk_table_equals_the_per_call_enumeration_and_every_oracle_reads_it():
+def test_walk_table_rows_are_the_rows_of_the_powers_of_a_and_every_oracle_reads_them():
     for g in _table_test_graphs():
         table = walk_table(g, SWEEP_SPECTRUM_LEN)
-        succ = _successors(g)
+        powers = [None, g]  # powers[L] is A^L
+        while len(powers) <= SWEEP_SPECTRUM_LEN:
+            powers.append(mat_mul_bool(powers[-1], g))
         for v in range(g.n):
-            assert table[v] == list(islice(_walk_ends(succ, v), SWEEP_SPECTRUM_LEN + 1))
+            rows = [frozenset(bits_of(a.rows[v])) for a in powers[1:]]
+            assert table[v] == [frozenset((v,)), *rows]
             assert closed_walk_lengths_bf(g, v, SWEEP_SPECTRUM_LEN, table=table) == (
                 closed_walk_lengths_bf(g, v, SWEEP_SPECTRUM_LEN)
             )
@@ -287,3 +290,28 @@ def test_passing_sweep_runs_one_battery_per_graph(monkeypatch):
     # One verify_unequal per spec took 6,890 batteries, 20,410 vertex
     # passes and 20,410 witnesses.
     assert calls == {"verify_battery": 530, "_vertex": 1570, "_witness": 9549}
+
+
+def test_the_literal_spectrum_check_catches_a_fault_the_trace_cannot(monkeypatch):
+    # The trace comparison passes on both plants; only the literal lengths differ.
+    closed = bruteforce.closed_walk_lengths_bf
+    with_length_three = sum(
+        any(_walk_exists_by_recursion(g, v, v, 3) for v in range(g.n))
+        for order in range(1, 4)
+        for g in enumerate_graphs(order)
+    )
+    assert with_length_three == 476
+
+    monkeypatch.setattr(
+        bruteforce, "closed_walk_lengths_bf", lambda *args, **kw: closed(*args, **kw) - {3}
+    )
+    first = "order=1 edges=[(0, 0)]: spectrum of 0 wrong at length 3"
+    _assert_only_these_fail(
+        exhaustive_sweep(3), {"spectrum": (530 - with_length_three, with_length_three, first)}
+    )
+
+    monkeypatch.setattr(
+        bruteforce, "closed_walk_lengths_bf", lambda *args, **kw: closed(*args, **kw) | {0}
+    )
+    first = "order=1 edges=[]: spectrum of 0 wrong at length 0"
+    _assert_only_these_fail(exhaustive_sweep(3), {"spectrum": (0, 530, first)})

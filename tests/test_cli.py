@@ -9,7 +9,7 @@ import pytest
 
 from diagsets import bruteforce, cli
 from diagsets.bruteforce import OracleGuardError, PropertyResult, SweepReport
-from diagsets.diagonals import DiagonalSpec, Side, Witness, validate_witness
+from diagsets.diagonals import DiagonalSpec, GraphAnalysis, Side, Witness, validate_witness
 from diagsets.graph import VertexSet
 from diagsets.graphio import parse_edge_list
 from diagsets.upsets import parse_upset
@@ -194,6 +194,44 @@ def test_verify_reports_failures_with_exit_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "exhaustive_sweep", lambda **kwargs: broken)
     assert cli.main(["verify", "--order-max", "1"]) == 1
     assert "VERIFY FAILED" in capsys.readouterr().out
+
+
+def _plant_on_order_five(monkeypatch, method, error):
+    original = getattr(GraphAnalysis, method)
+
+    def planted(self, *args):
+        if self.g.n == 5:
+            raise error("planted engine fault")
+        return original(self, *args)
+
+    monkeypatch.setattr(GraphAnalysis, method, planted)
+
+
+RANDOM_THREE = ["verify", "--order-max", "1", "--random", "3", "--size", "4..6", "--seed", "3"]
+
+
+@pytest.mark.parametrize("method", ["verify_battery", "inclusion_chain_check"])
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_verify_random_reports_any_engine_fault_as_that_graphs_failure(
+    monkeypatch, capsys, method, error
+):
+    # The second of three random graphs has order 5; the other two still pass.
+    _plant_on_order_five(monkeypatch, method, error)
+    assert cli.main(RANDOM_THREE) == 1
+    out = capsys.readouterr().out.splitlines()
+    fails = [line for line in out if "FAIL" in line]
+    assert len(fails) == 2, out
+    assert fails[0].startswith("  FAIL seed=4 order=5 p=0.2 loops=forbid: ")
+    assert "planted engine fault" in fails[0]
+    assert "randomized: 3 graphs, orders 4..6, 1 failures" in out
+    assert fails[1] == "VERIFY FAILED: 1 failure(s)"
+
+
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+def test_verify_random_still_exits_three_on_a_resource_cap(monkeypatch, capsys, error):
+    _plant_on_order_five(monkeypatch, "verify_battery", error)
+    assert cli.main(RANDOM_THREE) == 3
+    assert capsys.readouterr().err == "resource cap: planted engine fault\n"
 
 
 def test_usage_errors_exit_two():
