@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, VertexSet
 from .upsets import UPSet
@@ -44,17 +44,6 @@ EVIDENCE_CAP = 10_000
 
 # The spectrum of every vertex that no closed walk passes through.
 _NO_CLOSED_WALK = UPSet.empty()
-
-
-class _Memo(dict):
-    """A dict that makes each missing value once, as ``make(key)``."""
-
-    def __init__(self, make: Callable):
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 class TheoremViolationError(RuntimeError):
@@ -225,18 +214,19 @@ class GraphAnalysis:
     the cyclic SCCs and their cyclic classes (one Kosaraju pass, whose
     levels give both), the cyclic set and the levels of one
     breadth-first search back from it, each SCC's settled index, the
-    spectra, the vertices of each distinct spectrum and the diagonal set
-    of every length set S (None for Dinf).  No matrix power is kept: the
-    chain check makes the ones it reads in one walk and drops them.  The
-    independent routes run once per analysis: Dinf by the levels and by
-    the zero rows of A^|V|, and in the chain check D_n and D_S from the
-    spectra and from the loops of powers.
+    spectra, the vertices of each distinct spectrum and one entry per
+    length set S (None for Dinf): its violation table and its set.  No
+    matrix power is kept: the chain check makes the ones it reads in one
+    walk and drops them.  The independent routes run once per analysis:
+    Dinf by the levels and by the zero rows of A^|V|, and in the chain
+    check D_n and D_S from the spectra and from the loops of powers.
 
     The first vertex of an SCC that needs a spectrum runs the SCC's one
     ``forward_pass``: every spectrum of the SCC, and its settled index, the
     largest of its backward layers.  A vertex on no closed walk has the
     empty spectrum and no layers.  Equal spectra are one object, built
-    once, whose shortest violation of each S+1 is found once: the diagonal
+    once.  S's entry, built in ``_answer``, maps each to its shortest
+    violation of S+1, and D_S holds the spectra with none: the diagonal
     sets, the battery and the chain check's bound work per distinct
     spectrum.  The battery runs vertex by vertex and once per distinct
     length set S: one row of shortest violations per (spectrum, in Dinf or
@@ -249,9 +239,8 @@ class GraphAnalysis:
     def __init__(self, g: Graph):
         self.g = g
         self._spectra: list[UPSet | None] = [None] * g.n
-        self._sets: dict[UPSet | None, VertexSet] = {}
-        # By S+1, then by spectrum: the least length in both, or None.
-        self._shortest = _Memo(lambda walks: _Memo(lambda sp: sp.min_common(walks)))
+        # By length set S (None for Dinf): its violation table and its set, from ``_answer``.
+        self._answers: dict[UPSet | None, tuple[dict[UPSet, int | None] | None, VertexSet]] = {}
         self._made: dict = {}  # the spectra, by (p, settled index, hits) and by themselves
         self._settled: dict[CyclicClasses, int] = {}  # per passed SCC: the pass's stop
 
@@ -294,8 +283,13 @@ class GraphAnalysis:
             return _NO_CLOSED_WALK
         if self._spectra[v] is None:  # the SCC's one pass gives all its spectra and settled index
             settled, hits = forward_pass(self.g.rows, classes)
-            for u, h in hits.items():
-                self._spectra[u] = self._spectrum_at(classes, settled, h)
+            p, start = classes.period, max(settled, 1)
+            for u, h in hits.items():  # the hits below the settled index, then every multiple of p
+                key = (p, start, tuple(h))  # one build per key, one object per value
+                if key not in self._made:
+                    made = UPSet(start, p, frozenset({0}), frozenset(h))
+                    self._made[key] = self._made.setdefault(made, made)
+                self._spectra[u] = self._made[key]
             self._settled[classes] = settled
         return self._spectra[v]
 
@@ -313,47 +307,38 @@ class GraphAnalysis:
             holders[sp] = holders.get(sp, 0) | 1 << v
         return holders
 
-    def _spectrum_at(self, classes: CyclicClasses, settled: int, hits: Sequence[int]) -> UPSet:
-        """The closed-walk lengths ``hits`` below a settled index, then every multiple of p.
-
-        Built once per (p, settled index, hits), and once per value: equal spectra are one object.
-        """
-        key = (classes.period, max(settled, 1), tuple(hits))
-        if key not in self._made:
-            p, start, lengths = key
-            made = UPSet(start, p, frozenset({0}), frozenset(lengths))
-            self._made[key] = self._made.setdefault(made, made)
-        return self._made[key]
-
     def diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
         """The diagonal set of spec, kept per length set S: D and DS({0}) share one."""
-        dx = self._sets.get(spec.lengths)
-        if dx is None:
-            dx = self._sets[spec.lengths] = self._diagonal_set(spec)
-        return dx
+        return self._answer(spec)[1]
 
-    def _diagonal_set(self, spec: DiagonalSpec) -> VertexSet:
-        n = self.g.n
-        if spec.kind != "Dinf":
-            shortest = self._shortest[spec.walk_lengths]
-            return VertexSet(n, sum(m for sp, m in self._holders.items() if shortest[sp] is None))
-        scc_route = self.canreach_cycle.complement()
-        matrix_route = VertexSet(n, long_walk_starts(self.g, self.transposed_rows)).complement()
-        if scc_route != matrix_route:
-            raise InternalDisagreementError(
-                f"infinite-walk routes disagree: scc={scc_route.to_list()} "
-                f"matrix={matrix_route.to_list()}"
-            )
-        return scc_route
+    def _answer(self, spec: DiagonalSpec) -> tuple[dict[UPSet, int | None] | None, VertexSet]:
+        """Per distinct spectrum its shortest violation of S+1 or None, and D_S: once per S."""
+        answer = self._answers.get(spec.lengths)
+        if answer is None:
+            n = self.g.n
+            if spec.kind != "Dinf":  # D_S: the holders of the spectra that S+1 does not violate
+                table = {sp: sp.min_common(spec.walk_lengths) for sp in self._holders}
+                dx = VertexSet(n, sum(m for sp, m in self._holders.items() if table[sp] is None))
+            else:  # no table; the set both routes give
+                table, dx = None, self.canreach_cycle.complement()
+                starts = VertexSet(n, long_walk_starts(self.g, self.transposed_rows))
+                if dx != starts.complement():
+                    raise InternalDisagreementError(
+                        f"infinite-walk routes disagree: scc={dx.to_list()} "
+                        f"matrix={starts.complement().to_list()}"
+                    )
+            answer = self._answers[spec.lengths] = table, dx
+        return answer
 
-    def _vertex(self, v: int, tables: Sequence[_Memo | None], rows: dict) -> list[Witness]:
-        """Per S+1's ``_shortest`` table (None for Dinf), v's witness; Dinf alone reads no spectrum.
+    def _vertex(self, v: int, tables: Sequence[dict | None], rows: dict) -> list[Witness]:
+        """Per length set's violation table from ``_answer`` (None for Dinf), v's witness.
 
         ``rows`` keeps, per (spectrum, in Dinf or not), the shortest violation
         per table, their distinct values, one witness each, and the longest
         kept walk, as far as v's backward layers are listed, once.
         """
-        spectrum = self.spectrum(v) if any(t is not None for t in tables) else None
+        # Building a table filled every spectrum; a Dinf-only battery builds none, and no pass.
+        spectrum = self._spectra[v]
         tail = None if None in tables and v in self.diagonal_set(DiagonalSpec.dinf()) else math.inf
         row = rows.get((spectrum, tail))
         if row is None:  # Dinf's violation is an infinite walk, the others' a closed walk
@@ -418,7 +403,7 @@ class GraphAnalysis:
 
         Each vertex is read once per distinct length set S (None for Dinf),
         not per spec: specs that share S, such as D and DS({0}), share its
-        shortest violations, its set (read through ``diagonal_set``) and its
+        entry (its shortest violations and its set, from ``_answer``) and its
         witnesses.  The first spec of each distinct length set checks them:
         the checks read nothing of a spec but S.
         """
@@ -428,8 +413,8 @@ class GraphAnalysis:
         for spec in specs:
             firsts.setdefault(spec.lengths, spec)
         keys = list(firsts.values())
-        tables = [None if s.lengths is None else self._shortest[s.walk_lengths] for s in keys]
-        rows: dict = {}  # this battery's own, as its tables are
+        tables = [self._answer(spec)[0] for spec in keys]
+        rows: dict = {}  # this battery's own: a row lists its tables
         witnesses = [self._vertex(v, tables, rows) for v in range(g.n)]
         columns = dict(zip(firsts, zip(*witnesses)))  # by length set
         for spec in keys:

@@ -120,14 +120,19 @@ def emit_edge_list(g: Graph, seed: int | None = None) -> str:
     """
     lines = []
     if seed is not None:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an int, got {seed!r}")
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
-        lines.append(f"# seed {seed}")
+        lines.append(f"# seed {_check_seed(seed)}")
     lines.append(f"n {g.n}")
     lines.extend(f"{u} {w}" for u, w in g.edges())
     return "\n".join(lines) + "\n"
+
+
+def _check_seed(seed: int) -> int:
+    """A seed reads back from ``# seed N``, and draws its own graph, only as a nonnegative int."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if seed < 0:  # Random(-k) seeds from k
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def scan_seed_comment(text: str) -> int | None:
@@ -155,7 +160,7 @@ def gen_random(n: int, p: float, seed: int, loops: str = "allow") -> Graph:
     Each ordered pair (u, w) is included independently with probability p,
     drawn in row-major order; ``loops="forbid"`` skips the diagonal without
     consuming randomness.  The same arguments always produce the same graph
-    on every platform.
+    on every platform; ``seed`` is checked first, as ``emit_edge_list`` checks it.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -163,7 +168,7 @@ def gen_random(n: int, p: float, seed: int, loops: str = "allow") -> Graph:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     if loops not in ("allow", "forbid"):
         raise ValueError(f"loops must be 'allow' or 'forbid', got {loops!r}")
-    rng = random.Random(seed)
+    rng = random.Random(_check_seed(seed))
     rows = []
     for u in range(n):
         bits = 0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from diagsets import diagonals, walks
 from diagsets.diagonals import (
+    CHAIN_N_MAX,
     DiagonalSpec,
     Evidence,
     GraphAnalysis,
@@ -380,6 +381,14 @@ def test_one_witness_and_at_most_one_descent_per_vertex_and_length(monkeypatch, 
     walks_made = [(v, m) for v, m in made if m is not None and not g.has_edge(v, v)]
     assert calls["_descend"] == len(walks_made)
     assert sum(len(witnesses) for _, _, witnesses in battery) == len(specs) * g.n
+    # Each length set's answer is kept: the chain check adds only Dn(7) and
+    # Dn(8), one shortest violation per spectrum, and a second battery none.
+    after_battery = calls["min_common"]
+    analysis.inclusion_chain_check(CHAIN_N_MAX, [spec.s for spec in specs if spec.kind == "DS"])
+    assert calls["min_common"] == after_battery + 2 * len(set(analysis.spectra))
+    after_chain = calls["min_common"]
+    assert analysis.verify_battery(specs) == battery
+    assert calls["min_common"] == after_chain
 
 
 def test_witness_of_a_looped_vertex_follows_its_length():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from diagsets import bruteforce, cli
+from diagsets import bruteforce, cli, graphio
 from diagsets.bruteforce import OracleGuardError, PropertyResult, SweepReport
 from diagsets.diagonals import DiagonalSpec, GraphAnalysis, Side, Witness, validate_witness
 from diagsets.graph import VertexSet
@@ -304,8 +304,12 @@ def test_an_order_past_the_memory_limit_exits_three(tmp_path):
     assert done.stderr.startswith("resource cap: ")
 
 
-def test_gen_rejects_a_negative_seed_before_writing(capsys):
+def test_gen_rejects_a_negative_seed_before_writing(monkeypatch, capsys):
     # "# seed -7" would not read back, and Random(-7) draws the graph of seed 7.
+    def drawn(seed):
+        raise AssertionError(f"a graph was drawn from seed {seed}")
+
+    monkeypatch.setattr(graphio.random, "Random", drawn)
     assert cli.main(["gen", "--n", "3", "--p", "0.5", "--seed", "-7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

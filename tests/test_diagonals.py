@@ -429,7 +429,8 @@ def test_validate_witness_rejects_evidence_on_a_dx_minus_out_witness():
 def test_a_diagonal_equal_to_an_outgoing_set_is_a_theorem_violation():
     analysis = GraphAnalysis(C3)
     spec = DiagonalSpec.d()
-    analysis._sets[spec.lengths] = C3.out_set(0)  # planted: the theorem rules it out
+    table, _ = analysis._answer(spec)
+    analysis._answers[spec.lengths] = table, C3.out_set(0)  # planted: the theorem rules it out
     with pytest.raises(TheoremViolationError, match=r"equals Out\(0\)"):
         analysis.verify_unequal(spec)
 

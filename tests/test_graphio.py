@@ -273,6 +273,9 @@ def test_seed_comment_round_trip():
 def test_emit_rejects_a_seed_that_would_not_read_back(seed):
     with pytest.raises(ValueError, match="seed must be"):
         emit_edge_list(C3, seed=seed)
+    # Random(-1) would draw the graph of seed 1, and Random(1.5) or Random("3") a graph of its own.
+    with pytest.raises(ValueError, match="seed must be"):
+        gen_random(6, 0.5, seed)
 
 
 def test_gen_random_extremes():
