@@ -436,14 +436,21 @@ class GraphAnalysis:
         period of v's spectrum, read once per distinct spectrum; beyond it
         each vertex's violations are periodic, so nothing new can appear.
 
+        The members up to cut = min(bound, max(n_max, t_S - 1)), each one
+        up to n_max and each exceptional one, are read one by one.  Past cut
+        each residue class of S is one tail: its first member m and the
+        J = (bound - m) // d_S after it, read off A^(m+1) (I v A^d_S)^J,
+        since (I v B)^J = I v B v ... v B^J in Boolean arithmetic.
+
         One ascending walk over the exponents read makes every power, each
         from the one before by one product with A^gap.  The walk keeps A^gap
         from where it passes exponent gap to its last use, and
-        ``mat_pow_bool`` makes only a gap it never passes.  The walk passes
-        every exponent up to n_max + 1, and once a gap-1 product returns its
-        input, A^(k+1) = A^k, every later exponent reads A^k: no further
-        product is made.  A primitive A settles at all-ones, a nilpotent one
-        at 0.  No power outlives the check.
+        ``mat_pow_bool`` makes only a gap it never passes; it keeps each
+        tail's A^(m+1) and A^d_S to the end.  The walk passes every exponent
+        up to n_max + 1, and once a gap-1 product returns its input, A^(k+1)
+        = A^k, every later exponent reads A^k, and so does a tail starting
+        there: no further product is made.  A primitive A settles at
+        all-ones, a nilpotent one at 0.  No power outlives the check.
         """
         if not isinstance(n_max, int) or isinstance(n_max, bool):
             raise ValueError(f"n_max must be an integer, got {n_max!r}")
@@ -451,22 +458,32 @@ class GraphAnalysis:
             raise ValueError("n_max must be at least 1")
         d = self.diagonal_set(DiagonalSpec.d())
         dinf = self.diagonal_set(DiagonalSpec.dinf())
-        samples = []  # (D_S, its members read, its truncation bound or None)
+        samples = []  # (D_S, its members read one by one, its tails (m, J), its bound or None)
+        held = set()  # the exponents the tails read: each tail's m + 1, and d_S where J >= 1
         for s in s_samples:
-            spec, bound = DiagonalSpec.ds(s), None
+            # A finite S lies below its threshold.
+            spec, bound, cut, upto = DiagonalSpec.ds(s), None, s.threshold, s.threshold
             if not s.is_finite():
                 bound = max(
                     max(sp.threshold, s.threshold + 1) + math.lcm(sp.period, s.period)
                     for sp in self._holders
                 )
-            # A finite S lies below its threshold.
-            samples.append((spec, list(s.members_upto(bound or s.threshold)), bound))
+                cut = min(bound, max(n_max, s.threshold - 1))
+                upto = min(bound, cut + s.period)  # the first member past cut of each class
+            members = list(s.members_upto(upto))
+            tails = [(m, (bound - m) // s.period) for m in members if m > cut]
+            held.update(m + 1 for m, _ in tails)
+            if any(j for _, j in tails):
+                held.add(s.period)
+            samples.append((spec, [m for m in members if m <= cut], tails, bound))
 
         # The walk starts at A^1, which D = D_0 reads.
-        walk = sorted({*range(1, n_max + 2), *(m + 1 for _, ms, _ in samples for m in ms)})
+        walk = sorted({*range(1, n_max + 2), *(m + 1 for _, ms, _, _ in samples for m in ms), *held})
         gaps = [b - a for a, b in zip(walk, walk[1:])]
         last_use = {gap: i for i, gap in enumerate(gaps)}
+        last_use.update(dict.fromkeys(held, len(gaps)))  # the tails read theirs after the walk
         power, steps = self.g, {1: self.g}  # steps: A^gap by gap, for the gaps still to read
+        settled = math.inf  # the exponent where the powers settle, if they do
         unlooped = {1: power.loops().complement()}
         for i, (k, gap) in enumerate(zip(walk[1:], gaps)):
             step = steps.pop(gap) if gap in steps else mat_pow_bool(self.g, gap)
@@ -476,6 +493,7 @@ class GraphAnalysis:
             product = mat_mul_bool(step, power)
             if gap == 1 and product == power:  # A^k = A^(k-1): so is every later power
                 unlooped.update(dict.fromkeys(walk[i + 1 :], unlooped[k - 1]))
+                settled = k - 1
                 break
             power = product
             if last_use.get(k, -1) > i:
@@ -493,10 +511,21 @@ class GraphAnalysis:
 
         finite_ids: list[str] = []
         truncated: list[tuple[str, int]] = []
-        for spec, members, bound in samples:
+        reflexive: dict[tuple[int, int], Graph] = {}  # (I v A^d)^J by (d, J)
+        for spec, members, tails, bound in samples:
             expected = VertexSet.full(self.g.n)
             for m in members:
                 expected &= unlooped[m + 1]
+            for m, j in tails:
+                if j and m + 1 < settled:
+                    key = spec.s.period, j
+                    if key not in reflexive:  # a held power past the settle is the last one
+                        rows = steps.get(spec.s.period, power).rows
+                        loop = Graph(self.g.n, tuple(row | 1 << v for v, row in enumerate(rows)))
+                        reflexive[key] = mat_pow_bool(loop, j)
+                    expected &= mat_mul_bool(steps[m + 1], reflexive[key]).loops().complement()
+                else:
+                    expected &= unlooped[m + 1]
             if self.diagonal_set(spec) != expected:
                 raise TheoremViolationError(
                     f"D_S for S={spec.s.literal()} differs from the intersection of its D_n"

@@ -18,6 +18,7 @@ from diagsets.diagonals import (
     GraphAnalysis,
     InternalDisagreementError,
     Side,
+    TheoremViolationError,
     Witness,
     default_spec_battery,
 )
@@ -537,6 +538,79 @@ def test_chain_check_catches_one_length_toggled_whether_or_not_the_powers_settle
     analysis.spectra[v] = _toggled(analysis.spectra[v], length)
     with pytest.raises(InternalDisagreementError, match=f"D_{length - 1} routes disagree"):
         analysis.inclusion_chain_check(8)
+
+
+def _wielandt(k):
+    """A k-cycle with the chord k-1 -> 1: its powers settle at (k-1)^2 + 1."""
+    return make_graph(k, [(i, i + 1) for i in range(k - 1)] + [(k - 1, 0), (k - 1, 1)])
+
+
+@pytest.mark.parametrize(("k", "bound", "products"), [(16, 228, 20), (64, 3972, 28)])
+def test_chain_check_reads_each_residue_class_off_one_power(monkeypatch, k, bound, products):
+    # Wielandt-k truncates the evens at bound.  The walk makes A^2, ..., A^9
+    # and A^11; the one tail, A^11 (I v A^2)^J with J = (bound - 10) // 2,
+    # covers A^11, A^13, ..., A^(bound+1).  On Wielandt-16 the power takes
+    # 6 squarings and 4 multiplications and the tail one product, where a
+    # product per member makes 118 (1,990 on Wielandt-64).
+    exponents = []
+
+    def recorded(a, exponent, _original=diagonals.mat_pow_bool):
+        exponents.append(exponent)
+        return _original(a, exponent)
+
+    monkeypatch.setattr(diagonals, "mat_pow_bool", recorded)
+    analysis = GraphAnalysis(_wielandt(k))
+    analysis.diagonal_set(DiagonalSpec.dinf())
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls, "mat_mul_bool")
+    report = analysis.inclusion_chain_check(8, [EVENS])
+    assert report.truncated_identities == ((EVENS.literal(), bound),)
+    assert exponents == [(bound - 10) // 2]
+    assert calls == {"mat_mul_bool": products}
+
+
+def test_chain_check_catches_a_fault_only_the_tail_sees():
+    # A 2-cycle 0 <-> 1 and a 15-cycle through 0.  Vertex 0 closes walks of
+    # every even length and of every length from 14 on, and the evens are
+    # truncated at 31.  Planted as the evens, 0's spectrum agrees with A^1,
+    # ..., A^9 and with A^11 and A^13, which have no loop at 0: only the
+    # tail's A^15, ..., A^31 catch the fault.
+    g = make_graph(16, [(0, 1), (1, 0), (0, 2)] + [(i, i + 1) for i in range(2, 15)] + [(15, 0)])
+    report = GraphAnalysis(g).inclusion_chain_check(8, [EVENS])
+    assert report.truncated_identities == ((EVENS.literal(), 31),)
+    analysis = GraphAnalysis(g)
+    assert analysis.spectra[0] == parse_upset("up(t=14,d=1,r=0,f=2|4|6|8|10|12)")
+    analysis.spectra[0] = EVENS
+    with pytest.raises(TheoremViolationError, match=r"D_S for S=up\(t=0,d=2,r=0\) differs"):
+        analysis.inclusion_chain_check(8, [EVENS])
+
+
+def _cycle_unions(n):
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return st.tuples(st.permutations(range(n)), st.lists(edge, max_size=2)).map(
+        lambda drawn: make_graph(n, [*enumerate(drawn[0]), *drawn[1]])
+    )
+
+
+# A permutation of 1 to 8 vertices, a union of disjoint cycles, plus up to
+# two edges: its powers settle late or never, so its tails multiply.
+CYCLE_UNIONS = st.integers(1, 8).flatmap(_cycle_unions)
+
+
+@given(CYCLE_UNIONS, st.data())
+@settings(max_examples=80)
+def test_chain_tails_match_the_trace(g, data):
+    t, d = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 6))
+    residues = data.draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=3))
+    exceptional = data.draw(st.sets(st.integers(0, t - 1), max_size=3)) if t else set()
+    s = UPSet(t, d, frozenset(residues), frozenset(exceptional))
+    analysis = GraphAnalysis(g)
+    ((_, bound),) = analysis.inclusion_chain_check(8, [s]).truncated_identities
+    trace = power_trace(g)
+    expected = VertexSet.full(g.n)
+    for m in s.members_upto(bound):
+        expected &= trace.power(m + 1).loops().complement()
+    assert analysis.diagonal_set(DiagonalSpec.ds(s)) == expected
 
 
 # A 5-cycle blown up 20-fold: 100 vertices with one spectrum, the multiples of 5.
